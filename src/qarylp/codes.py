@@ -394,7 +394,7 @@ def read_check_matrix(path) -> TannerCode:
             if not 1 <= i <= n:
                 raise ParseError(f"check {j + 1}: column {i} outside 1..{n}", ln)
             if v >= q:
-                raise ValueError(f"line {ln}: check {j + 1}: value {v} >= q = {q}")
+                raise ParseError(f"check {j + 1}: value {v} >= q = {q}", ln)
             if v < 1:
                 raise ParseError(f"check {j + 1}: value {v} outside 1..{q - 1}", ln)
             pairs.append((i - 1, v))

@@ -12,10 +12,13 @@ message, so each visit jumps straight to the closed-form stationary point,
 which is the exact per-edge maximizer.  A sweep over the edges therefore
 never decreases the dual objective.  kappa = math.inf applies the same
 update with hard minima: still locally maximal, but without the monotone
-guarantee.  Decisions score each variable's constant words by the channel
-cost minus the sum of edge messages and pick the strictly cheapest word,
-the zero word costing 0; ties at the minimum erase the symbol (or, strictly
-below zero, surface MalformedDecision).
+guarantee.  decode() tightens every potential once per sweep, after the
+last edge update: phi_i and theta_j depend only on their own variable's and
+check's cached sums, so this equals tightening them after every edge, which
+the public per-edge functions still do.  Decisions score each variable's
+constant words by the channel cost minus the sum of edge messages and pick
+the strictly cheapest word, the zero word costing 0; ties at the minimum
+erase the symbol (or, strictly below zero, surface MalformedDecision).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import SpcCodebook, TannerCode, enumerate_spc
+from .codes import TannerCode, enumerate_spc
 
 # messages are clipped here; a bucket with no local word would otherwise
 # push its message to infinity
@@ -45,6 +48,10 @@ class EmptyList(ValueError):
 
 class DimensionMismatch(ValueError):
     """LLR matrix shape does not match the code."""
+
+
+class NonFiniteLLR(ValueError):
+    """LLR matrix holds a NaN or an infinite entry."""
 
 
 class MalformedDecision(RuntimeError):
@@ -92,51 +99,91 @@ class DecodeOutcome:
     malformed_decisions: int = 0
 
 
+# ---- input checks ----
+
+
+def validate_llr(code: TannerCode, llr) -> np.ndarray:
+    """The LLRs as a float64 (n, q-1) array.
+
+    Raises DimensionMismatch for any other shape and NonFiniteLLR for a NaN
+    or infinite entry, which no decoder can cost.
+    """
+    lam = np.asarray(llr, dtype=np.float64)
+    if lam.shape != (code.n, code.q - 1):
+        raise DimensionMismatch(
+            f"llr shape {lam.shape} does not match ({code.n}, {code.q - 1})"
+        )
+    if not np.isfinite(lam).all():
+        i, a = np.argwhere(~np.isfinite(lam))[0]
+        raise NonFiniteLLR(f"llr[{i}, {a}] = {lam[i, a]} is not finite")
+    return lam
+
+
 # ---- per-code static structure ----
 
 
+def _slot_buckets(column: np.ndarray, q: int):
+    # indices of the words holding each symbol in one slot, ascending; a
+    # stable sort groups them by symbol without reordering within a group
+    order = np.argsort(column, kind="stable")
+    counts = np.bincount(column, minlength=q)
+    if np.all(counts == counts[0]):
+        return order.reshape(q, -1)
+    return np.split(order, np.cumsum(counts)[:-1])
+
+
 class _CodeCache:
-    """Edge indexing, local codebooks, and bucket indices for one code."""
+    """Edge indexing, local codewords, and bucket indices for one code."""
 
     def __init__(self, code: TannerCode):
         self.code = code
         q = code.q
+        # edge ids are check-major: code.edges lists each check's row in turn
         self.edge_index = {edge: e for e, edge in enumerate(code.edges)}
         self.n_edges = len(code.edges)
-        # edge ids grouped per check (in row order) and per variable
         self.check_edges = []
         pos = 0
         for row in code.rows:
             self.check_edges.append(np.arange(pos, pos + len(row)))
             pos += len(row)
+        # position of each edge's variable inside its check's column list
+        self.edge_slot = np.concatenate([np.arange(len(row)) for row in code.rows])
+        # var_edges[i]: edge ids of variable i, ascending, padded with
+        # n_edges, which names an extra message row of -0.0 (x + -0.0 == x)
         var_lists: list[list[int]] = [[] for _ in range(code.n)]
         for e, (i, _) in enumerate(code.edges):
             var_lists[i].append(e)
-        self.var_edges = [np.array(lst, dtype=np.int64) for lst in var_lists]
-        # position of each edge's variable inside its check's column list
-        self.edge_slot = np.empty(self.n_edges, dtype=np.int64)
-        for j, row in enumerate(code.rows):
-            for t, (i, _) in enumerate(row):
-                self.edge_slot[self.edge_index[(i, j)]] = t
-        self.books: list[SpcCodebook] = [enumerate_spc(code, j) for j in range(code.m)]
-        self.words = [book.words.astype(np.int64) for book in self.books]
-        # buckets[j][t][beta]: indices of check-j words whose slot t holds beta
-        self.buckets = [
-            [
-                [np.flatnonzero(words[:, t] == beta) for beta in range(q)]
-                for t in range(words.shape[1])
-            ]
-            for j, words in enumerate(self.words)
+        self.var_edges = np.full(
+            (code.n, max(map(len, var_lists))), self.n_edges, dtype=np.int64
+        )
+        for i, lst in enumerate(var_lists):
+            self.var_edges[i, :len(lst)] = lst
+        # words[j]: local codewords of check j, one per row, column-major so
+        # that each slot's column is contiguous
+        self.words = [
+            np.asfortranarray(enumerate_spc(code, j).words, dtype=np.int64)
+            for j in range(code.m)
         ]
+        sizes = {words.shape[0] for words in self.words}
+        # common codebook size, or None when checks differ
+        self.book_size = sizes.pop() if len(sizes) == 1 else None
+        # buckets[j][t][beta]: indices of check-j words whose slot t holds
+        # beta.  When every beta has equally many words, a slot's buckets
+        # are the rows of one (q, L/q) matrix, so one gather feeds all q
+        # minima; otherwise they are a list of arrays
+        self.buckets = [
+            [_slot_buckets(words[:, t], q) for t in range(words.shape[1])]
+            for words in self.words
+        ]
+        # sweep orders as (edge id, variable, check, slot) tuples
+        orders = {
+            "check_major": range(self.n_edges),
+            "variable_major": [self.edge_index[(i, j)] for i in range(code.n)
+                               for j in code.columns[i]],
+        }
         self.schedules = {
-            "check_major": tuple(
-                (self.edge_index[(i, j)], i, j) for j in range(code.m)
-                for i, _ in code.rows[j]
-            ),
-            "variable_major": tuple(
-                (self.edge_index[(i, j)], i, j) for i in range(code.n)
-                for j in code.columns[i]
-            ),
+            name: tuple((e, *code.edges[e], int(self.edge_slot[e])) for e in order)
+            for name, order in orders.items()
         }
 
 
@@ -159,6 +206,24 @@ def _softmin_arr(values: np.ndarray, kappa: float) -> float:
         return lo
     # shifted log-sum-exp; the lo term contributes 1, so the log is >= 0
     return lo - math.log(np.exp(-kappa * (values - lo)).sum()) / kappa
+
+
+def _softmin_rows(rows: np.ndarray, kappa: float) -> np.ndarray:
+    """_softmin_arr of every row of a 2-d array, bit for bit.
+
+    Row-wise min, exp and sum give the same values as on each row alone,
+    and math.log is applied per row as _softmin_arr applies it.
+    """
+    lo = np.minimum.reduce(rows, axis=1)
+    if math.isinf(kappa):
+        return lo
+    shifted = rows - lo[:, None]
+    shifted *= -kappa
+    total = np.add.reduce(np.exp(shifted, out=shifted), axis=1)
+    return np.array([
+        low if math.isinf(low) else low - math.log(s) / kappa
+        for low, s in zip(lo.tolist(), total.tolist())
+    ])
 
 
 def soft_min(values, kappa: float) -> float:
@@ -188,7 +253,10 @@ class DualState:
     caches chan[i] plus the sum of messages on the variable's edges, and
     check_costs[j] caches the score of every local codeword of check j,
     where a word's score is the sum of messages[e][b - 1] over its nonzero
-    slots b.  Both caches are maintained incrementally by set_message.
+    slots b.  check_costs is one (m, L) array when every check has L local
+    words, else a list of arrays.  Both caches are maintained incrementally
+    by every message write.  phi and theta are tightened after each call of
+    set_message or a public edge update, and by decode() once per sweep.
     """
 
     code: TannerCode
@@ -197,20 +265,26 @@ class DualState:
     chan: np.ndarray
     messages: np.ndarray
     node_sum: np.ndarray
-    check_costs: list
+    check_costs: np.ndarray | list
     phi: np.ndarray
     theta: np.ndarray
     cache: _CodeCache = field(repr=False, default=None)
+    # scratch row [0, delta]: pad[b] is the score change of a word whose
+    # slot holds symbol b when one edge message moves by delta
+    pad: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.pad = np.zeros(self.code.q)
 
 
 def init_state(code: TannerCode, llr, config: DecoderConfig) -> DualState:
     """Fresh state: zero edge messages, channel slots at -llr, tight potentials."""
-    lam = np.asarray(llr, dtype=np.float64)
-    if lam.shape != (code.n, code.q - 1):
-        raise DimensionMismatch(
-            f"llr shape {lam.shape} does not match ({code.n}, {code.q - 1})"
-        )
+    lam = validate_llr(code, llr)
     cache = _code_cache(code)
+    if cache.book_size is None:
+        check_costs = [np.zeros(words.shape[0]) for words in cache.words]
+    else:
+        check_costs = np.zeros((code.m, cache.book_size))
     state = DualState(
         code=code,
         kappa=config.kappa,
@@ -218,15 +292,12 @@ def init_state(code: TannerCode, llr, config: DecoderConfig) -> DualState:
         chan=-lam,
         messages=np.zeros((cache.n_edges, code.q - 1)),
         node_sum=(-lam).copy(),
-        check_costs=[np.zeros(len(book)) for book in cache.books],
+        check_costs=check_costs,
         phi=np.zeros(code.n),
         theta=np.zeros(code.m),
         cache=cache,
     )
-    for i in range(code.n):
-        state.phi[i] = _variable_potential(state, i)
-    for j in range(code.m):
-        state.theta[j] = _softmin_arr(state.check_costs[j], state.kappa)
+    _tighten_potentials(state)
     return state
 
 
@@ -237,35 +308,60 @@ def _variable_potential(state: DualState, i: int) -> float:
     return _softmin_arr(scores, state.kappa)
 
 
+def _tighten_potentials(state: DualState) -> None:
+    # every phi_i and theta_j at once; row i of scores is the concatenation
+    # _variable_potential builds for variable i
+    scores = np.zeros((state.code.n, state.code.q))
+    np.negative(state.node_sum, out=scores[:, 1:])
+    state.phi[:] = _softmin_rows(scores, state.kappa)
+    costs = state.check_costs
+    if isinstance(costs, np.ndarray):
+        state.theta[:] = _softmin_rows(costs, state.kappa)
+    else:
+        state.theta[:] = [_softmin_arr(c, state.kappa) for c in costs]
+
+
+def _write_message(state: DualState, e: int, i: int, j: int, t: int,
+                   new: np.ndarray) -> None:
+    # store edge e's new message and fold the change into both caches
+    pad = state.pad
+    delta = pad[1:]
+    np.subtract(new, state.messages[e], out=delta)
+    state.messages[e] = new
+    state.node_sum[i] += delta
+    state.check_costs[j] += pad[state.cache.words[j][:, t]]
+
+
 def set_message(state: DualState, i: int, j: int, values) -> None:
     """Assign the message on edge (i, j), keeping all caches consistent."""
     cache = state.cache
     e = cache.edge_index[(i, j)]
-    new = np.asarray(values, dtype=np.float64)
-    delta = new - state.messages[e]
-    state.messages[e] = new
-    state.node_sum[i] += delta
-    t = cache.edge_slot[e]
-    pad = np.concatenate(([0.0], delta))
-    state.check_costs[j] += pad[cache.words[j][:, t]]
+    _write_message(state, e, i, j, int(cache.edge_slot[e]),
+                   np.asarray(values, dtype=np.float64))
     update_phi_theta(state, i, j)
+
+
+def _message_sums(state: DualState) -> np.ndarray:
+    # per-variable sums of edge messages, shape (n, q-1), added in edge
+    # order; padding slots read a row of -0.0, which changes no sum
+    cache = state.cache
+    rows = np.full((cache.n_edges + 1, state.code.q - 1), -0.0)
+    rows[:-1] = state.messages
+    return rows[cache.var_edges].sum(axis=1)
 
 
 def _refresh_caches(state: DualState) -> None:
     # recompute node_sum and check_costs from messages, shedding float drift
-    state.node_sum[:] = state.chan
     cache = state.cache
-    for i in range(state.code.n):
-        edges = cache.var_edges[i]
-        if edges.size:
-            state.node_sum[i] += state.messages[edges].sum(axis=0)
-    for j in range(state.code.m):
-        words = cache.words[j]
-        costs = np.zeros(words.shape[0])
-        for t, e in enumerate(cache.check_edges[j]):
-            pad = np.concatenate(([0.0], state.messages[e]))
-            costs += pad[words[:, t]]
-        state.check_costs[j] = costs
+    state.node_sum[:] = state.chan + _message_sums(state)
+    # padded[e, b]: score change from edge e for symbol b, 0 for b = 0
+    padded = np.zeros((cache.n_edges, state.code.q))
+    padded[:, 1:] = state.messages
+    for j, words in enumerate(cache.words):
+        # row t holds every word's slot-t term; rows are summed onto 0.0 in
+        # slot order
+        terms = padded[cache.check_edges[j][:, None], words.T]
+        np.sum(terms, axis=0, initial=0.0, out=state.check_costs[j])
 
 
 # ---- instrumentation terms ----
@@ -330,7 +426,7 @@ def dual_objective(state: DualState) -> float:
 # ---- edge updates ----
 
 
-def _maximize_edge(state: DualState, i: int, j: int) -> None:
+def _maximize_edge(state: DualState, e: int, i: int, j: int, t: int) -> None:
     # closed-form joint maximizer of the edge-local objective: with
     # bucket(b) = soft minimum of check-j word scores whose slot for
     # variable i equals b (current messages included), the stationary point
@@ -338,25 +434,31 @@ def _maximize_edge(state: DualState, i: int, j: int) -> None:
     #   w(a) <- w(a) - (node_sum(i, a) + bucket(a) - bucket(0)) / 2
     # The a-slots decouple once the shared normalizer bucket(0) is fixed,
     # and the current w(a) cancels from the right side exactly, so a
-    # message is never used to update itself.
-    cache = state.cache
-    e = cache.edge_index[(i, j)]
-    t = cache.edge_slot[e]
+    # message is never used to update itself.  Edge e sits in slot t of
+    # check j.  phi and theta are left to the caller.
     costs = state.check_costs[j]
-    buckets = cache.buckets[j][t]
-    sm = np.empty(state.code.q)
-    for beta in range(state.code.q):
-        sm[beta] = _softmin_arr(costs[buckets[beta]], state.kappa)
+    buckets = state.cache.buckets[j][t]
+    if isinstance(buckets, np.ndarray):
+        sm = _softmin_rows(costs[buckets], state.kappa)
+    else:
+        sm = np.array([_softmin_arr(costs[b], state.kappa) for b in buckets])
     new = state.messages[e] - 0.5 * (state.node_sum[i] + sm[1:] - sm[0])
-    np.clip(new, -_MESSAGE_CLAMP, _MESSAGE_CLAMP, out=new)
-    set_message(state, i, j, new)
+    np.maximum(new, -_MESSAGE_CLAMP, out=new)
+    np.minimum(new, _MESSAGE_CLAMP, out=new)
+    _write_message(state, e, i, j, t, new)
+
+
+def _update_edge(state: DualState, i: int, j: int) -> None:
+    e = state.cache.edge_index[(i, j)]
+    _maximize_edge(state, e, i, j, int(state.cache.edge_slot[e]))
+    update_phi_theta(state, i, j)
 
 
 def update_edge_soft(state: DualState, i: int, j: int) -> DualState:
     """Maximize the edge-local dual objective over edge (i, j), finite kappa."""
     if math.isinf(state.kappa):
         raise ValueError("update_edge_soft requires finite kappa")
-    _maximize_edge(state, i, j)
+    _update_edge(state, i, j)
     return state
 
 
@@ -368,7 +470,7 @@ def update_edge_hard(state: DualState, i: int, j: int) -> DualState:
     """
     if not math.isinf(state.kappa):
         raise ValueError("update_edge_hard requires kappa = math.inf")
-    _maximize_edge(state, i, j)
+    _update_edge(state, i, j)
     return state
 
 
@@ -380,12 +482,7 @@ def _decision_scores(state: DualState) -> np.ndarray:
     # slot joins the per-variable sum like any other slot of the repetition
     # code; recomputed from messages directly so decisions are immune to
     # cache drift
-    scores = state.llr.copy()
-    for i in range(state.code.n):
-        edges = state.cache.var_edges[i]
-        if edges.size:
-            scores[i] -= state.messages[edges].sum(axis=0)
-    return scores
+    return state.llr - _message_sums(state)
 
 
 def _decide_symbols(state: DualState) -> np.ndarray:
@@ -394,22 +491,21 @@ def _decide_symbols(state: DualState) -> np.ndarray:
     # x_hat[i, alpha]; a tie for the smallest score means no unique word
     # claims the decision
     scores = _decision_scores(state)
-    symbols = np.empty(state.code.n, dtype=np.int64)
-    for i in range(state.code.n):
-        full = np.concatenate(([0.0], scores[i]))
-        order = np.argsort(full, kind="stable")
-        best, runner = full[order[0]], full[order[1]]
-        if runner - best <= _DECISION_ZERO_TOL:
-            if best < -_DECISION_ZERO_TOL:
-                tied = np.flatnonzero(full - best <= _DECISION_ZERO_TOL)
-                raise MalformedDecision(
-                    f"variable {i}: slots {tied.tolist()} all claim the "
-                    f"decision (scores {scores[i].tolist()})"
-                )
-            symbols[i] = ERASED
-            continue
-        symbols[i] = int(order[0])
-    return symbols
+    full = np.zeros((state.code.n, state.code.q))
+    full[:, 1:] = scores
+    order = np.argsort(full, axis=1, kind="stable")
+    ranked = np.take_along_axis(full, order[:, :2], axis=1)
+    best = ranked[:, 0]
+    tie = ranked[:, 1] - best <= _DECISION_ZERO_TOL
+    malformed = tie & (best < -_DECISION_ZERO_TOL)
+    if malformed.any():
+        i = int(np.argmax(malformed))
+        tied = np.flatnonzero(full[i] - best[i] <= _DECISION_ZERO_TOL)
+        raise MalformedDecision(
+            f"variable {i}: slots {tied.tolist()} all claim the "
+            f"decision (scores {scores[i].tolist()})"
+        )
+    return np.where(tie, ERASED, order[:, 0])
 
 
 def decide(state: DualState) -> DecodeOutcome:
@@ -439,21 +535,23 @@ def decode(code: TannerCode, llr, config: DecoderConfig) -> DecodeOutcome:
 
     Each iteration visits every edge in the configured order, applying the
     soft update (finite kappa) or the hard update (kappa = math.inf), then
-    records the dual objective and reads a decision.  With stop_on_codeword,
-    an erasure-free decision with zero syndrome returns CODEWORD_FOUND
-    immediately.  Iterations whose decision is malformed are counted and
-    skipped; a malformed final decision propagates MalformedDecision.
+    tightens every potential, records the dual objective and reads a
+    decision.  The result equals running update_edge_soft/update_edge_hard
+    edge by edge.  With stop_on_codeword, an erasure-free decision with
+    zero syndrome returns CODEWORD_FOUND immediately.  Iterations whose
+    decision is malformed are counted and skipped; a malformed final
+    decision propagates MalformedDecision.
     """
     state = init_state(code, llr, config)
     schedule = state.cache.schedules[config.edge_order]
-    update = update_edge_hard if math.isinf(config.kappa) else update_edge_soft
     trace = [dual_objective(state)]
     malformed = 0
     symbols = None
     for iteration in range(1, config.max_iterations + 1):
         _refresh_caches(state)
-        for _, i, j in schedule:
-            update(state, i, j)
+        for e, i, j, t in schedule:
+            _maximize_edge(state, e, i, j, t)
+        _tighten_potentials(state)
         trace.append(dual_objective(state))
         try:
             symbols = _decide_symbols(state)

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import TannerCode, enumerate_spc
-from .decoder import ERASED, DecodeOutcome, Status
+from .decoder import ERASED, DecodeOutcome, Status, validate_llr
 
 # reduced-cost and pivot-element threshold for the simplex core
 _SIMPLEX_TOL = 1e-9
@@ -317,11 +317,7 @@ def build_decoding_lp(code: TannerCode, llr,
     Rows are the indicator/weight coupling equalities (check-major, then
     position, then symbol) followed by one normalization row per check.
     """
-    lam = np.asarray(llr, dtype=np.float64)
-    if lam.shape != (code.n, code.q - 1):
-        raise ValueError(
-            f"llr shape {lam.shape} does not match ({code.n}, {code.q - 1})"
-        )
+    lam = validate_llr(code, llr)
     books = _books(code, codebook_budget)
     A, b, names, _ = _lp_structure(code, books)
     c = np.zeros(A.shape[1])
@@ -609,13 +605,10 @@ def lp_decode_exact(
     most 1) decodes to a codeword with CODEWORD_FOUND.  A fractional optimum
     is a decoding failure: fractional positions are ERASED and the status is
     MAX_ITERATIONS.  iterations_used reports simplex pivots and the
-    objective trace holds the optimal value.
+    objective trace holds the optimal value.  LLRs of the wrong shape or
+    with a non-finite entry are refused (see validate_llr).
     """
-    lam = np.asarray(llr, dtype=np.float64)
-    if lam.shape != (code.n, code.q - 1):
-        raise ValueError(
-            f"llr shape {lam.shape} does not match ({code.n}, {code.q - 1})"
-        )
+    lam = validate_llr(code, llr)
     setup = _exact_setup(code, codebook_budget)
     if setup.crash_words is not None:
         f_flat, value, pivots = _column_generation(
@@ -817,9 +810,7 @@ def ml_bruteforce(code: TannerCode, llr) -> np.ndarray:
     q, n = code.q, code.n
     if n * math.log2(q) > 20.0 + 1e-9:
         raise TooLarge(f"q^n = {q}^{n} exceeds the exhaustive search bound")
-    lam = np.asarray(llr, dtype=np.float64)
-    if lam.shape != (n, q - 1):
-        raise ValueError(f"llr shape {lam.shape} does not match ({n}, {q - 1})")
+    lam = validate_llr(code, llr)
     total = q ** n
     ids = np.arange(total)
     words = np.empty((total, n), dtype=np.int64)

@@ -1,7 +1,8 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here trades speed for obviousness: exhaustive enumeration,
-Smith normal forms, finite differences, and scalar golden-section search.
+Smith normal forms, finite differences, scalar golden-section search, and
+edge-by-edge and loop forms of the decoder's sweep and bookkeeping.
 Production modules must never import from this file.
 """
 
@@ -11,6 +12,8 @@ import itertools
 import math
 
 import numpy as np
+
+from qarylp import decoder as D
 
 
 def spc_words_bruteforce(code, j):
@@ -168,3 +171,88 @@ def codewords_vectorized(code, chunk=1 << 20):
         keep = ~np.any(words @ H.T % q, axis=1)
         out.append(words[keep])
     return np.concatenate(out)
+
+
+def decode_reference(code, llr, config):
+    """decode() spelled out through the public per-edge path.
+
+    One cache refresh per sweep, then update_edge_soft/update_edge_hard on
+    every edge in the configured order, each tightening phi and theta right
+    after its edge, then decide().  decode() must return exactly this.
+    """
+    state = D.init_state(code, llr, config)
+    if config.edge_order == "check_major":
+        edges = [(i, j) for j in range(code.m) for i, _ in code.rows[j]]
+    else:
+        edges = [(i, j) for i in range(code.n) for j in code.columns[i]]
+    update = D.update_edge_hard if math.isinf(config.kappa) else D.update_edge_soft
+    trace = [D.dual_objective(state)]
+    malformed = 0
+    outcome = None
+    for iteration in range(1, config.max_iterations + 1):
+        D._refresh_caches(state)
+        for i, j in edges:
+            update(state, i, j)
+        trace.append(D.dual_objective(state))
+        try:
+            outcome = D.decide(state)
+        except D.MalformedDecision:
+            malformed += 1
+            outcome = None
+            continue
+        if config.stop_on_codeword and outcome.status is D.Status.CODEWORD_FOUND:
+            return D.DecodeOutcome(outcome.symbols, outcome.status, iteration,
+                                   tuple(trace), malformed)
+    if outcome is None:
+        D.decide(state)
+    return D.DecodeOutcome(outcome.symbols, D.Status.MAX_ITERATIONS,
+                           config.max_iterations, tuple(trace), malformed)
+
+
+def _variable_edges(code, i):
+    return [e for e, (v, _) in enumerate(code.edges) if v == i]
+
+
+def refresh_caches_loop(state):
+    """node_sum and check_costs rebuilt from messages one variable and one
+    check at a time; returns (node_sum, list of per-check cost arrays)."""
+    cache = state.cache
+    node_sum = state.chan.copy()
+    for i in range(state.code.n):
+        edges = _variable_edges(state.code, i)
+        if edges:
+            node_sum[i] += state.messages[edges].sum(axis=0)
+    check_costs = []
+    for j, words in enumerate(cache.words):
+        costs = np.zeros(words.shape[0])
+        for t, e in enumerate(cache.check_edges[j]):
+            pad = np.concatenate(([0.0], state.messages[e]))
+            costs += pad[words[:, t]]
+        check_costs.append(costs)
+    return node_sum, check_costs
+
+
+def decide_symbols_loop(state):
+    """Per-variable decisions by sorting each variable's word scores alone."""
+    n = state.code.n
+    scores = state.llr.copy()
+    for i in range(n):
+        edges = _variable_edges(state.code, i)
+        if edges:
+            scores[i] -= state.messages[edges].sum(axis=0)
+    symbols = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        full = np.concatenate(([0.0], scores[i]))
+        order = np.argsort(full, kind="stable")
+        best, runner = full[order[0]], full[order[1]]
+        if runner - best <= D._DECISION_ZERO_TOL:
+            if best < -D._DECISION_ZERO_TOL:
+                tied = np.flatnonzero(full - best <= D._DECISION_ZERO_TOL)
+                raise D.MalformedDecision(
+                    f"variable {i}: slots {tied.tolist()} all claim the "
+                    f"decision (scores {scores[i].tolist()})"
+                )
+            symbols[i] = D.ERASED
+            continue
+        symbols[i] = int(order[0])
+    return symbols

@@ -257,8 +257,9 @@ def _write(tmp_path, text):
 
 def test_check_matrix_value_at_least_q(tmp_path):
     path = _write(tmp_path, "2 1 3\n2 2\n1\n1\n2\n1:1 2:3\n")
-    with pytest.raises(ValueError, match="value 3 >= q"):
+    with pytest.raises(ParseError, match="value 3 >= q") as err:
         read_check_matrix(path)
+    assert err.value.line == 6
 
 
 def test_check_matrix_parse_errors(tmp_path):

@@ -1,11 +1,12 @@
 import copy
 import math
+import time
 
 import numpy as np
 import pytest
 
 from qarylp import decoder as D
-from qarylp.channel import compute_llr, modulate, qpsk
+from qarylp.channel import awgn_sample, compute_llr, ebno_to_sigma, modulate, psk, qpsk
 from qarylp.codes import TannerCode, ldpc80_z4, random_regular_code
 from qarylp.decoder import (
     ERASED,
@@ -13,6 +14,7 @@ from qarylp.decoder import (
     DimensionMismatch,
     EmptyList,
     MalformedDecision,
+    NonFiniteLLR,
     Status,
     compute_c_terms,
     compute_v_terms,
@@ -28,7 +30,14 @@ from qarylp.decoder import (
     update_phi_theta,
 )
 
-from oracles import central_difference_gradient, coordinate_grid_max, softmin_bruteforce
+from oracles import (
+    central_difference_gradient,
+    coordinate_grid_max,
+    decide_symbols_loop,
+    decode_reference,
+    refresh_caches_loop,
+    softmin_bruteforce,
+)
 
 
 # ---- helpers ----
@@ -54,6 +63,30 @@ def h_of(state, i, j, values):
 def two_check_code():
     # variable 0 sits in both checks, variables 1 and 2 in one each
     return TannerCode(q=4, n=3, rows=(((0, 1), (1, 1)), ((0, 1), (2, 1))))
+
+
+def ragged_code():
+    # check 0 is b0 + 2 b1 + 2 b2 = 0 mod 4, so slot 0 holds only even
+    # symbols and its buckets differ in size; checks of degree 2, 3 and 4
+    # give codebooks of 4, 16 and 64 words
+    return TannerCode(q=4, n=6, rows=(
+        ((0, 1), (1, 2), (2, 2)),
+        ((1, 1), (3, 3), (4, 1)),
+        ((2, 1), (5, 1)),
+        ((0, 3), (3, 1), (4, 2), (5, 1)),
+    ))
+
+
+def awgn_frames(code, ebno_db, count, seed):
+    """LLRs of the all-zero word over PSK and AWGN, one seeded frame each."""
+    cmap = psk(code.q)
+    sigma = ebno_to_sigma(ebno_db, (code.n - code.m) / code.n, math.log2(code.q))
+    y0 = modulate(np.zeros(code.n, dtype=np.int64), cmap)
+    return [
+        compute_llr(awgn_sample(y0, sigma, np.random.default_rng((seed, f))),
+                    cmap, sigma)
+        for f in range(count)
+    ]
 
 
 # ---- soft_min ----
@@ -138,6 +171,18 @@ def test_init_state_dimension_mismatch():
         init_state(code, np.zeros((3, 2)), DecoderConfig())
     with pytest.raises(DimensionMismatch):
         init_state(code, np.zeros((4, 3)), DecoderConfig())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_decode_refuses_non_finite_llr(bad):
+    code = ldpc80_z4()
+    llr = np.ones((code.n, code.q - 1))
+    llr[5, 1] = bad
+    for kappa in (100.0, math.inf):
+        start = time.perf_counter()
+        with pytest.raises(NonFiniteLLR, match=r"llr\[5, 1\]"):
+            decode(code, llr, DecoderConfig(kappa=kappa))
+        assert time.perf_counter() - start < 1.0
 
 
 def test_init_state_zero_llr_dual_values():
@@ -445,8 +490,11 @@ def test_decide_malformed():
     # variable 2 scores (-3,-3,1): slots 1 and 2 tie strictly below zero,
     # so neither word uniquely claims the decision
     set_message(state, 2, 1, [3.0, 3.0, -1.0])
-    with pytest.raises(MalformedDecision, match="variable 2"):
+    with pytest.raises(MalformedDecision, match="variable 2") as got:
         decide(state)
+    with pytest.raises(MalformedDecision) as want:
+        decide_symbols_loop(state)
+    assert str(got.value) == str(want.value)
 
 
 def test_decide_resolves_competing_negative_slots():
@@ -575,3 +623,67 @@ def test_decode_variable_major_order():
                                           edge_order="variable_major"))
     assert out.status is Status.CODEWORD_FOUND
     assert not out.symbols.any()
+
+
+# ---- the fused sweep against the public per-edge path ----
+
+
+def test_slot_bucket_rows_match_per_bucket_softmin():
+    # a slot's buckets as one index matrix: each row is the bucket, and the
+    # row-wise soft minima equal the per-bucket ones bit for bit
+    rng = np.random.default_rng(40)
+    for code in (ldpc80_z4(), random_regular_code(12, 4, 3, 8, rng)):
+        cache = D._code_cache(code)
+        for j in (0, code.m - 1):
+            words = cache.words[j]
+            costs = rng.normal(0.0, 1.0, size=words.shape[0]) * 10.0 ** rng.integers(
+                -6, 7, size=words.shape[0])
+            for t in range(words.shape[1]):
+                mat = cache.buckets[j][t]
+                assert mat.shape == (code.q, words.shape[0] // code.q)
+                for kappa in (1.0, 100.0, math.inf):
+                    rows = D._softmin_rows(costs[mat], kappa)
+                    for beta in range(code.q):
+                        np.testing.assert_array_equal(
+                            mat[beta], np.flatnonzero(words[:, t] == beta))
+                        assert rows[beta] == D._softmin_arr(costs[mat[beta]], kappa)
+
+
+def test_vectorized_bookkeeping_matches_loops():
+    rng = np.random.default_rng(41)
+    for code in (random_regular_code(12, 6, 3, 4, rng), ragged_code()):
+        for _ in range(4):
+            llr = rng.normal(0.0, 2.0, size=(code.n, code.q - 1))
+            state = init_state(code, llr, DecoderConfig(kappa=2.0))
+            for i, j in code.edges:
+                set_message(state, i, j, rng.normal(0.0, 1.5, size=code.q - 1))
+            node_sum, check_costs = refresh_caches_loop(state)
+            D._refresh_caches(state)
+            np.testing.assert_array_equal(state.node_sum, node_sum)
+            for j in range(code.m):
+                np.testing.assert_array_equal(state.check_costs[j], check_costs[j])
+            np.testing.assert_array_equal(
+                D._decide_symbols(state), decide_symbols_loop(state))
+
+
+@pytest.mark.parametrize("edge_order", ["check_major", "variable_major"])
+@pytest.mark.parametrize("kappa", [1.0, 100.0, math.inf])
+def test_decode_matches_public_per_edge_path(kappa, edge_order):
+    ldpc = ldpc80_z4()
+    ragged = ragged_code()
+    cache = D._code_cache(ragged)
+    assert cache.book_size is None
+    assert any(isinstance(b, list) for slots in cache.buckets for b in slots)
+    rng = np.random.default_rng(42)
+    cases = [(ldpc, llr) for llr in awgn_frames(ldpc, 3.0, 2, seed=43)]
+    cases += [(ragged, rng.normal(0.3, 1.5, size=(ragged.n, ragged.q - 1)))
+              for _ in range(3)]
+    config = DecoderConfig(max_iterations=15, kappa=kappa, edge_order=edge_order)
+    for code, llr in cases:
+        got = decode(code, llr, config)
+        want = decode_reference(code, llr, config)
+        assert np.array_equal(got.symbols, want.symbols)
+        assert got.status == want.status
+        assert got.iterations_used == want.iterations_used
+        assert got.dual_objective_trace == want.dual_objective_trace
+        assert got.malformed_decisions == want.malformed_decisions

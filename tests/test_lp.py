@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qarylp.codes import TannerCode, ldpc80_z4, random_regular_code
 from qarylp.decoder import (
     ERASED,
     DecoderConfig,
+    NonFiniteLLR,
     Status,
     dual_objective,
     init_state,
@@ -306,6 +308,22 @@ def test_exact_decode_noiseless_ldpc80():
 def test_exact_decode_llr_shape():
     with pytest.raises(ValueError):
         lp_decode_exact(single_check_code(), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lp_paths_refuse_non_finite_llr(bad):
+    code = ldpc80_z4()
+    llr = np.ones((code.n, code.q - 1))
+    llr[5, 1] = bad
+    start = time.perf_counter()
+    with pytest.raises(NonFiniteLLR, match=r"llr\[5, 1\]"):
+        lp_decode_exact(code, llr)
+    with pytest.raises(NonFiniteLLR):
+        build_decoding_lp(code, llr)
+    tiny = np.array([[1.0, bad, 3.0], [0.5, 0.5, 0.5]])
+    with pytest.raises(NonFiniteLLR):
+        ml_bruteforce(single_check_code(), tiny)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---- polytope points ----
