@@ -12,7 +12,6 @@ check-matrix file format.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -252,16 +251,13 @@ def enumerate_spc(code: TannerCode, j: int) -> SpcCodebook:
     """
     vals = code.row_vals[j]
     q, d = code.q, len(vals)
-    last = int(vals[-1])
-    # completions of v*b = r mod q, precomputed per residue r
-    completions = [[b for b in range(q) if (last * b - r) % q == 0] for r in range(q)]
-    head = vals[:-1]
-    words = []
-    for prefix in itertools.product(range(q), repeat=d - 1):
-        need = (-int(np.dot(prefix, head))) % q
-        for b in completions[need]:
-            words.append(prefix + (b,))
-    return SpcCodebook(check=j, words=np.array(words, dtype=np.int16))
+    # every prefix in lexicographic order, one per row
+    prefixes = np.indices((q,) * (d - 1)).reshape(d - 1, -1).T
+    need = (-(prefixes @ vals[:-1])) % q
+    # row-major nonzero order keeps prefixes in order, completions ascending
+    rows, last = np.nonzero((vals[-1] * np.arange(q) - need[:, None]) % q == 0)
+    words = np.column_stack([prefixes[rows], last]).astype(np.int16)
+    return SpcCodebook(check=j, words=words)
 
 
 # ---- Code constructions ----

@@ -1,4 +1,4 @@
-"""Exact LP decoding via a self-contained dense simplex solver.
+"""Exact LP decoding via a self-contained revised simplex solver.
 
 The decoding LP minimizes the channel cost over a relaxation of the codeword
 hull: variables are relaxed indicator vectors f_i (one slot per nonzero
@@ -14,15 +14,16 @@ convex-weight vector per variable over the q constant words.  Conversions in
 both directions preserve the cost exactly, and each form has a constraint
 checker that reports the worst violation per constraint family.
 
-The simplex core is a dense two-phase tableau method.  Bland's rule is the
-default (termination guaranteed); a Dantzig rule that falls back to Bland
-after a degenerate stall is available for speed on the larger decoding LPs.
+The simplex core is a two-phase revised method that keeps only the basis
+inverse; phase 1 runs the same loop on artificial columns.  Bland's rule is
+the default (termination guaranteed); a Dantzig rule that falls back to
+Bland after a degenerate stall is available for speed on the larger decoding
+LPs.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,7 +44,9 @@ _INPUT_TOL = 1e-8
 
 _PIVOT_RULES = ("bland", "dantzig", "dantzig_bland")
 # consecutive degenerate pivots before dantzig_bland falls back to Bland
-_STALL_LIMIT = 60
+_REVISED_STALL_LIMIT = 200
+# basis-inverse refactorization cadence for the revised loop
+_REFACTOR_EVERY = 128
 
 
 class BudgetExceeded(ValueError):
@@ -109,58 +112,75 @@ class SimplexResult:
     basis: list
 
 
-def _pivot(T, zrow, basis, r, s):
-    T[r] /= T[r, s]
-    col = T[:, s].copy()
-    col[r] = 0.0
-    T -= np.outer(col, T[r])
-    zrow -= zrow[s] * T[r]
-    basis[r] = s
-    # shed tiny negative drift on the rhs so ratio tests stay sane
-    rhs = T[:, -1]
-    rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
+def _update_inverse(binv, d, r):
+    """Update binv in place for the column a, d = binv @ a, entering at r."""
+    row = binv[r] / d[r]
+    scale = d.copy()
+    scale[r] = 0.0
+    binv -= np.outer(scale, row)
+    binv[r] = row
 
 
-def _iterate(T, zrow, basis, rule, tol, max_pivots, pivots):
-    """Run pivots until optimal or unbounded; returns (status, pivots)."""
+def _revised_phase2(A, b, c, basis, binv, rule, tol, max_pivots):
+    """Simplex pivots from a feasible basis, keeping only the basis inverse.
+
+    One pricing matvec per pivot instead of a full tableau update, which is
+    what makes the larger decoding LPs affordable.  Both phases of
+    simplex_solve and every column-generation master run here.  Returns
+    (status, x, pivots, basis, binv); x is the last basic solution, also
+    when the program is unbounded.
+    """
+    m, n = A.shape
+    basis = list(basis)
+    binv = binv.copy()
+    xb = np.clip(binv @ b, 0.0, None)
+    pivots = 0
     bland = rule == "bland"
     stall = 0
+    status = SolveStatus.OPTIMAL
     while True:
-        z = zrow[:-1]
+        cb = c[basis]
+        z = c - (cb @ binv) @ A
         if bland:
             negative = np.flatnonzero(z < -tol)
             if negative.size == 0:
-                return SolveStatus.OPTIMAL, pivots
+                break
             s = int(negative[0])
         else:
             s = int(np.argmin(z))
             if z[s] >= -tol:
-                return SolveStatus.OPTIMAL, pivots
-        col = T[:, s]
-        rows = np.flatnonzero(col > tol)
+                break
+        d = binv @ A[:, s]
+        rows = np.flatnonzero(d > tol)
         if rows.size == 0:
-            return SolveStatus.UNBOUNDED, pivots
-        ratios = T[rows, -1] / col[rows]
+            status = SolveStatus.UNBOUNDED
+            break
+        ratios = xb[rows] / d[rows]
         best = ratios.min()
         ties = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
         # lowest-index leaving variable: anti-cycling with Bland entering
         r = int(ties[np.argmin(np.asarray(basis)[ties])])
         if best <= tol:
             stall += 1
-            if rule == "dantzig_bland" and stall > _STALL_LIMIT:
+            if rule == "dantzig_bland" and stall > _REVISED_STALL_LIMIT:
                 bland = True
         else:
             stall = 0
-        _pivot(T, zrow, basis, r, s)
+        step = xb[r] / d[r]
+        xb -= step * d
+        xb[r] = step
+        np.clip(xb, 0.0, None, out=xb)
+        _update_inverse(binv, d, r)
+        basis[r] = s
         pivots += 1
+        if pivots % _REFACTOR_EVERY == 0:
+            binv = np.linalg.inv(A[:, basis])
+            xb = np.clip(binv @ b, 0.0, None)
         if pivots > max_pivots:
             raise CycleGuardTripped(f"exceeded {max_pivots} pivots")
-
-
-def _reduced_cost_row(c, T, basis):
-    zrow = np.concatenate([c, [0.0]])
-    zrow -= c[basis] @ T
-    return zrow
+    x = np.zeros(n)
+    x[basis] = xb
+    return status, x, pivots, basis, binv
 
 
 def simplex_solve(
@@ -170,7 +190,7 @@ def simplex_solve(
     max_pivots: int = 200_000,
     tol: float = _SIMPLEX_TOL,
 ) -> SimplexResult:
-    """Two-phase dense simplex for min c @ x, A @ x = b, x >= 0.
+    """Two-phase revised simplex for min c @ x, A @ x = b, x >= 0.
 
     With initial_basis (a list of column indices whose basic solution is
     feasible) phase 1 is skipped.  pivot_rule is one of 'bland' (default,
@@ -193,43 +213,51 @@ def simplex_solve(
         if len(basis) != m or len(set(basis)) != m:
             raise ValueError(f"initial basis must hold {m} distinct columns")
         try:
-            T = np.linalg.solve(A[:, basis], np.column_stack([A, b]))
+            binv = np.linalg.inv(A[:, basis])
         except np.linalg.LinAlgError:
             raise ValueError("initial basis is singular") from None
-        if T[:, -1].min() < -_FEAS_TOL:
+        if (binv @ b).min() < -_FEAS_TOL:
             raise ValueError("initial basis is not primal feasible")
-        np.clip(T[:, -1], 0.0, None, out=T[:, -1])
     else:
-        T = np.column_stack([A, np.eye(m), b])
-        basis = list(range(n, n + m))
+        # phase 1 on [A | I] from the artificial basis; it cannot be
+        # unbounded, since its objective is bounded below by 0
         art_cost = np.concatenate([np.zeros(n), np.ones(m)])
-        zrow = _reduced_cost_row(art_cost, T, basis)
-        status, pivots = _iterate(T, zrow, basis, pivot_rule, tol,
-                                  max_pivots, pivots)
-        # phase 1 cannot be unbounded: its objective is bounded below by 0
-        if -zrow[-1] > _FEAS_TOL:
+        _, x1, pivots, basis, binv = _revised_phase2(
+            np.hstack([A, np.eye(m)]), b, art_cost, range(n, n + m),
+            np.eye(m), pivot_rule, tol, max_pivots,
+        )
+        if x1[n:].sum() > _FEAS_TOL:
             return SimplexResult(SolveStatus.INFEASIBLE, math.nan,
                                  np.full(n, math.nan), pivots, basis)
+        # swap artificials left at zero level for structural columns; the
+        # artificial of original row k has binv[r, k] = 1, so when binv[r]
+        # annihilates every structural column, row k is redundant
         drop = []
         for r in range(m):
             if basis[r] >= n:
-                candidates = np.flatnonzero(np.abs(T[r, :n]) > tol)
+                candidates = np.flatnonzero(np.abs(binv[r] @ A) > tol)
                 if candidates.size:
-                    _pivot(T, zrow, basis, r, int(candidates[0]))
+                    s = int(candidates[0])
+                    _update_inverse(binv, binv @ A[:, s], r)
+                    basis[r] = s
                     pivots += 1
                 else:
-                    drop.append(r)  # redundant original row
+                    drop.append(basis[r] - n)
         if drop:
-            keep = [r for r in range(len(basis)) if r not in drop]
-            T = T[keep]
-            basis = [basis[r] for r in keep]
-        T = np.column_stack([T[:, :n], T[:, -1]])
+            keep = [k for k in range(m) if k not in drop]
+            A = A[keep]
+            b = b[keep]
+            basis = [k for k in basis if k < n]
+        binv = np.linalg.inv(A[:, basis])
 
-    zrow = _reduced_cost_row(c, T, basis)
-    status, pivots = _iterate(T, zrow, basis, pivot_rule, tol,
-                              max_pivots, pivots)
-    x = np.zeros(n)
-    x[basis] = np.clip(T[:, -1], 0.0, None)
+    try:
+        status, x, phase2_pivots, basis, _ = _revised_phase2(
+            A, b, c, basis, binv, pivot_rule, tol, max_pivots - pivots,
+        )
+    except CycleGuardTripped:
+        # report the caller's budget, not what phase 1 left of it
+        raise CycleGuardTripped(f"exceeded {max_pivots} pivots") from None
+    pivots += phase2_pivots
     value = float(c @ x) if status is SolveStatus.OPTIMAL else math.nan
     return SimplexResult(status, value, x, pivots, basis)
 
@@ -275,70 +303,7 @@ def _books(code: TannerCode, budget: int):
     return books
 
 
-def _lp_structure(code: TannerCode, books):
-    """Equality system shared by every instance on this code (cost varies)."""
-    q, n = code.q, code.n
-    n_ind = n * (q - 1)
-    w_start = []
-    total_w = 0
-    for book in books:
-        w_start.append(n_ind + total_w)
-        total_w += len(book)
-    n_cols = n_ind + total_w
-    n_coupling = sum(len(row) * (q - 1) for row in code.rows)
-    A = np.zeros((n_coupling + code.m, n_cols))
-    b = np.zeros(n_coupling + code.m)
-    row = 0
-    for j, book in enumerate(books):
-        words = book.words
-        for t, (i, _) in enumerate(code.rows[j]):
-            for alpha in range(1, q):
-                A[row, i * (q - 1) + alpha - 1] = 1.0
-                hits = np.flatnonzero(words[:, t] == alpha)
-                A[row, w_start[j] + hits] = -1.0
-                row += 1
-    for j, book in enumerate(books):
-        A[row, w_start[j]:w_start[j] + len(book)] = 1.0
-        b[row] = 1.0
-        row += 1
-    names = [f"ind_{i}_{alpha}" for i in range(n) for alpha in range(1, q)]
-    for j, book in enumerate(books):
-        names.extend(
-            f"w_{j}_" + ".".join(str(int(s)) for s in word)
-            for word in book.words
-        )
-    return A, b, tuple(names), w_start
-
-
-def build_decoding_lp(code: TannerCode, llr,
-                      codebook_budget: int = 4096) -> LinearProgram:
-    """The decoding LP: indicator variables costed by llr, then check weights.
-
-    Rows are the indicator/weight coupling equalities (check-major, then
-    position, then symbol) followed by one normalization row per check.
-    """
-    lam = validate_llr(code, llr)
-    books = _books(code, codebook_budget)
-    A, b, names, _ = _lp_structure(code, books)
-    c = np.zeros(A.shape[1])
-    c[:code.n * (code.q - 1)] = lam.ravel()
-    return LinearProgram(c=c, A=A, b=b, names=names)
-
-
-def _word_columns(code: TannerCode, j: int, words, coup_start: int,
-                  norm_row: int, n_rows: int) -> np.ndarray:
-    """Constraint columns of the given local words of check j."""
-    q = code.q
-    block = np.zeros((n_rows, len(words)))
-    for t in range(words.shape[1]):
-        vals = words[:, t]
-        hit = np.flatnonzero(vals)
-        block[coup_start + t * (q - 1) + vals[hit] - 1, hit] = -1.0
-    block[norm_row] = 1.0
-    return block
-
-
-def _crash_words(code: TannerCode, books, coup_starts, norm_rows, n_rows):
+def _crash_words(setup):
     """Per-check word sets whose columns form a feasible zero-vertex basis.
 
     Weight columns only touch their own check's rows, so selecting per check
@@ -347,14 +312,12 @@ def _crash_words(code: TannerCode, books, coup_starts, norm_rows, n_rows):
     word.  Returns None when some check's local columns cannot fill its
     block (a symbol unreachable on some edge makes a coupling row all zero).
     """
-    q = code.q
     chosen_words = []
-    for j, book in enumerate(books):
-        d = len(code.rows[j])
-        rows = list(range(coup_starts[j], coup_starts[j] + d * (q - 1)))
-        rows.append(norm_rows[j])
-        block = _word_columns(code, j, book.words, coup_starts[j],
-                              norm_rows[j], n_rows)[rows]
+    for j, book in enumerate(setup.books):
+        start = setup.coup_starts[j]
+        rows = list(range(start, start + book.words.shape[1] * (setup.q - 1)))
+        rows.append(setup.norm_rows[j])
+        block = setup.word_columns(j, book.words)[rows]
         need = len(rows)
         chosen = [0]  # zero word: unit column on the normalization row
         basis_mat = block[:, [0]]
@@ -371,79 +334,17 @@ def _crash_words(code: TannerCode, books, coup_starts, norm_rows, n_rows):
     return chosen_words
 
 
-# consecutive degenerate pivots before the revised loop falls back to Bland
-_REVISED_STALL_LIMIT = 200
-# basis-inverse refactorization cadence for the revised loop
-_REFACTOR_EVERY = 128
-
-
-def _revised_phase2(A, b, c, basis, binv, rule, tol, max_pivots):
-    """Phase 2 on a feasible basis, keeping only the basis inverse.
-
-    Equivalent to the tableau loop but with one pricing matvec per pivot
-    instead of a full tableau update, which is what makes the larger
-    decoding LPs affordable.  Returns (status, x, pivots, basis, binv).
-    """
-    m, n = A.shape
-    basis = list(basis)
-    binv = binv.copy()
-    xb = np.clip(binv @ b, 0.0, None)
-    pivots = 0
-    bland = rule == "bland"
-    stall = 0
-    while True:
-        cb = c[basis]
-        z = c - (cb @ binv) @ A
-        if bland:
-            negative = np.flatnonzero(z < -tol)
-            if negative.size == 0:
-                break
-            s = int(negative[0])
-        else:
-            s = int(np.argmin(z))
-            if z[s] >= -tol:
-                break
-        d = binv @ A[:, s]
-        rows = np.flatnonzero(d > tol)
-        if rows.size == 0:
-            return SolveStatus.UNBOUNDED, None, pivots, basis, binv
-        ratios = xb[rows] / d[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        r = int(ties[np.argmin(np.asarray(basis)[ties])])
-        if best <= tol:
-            stall += 1
-            if rule == "dantzig_bland" and stall > _REVISED_STALL_LIMIT:
-                bland = True
-        else:
-            stall = 0
-        step = xb[r] / d[r]
-        xb -= step * d
-        xb[r] = step
-        np.clip(xb, 0.0, None, out=xb)
-        row = binv[r] / d[r]
-        scale = d.copy()
-        scale[r] = 0.0
-        binv -= np.outer(scale, row)
-        binv[r] = row
-        basis[r] = s
-        pivots += 1
-        if pivots % _REFACTOR_EVERY == 0:
-            binv = np.linalg.inv(A[:, basis])
-            xb = np.clip(binv @ b, 0.0, None)
-        if pivots > max_pivots:
-            raise CycleGuardTripped(f"exceeded {max_pivots} pivots")
-    x = np.zeros(n)
-    x[basis] = xb
-    return SolveStatus.OPTIMAL, x, pivots, basis, binv
-
-
 class _ExactSetup:
-    """Per-code solver state reused across frames (only the cost changes)."""
+    """Per-code constraint system, reused across frames (only costs change).
+
+    Rows are the indicator/weight coupling equalities (check-major, then
+    position, then symbol) followed by one normalization row per check;
+    columns are the n * (q-1) indicators, then local-word weights.
+    """
 
     def __init__(self, code: TannerCode, budget: int):
         self.books = _books(code, budget)
-        q = code.q
+        q = self.q = code.q
         self.n_ind = code.n * (q - 1)
         self.n_coupling = sum(len(row) * (q - 1) for row in code.rows)
         self.n_rows = self.n_coupling + code.m
@@ -464,20 +365,13 @@ class _ExactSetup:
                         self.coup_starts[j] + t * (q - 1) + alpha - 1,
                         i * (q - 1) + alpha - 1,
                     ] = 1.0
-        self.crash_words = _crash_words(code, self.books, self.coup_starts,
-                                        self.norm_rows, self.n_rows)
+        self.crash_words = _crash_words(self)
         # fixed rhs perturbation: breaks the heavy degeneracy of the
         # decoding polytope so the masters pivot without stalling, while
         # keeping every decode a deterministic function of the input
         self.b_pert = None
         if self.crash_words is not None:
-            blocks = [
-                _word_columns(code, j, self.books[j].words[np.asarray(ws)],
-                              self.coup_starts[j], self.norm_rows[j],
-                              self.n_rows)
-                for j, ws in enumerate(self.crash_words)
-            ]
-            B0 = np.concatenate(blocks, axis=1)
+            B0 = self.columns(self.crash_words)[:, self.n_ind:]
             u = np.random.default_rng(2_718_281).uniform(
                 1e-7, 2e-7, self.n_rows
             )
@@ -485,10 +379,51 @@ class _ExactSetup:
             # basic values move by exactly +u
             self.b_pert = self.b + B0 @ u
 
+    def word_columns(self, j: int, words) -> np.ndarray:
+        """Constraint columns of the given local words of check j."""
+        block = np.zeros((self.n_rows, len(words)))
+        for t in range(words.shape[1]):
+            vals = words[:, t]
+            hit = np.flatnonzero(vals)
+            block[self.coup_starts[j] + t * (self.q - 1) + vals[hit] - 1,
+                  hit] = -1.0
+        block[self.norm_rows[j]] = 1.0
+        return block
+
+    def columns(self, word_ids) -> np.ndarray:
+        """The indicator columns, then per check j the words word_ids[j]."""
+        return np.concatenate([self.A_ind] + [
+            self.word_columns(j, self.books[j].words[np.asarray(ws)])
+            for j, ws in enumerate(word_ids)
+        ], axis=1)
+
 
 @lru_cache(maxsize=4)
 def _exact_setup(code: TannerCode, budget: int) -> _ExactSetup:
     return _ExactSetup(code, budget)
+
+
+def build_decoding_lp(code: TannerCode, llr,
+                      codebook_budget: int = 4096) -> LinearProgram:
+    """The decoding LP: indicator variables costed by llr, then check weights.
+
+    Rows are the indicator/weight coupling equalities (check-major, then
+    position, then symbol) followed by one normalization row per check.
+    """
+    lam = validate_llr(code, llr)
+    setup = _exact_setup(code, codebook_budget)
+    A = setup.columns([range(len(book)) for book in setup.books])
+    c = np.zeros(A.shape[1])
+    c[:setup.n_ind] = lam.ravel()
+    names = [f"ind_{i}_{alpha}" for i in range(code.n)
+             for alpha in range(1, code.q)]
+    for j, book in enumerate(setup.books):
+        names.extend(
+            f"w_{j}_" + ".".join(str(int(s)) for s in word)
+            for word in book.words
+        )
+    # a copy, so that the LP never aliases the cached right-hand side
+    return LinearProgram(c=c, A=A, b=setup.b.copy(), names=tuple(names))
 
 
 # column-generation safety valves for the exact decoder
@@ -519,15 +454,10 @@ def _column_generation(setup: _ExactSetup, code: TannerCode, c_ind,
     for _ in range(_MAX_CG_ROUNDS):
         w_offsets = []
         pos = setup.n_ind
-        blocks = [setup.A_ind]
-        for j, ws in enumerate(working):
+        for ws in working:
             w_offsets.append(pos)
             pos += len(ws)
-            blocks.append(_word_columns(
-                code, j, setup.books[j].words[np.asarray(ws)],
-                setup.coup_starts[j], setup.norm_rows[j], setup.n_rows,
-            ))
-        A_R = np.concatenate(blocks, axis=1)
+        A_R = setup.columns(working)
         c_R = np.zeros(A_R.shape[1])
         c_R[:setup.n_ind] = c_ind
         local_pos = [
@@ -654,19 +584,33 @@ def lp_decode_exact(
 # ---- polytope checks and conversions ----
 
 
-def _point_books(code: TannerCode, point):
+def _check_weight_gaps(point, code: TannerCode, target):
+    """Worst (coupling, negativity, sum) violations of the check weights.
+
+    The coupling gap is the largest |target[i, alpha-1] - marginal| over
+    every edge (i, j) and nonzero symbol alpha, where the marginal is the
+    weight check j puts on local words with alpha at position i.
+    """
     if len(point.check_weights) != code.m:
         raise ValueError(
             f"expected {code.m} check weight vectors, got "
             f"{len(point.check_weights)}"
         )
-    books = [enumerate_spc(code, j) for j in range(code.m)]
-    for j, book in enumerate(books):
-        if np.asarray(point.check_weights[j]).shape != (len(book),):
+    coupling = nonneg = norm = 0.0
+    for j in range(code.m):
+        words = enumerate_spc(code, j).words
+        w = np.asarray(point.check_weights[j], dtype=np.float64)
+        if w.shape != (len(words),):
             raise ValueError(
-                f"check {j}: weight vector must have length {len(book)}"
+                f"check {j}: weight vector must have length {len(words)}"
             )
-    return books
+        nonneg = max(nonneg, float(np.maximum(-w, 0.0).max()))
+        norm = max(norm, abs(float(w.sum()) - 1.0))
+        for t, (i, _) in enumerate(code.rows[j]):
+            for alpha in range(1, code.q):
+                marg = float(w[words[:, t] == alpha].sum())
+                coupling = max(coupling, abs(target[i, alpha - 1] - marg))
+    return coupling, nonneg, norm
 
 
 def check_marginal(point: MarginalPoint, code: TannerCode) -> dict:
@@ -674,19 +618,7 @@ def check_marginal(point: MarginalPoint, code: TannerCode) -> dict:
     f = np.asarray(point.indicators, dtype=np.float64)
     if f.shape != (code.n, code.q - 1):
         raise ValueError(f"indicators shape {f.shape} does not match the code")
-    books = _point_books(code, point)
-    coupling = 0.0
-    nonneg = 0.0
-    norm = 0.0
-    for j, book in enumerate(books):
-        w = np.asarray(point.check_weights[j], dtype=np.float64)
-        nonneg = max(nonneg, float(np.maximum(-w, 0.0).max()))
-        norm = max(norm, abs(float(w.sum()) - 1.0))
-        words = book.words
-        for t, (i, _) in enumerate(code.rows[j]):
-            for alpha in range(1, code.q):
-                marg = float(w[words[:, t] == alpha].sum())
-                coupling = max(coupling, abs(f[i, alpha - 1] - marg))
+    coupling, nonneg, norm = _check_weight_gaps(point, code, f)
     return {
         "coupling": coupling,
         "check_weight_nonneg": nonneg,
@@ -709,20 +641,8 @@ def check_factor(point: FactorPoint, code: TannerCode) -> dict:
         raise ValueError(
             f"symbol_weights shape {g.shape} does not match ({code.n}, {code.q})"
         )
-    books = _point_books(code, point)
     channel_link = float(np.abs(f - g[:, 1:]).max())
-    edge_link = 0.0
-    w_nonneg = 0.0
-    w_norm = 0.0
-    for j, book in enumerate(books):
-        w = np.asarray(point.check_weights[j], dtype=np.float64)
-        w_nonneg = max(w_nonneg, float(np.maximum(-w, 0.0).max()))
-        w_norm = max(w_norm, abs(float(w.sum()) - 1.0))
-        words = book.words
-        for t, (i, _) in enumerate(code.rows[j]):
-            for alpha in range(1, code.q):
-                marg = float(w[words[:, t] == alpha].sum())
-                edge_link = max(edge_link, abs(g[i, alpha] - marg))
+    edge_link, w_nonneg, w_norm = _check_weight_gaps(point, code, g[:, 1:])
     return {
         "channel_link": channel_link,
         "edge_link": edge_link,

@@ -184,12 +184,8 @@ def _frame_outcome(ctx: _FrameContext, point_index: int, frame_index: int,
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(code_spec, decoder, kappa, max_iterations, seed, tx_words):
-    code = resolve_code(code_spec)
-    _WORKER_CTX["ctx"] = _FrameContext(
-        code=code, constellation=psk(code.q), decoder=decoder, kappa=kappa,
-        max_iterations=max_iterations, seed=seed, tx_words=tx_words,
-    )
+def _worker_init(ctx: _FrameContext):
+    _WORKER_CTX["ctx"] = ctx
 
 
 def _worker_frame(task):
@@ -320,8 +316,7 @@ def run_sweep(config: SimConfig, progress=print) -> list:
             pool = ProcessPoolExecutor(
                 max_workers=config.workers,
                 initializer=_worker_init,
-                initargs=(config.code, config.decoder, config.kappa,
-                          config.max_iterations, config.seed, ctx.tx_words),
+                initargs=(ctx,),
             )
         for k, ebno in enumerate(config.ebno_list):
             point = run_point(config, ebno, point_index=k, _ctx=ctx,

@@ -254,6 +254,10 @@ def test_exact_decode_matches_ml_costs():
         TannerCode(q=4, n=3, rows=(((0, 1), (1, 1)), ((0, 1), (2, 1)))),
         random_regular_code(n=6, m=3, row_degree=3, q=4,
                             rng=np.random.default_rng(3)),
+        # non-unit coefficients leave no crash basis: simplex_solve decodes
+        random_regular_code(n=6, m=3, row_degree=3, q=4,
+                            rng=np.random.default_rng(3),
+                            unit_entries=False),
     ]
     for code in codes:
         integral = 0
@@ -460,6 +464,37 @@ def test_exact_decode_agrees_with_reference_solver():
         assert ref.status is SolveStatus.OPTIMAL
         assert out.dual_objective_trace[0] == pytest.approx(ref.value,
                                                             abs=1e-7)
+
+
+def test_simplex_matches_highs():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(31)
+    lps = []
+    for _ in range(20):
+        n = int(rng.integers(4, 10))
+        k = int(rng.integers(1, min(3, n - 1) + 1))
+        A1 = rng.normal(size=(k, n))
+        x0 = rng.uniform(0.0, 2.0, size=n)
+        b1 = A1 @ x0
+        # a coordinate-sum row bounds the set; the last row repeats the first
+        A = np.vstack([A1, np.ones(n), A1[:1]])
+        b = np.concatenate([b1, [x0.sum()], b1[:1]])
+        lps.append(LinearProgram(c=rng.normal(size=n), A=A, b=b,
+                                 names=tuple(f"x{t}" for t in range(n))))
+    for unit in (True, False):
+        code = random_regular_code(n=8, m=4, row_degree=3, q=4,
+                                   rng=np.random.default_rng(13),
+                                   unit_entries=unit)
+        lps.extend(build_decoding_lp(code, rng.normal(size=(8, 3)))
+                   for _ in range(3))
+    for lp in lps:
+        ref = optimize.linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None),
+                               method="highs")
+        assert ref.status == 0
+        for rule in ("bland", "dantzig_bland"):
+            res = simplex_solve(lp, pivot_rule=rule)
+            assert res.status is SolveStatus.OPTIMAL
+            assert res.value == pytest.approx(ref.fun, abs=1e-7)
 
 
 # ---- weak duality against the iterative decoder ----
