@@ -63,17 +63,16 @@ class Status(enum.Enum):
     MAX_ITERATIONS = "max_iterations"
 
 
-_EDGE_ORDERS = ("check_major", "variable_major")
-
-
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Knobs for decode(); kappa = math.inf selects hard minima."""
+    """Knobs for decode(): the sweep budget and the smoothing kappa.
+
+    kappa = math.inf selects hard minima.  Edges are always visited in
+    check-major order and decoding stops at the first codeword.
+    """
 
     max_iterations: int = 100
     kappa: float = 100.0
-    edge_order: str = "check_major"
-    stop_on_codeword: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -82,10 +81,6 @@ class DecoderConfig:
             )
         if not self.kappa > 0:
             raise ValueError(f"kappa must be > 0 or math.inf, got {self.kappa}")
-        if self.edge_order not in _EDGE_ORDERS:
-            raise ValueError(
-                f"edge_order must be one of {_EDGE_ORDERS}, got {self.edge_order!r}"
-            )
 
 
 @dataclass
@@ -175,16 +170,10 @@ class _CodeCache:
             [_slot_buckets(words[:, t], q) for t in range(words.shape[1])]
             for words in self.words
         ]
-        # sweep orders as (edge id, variable, check, slot) tuples
-        orders = {
-            "check_major": range(self.n_edges),
-            "variable_major": [self.edge_index[(i, j)] for i in range(code.n)
-                               for j in code.columns[i]],
-        }
-        self.schedules = {
-            name: tuple((e, *code.edges[e], int(self.edge_slot[e])) for e in order)
-            for name, order in orders.items()
-        }
+        # the check-major sweep as (edge id, variable, check, slot) tuples
+        self.schedule = tuple(
+            (e, i, j, int(self.edge_slot[e])) for e, (i, j) in enumerate(code.edges)
+        )
 
 
 @lru_cache(maxsize=16)
@@ -533,23 +522,22 @@ def decide(state: DualState) -> DecodeOutcome:
 def decode(code: TannerCode, llr, config: DecoderConfig) -> DecodeOutcome:
     """Run coordinate-ascent sweeps until a codeword is found or the budget ends.
 
-    Each iteration visits every edge in the configured order, applying the
+    Each iteration visits every edge in check-major order, applying the
     soft update (finite kappa) or the hard update (kappa = math.inf), then
     tightens every potential, records the dual objective and reads a
     decision.  The result equals running update_edge_soft/update_edge_hard
-    edge by edge.  With stop_on_codeword, an erasure-free decision with
-    zero syndrome returns CODEWORD_FOUND immediately.  Iterations whose
-    decision is malformed are counted and skipped; a malformed final
-    decision propagates MalformedDecision.
+    edge by edge.  The first erasure-free decision with zero syndrome
+    returns CODEWORD_FOUND.  Iterations whose decision is malformed are
+    counted and skipped; a malformed final decision propagates
+    MalformedDecision.
     """
     state = init_state(code, llr, config)
-    schedule = state.cache.schedules[config.edge_order]
     trace = [dual_objective(state)]
     malformed = 0
     symbols = None
     for iteration in range(1, config.max_iterations + 1):
         _refresh_caches(state)
-        for e, i, j, t in schedule:
+        for e, i, j, t in state.cache.schedule:
             _maximize_edge(state, e, i, j, t)
         _tighten_potentials(state)
         trace.append(dual_objective(state))
@@ -559,11 +547,7 @@ def decode(code: TannerCode, llr, config: DecoderConfig) -> DecodeOutcome:
             malformed += 1
             symbols = None
             continue
-        if (
-            config.stop_on_codeword
-            and not np.any(symbols == ERASED)
-            and code.is_codeword(symbols)
-        ):
+        if not np.any(symbols == ERASED) and code.is_codeword(symbols):
             return DecodeOutcome(
                 symbols=symbols,
                 status=Status.CODEWORD_FOUND,

@@ -16,9 +16,9 @@ checker that reports the worst violation per constraint family.
 
 The simplex core is a two-phase revised method that keeps only the basis
 inverse; phase 1 runs the same loop on artificial columns.  Bland's rule is
-the default (termination guaranteed); a Dantzig rule that falls back to
-Bland after a degenerate stall is available for speed on the larger decoding
-LPs.
+the default of simplex_solve (termination guaranteed); the exact decoder
+always uses the Dantzig rule that falls back to Bland after a degenerate
+stall, which is much faster on the decoding LPs.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ _INTEGRALITY_TOL = 1e-6
 _INPUT_TOL = 1e-8
 
 _PIVOT_RULES = ("bland", "dantzig", "dantzig_bland")
+# lp_decode_exact's rule: pure Dantzig can cycle on the degenerate decoding
+# polytope, and pure Bland is far slower there
+_EXACT_PIVOT_RULE = "dantzig_bland"
 # consecutive degenerate pivots before dantzig_bland falls back to Bland
 _REVISED_STALL_LIMIT = 200
 # basis-inverse refactorization cadence for the revised loop
@@ -121,14 +124,16 @@ def _update_inverse(binv, d, r):
     binv[r] = row
 
 
-def _revised_phase2(A, b, c, basis, binv, rule, tol, max_pivots):
+def _revised_phase2(A, b, c, basis, binv, rule, tol, max_pivots, spent=0):
     """Simplex pivots from a feasible basis, keeping only the basis inverse.
 
     One pricing matvec per pivot instead of a full tableau update, which is
     what makes the larger decoding LPs affordable.  Both phases of
-    simplex_solve and every column-generation master run here.  Returns
-    (status, x, pivots, basis, binv); x is the last basic solution, also
-    when the program is unbounded.
+    simplex_solve and every column-generation master run here.  spent counts
+    pivots the caller made before this call; CycleGuardTripped fires once
+    spent plus this call's pivots exceed max_pivots.  Returns (status, x,
+    pivots, basis, binv), pivots counting this call only; x is the last
+    basic solution, also when the program is unbounded.
     """
     m, n = A.shape
     basis = list(basis)
@@ -176,7 +181,7 @@ def _revised_phase2(A, b, c, basis, binv, rule, tol, max_pivots):
         if pivots % _REFACTOR_EVERY == 0:
             binv = np.linalg.inv(A[:, basis])
             xb = np.clip(binv @ b, 0.0, None)
-        if pivots > max_pivots:
+        if spent + pivots > max_pivots:
             raise CycleGuardTripped(f"exceeded {max_pivots} pivots")
     x = np.zeros(n)
     x[basis] = xb
@@ -250,13 +255,9 @@ def simplex_solve(
             basis = [k for k in basis if k < n]
         binv = np.linalg.inv(A[:, basis])
 
-    try:
-        status, x, phase2_pivots, basis, _ = _revised_phase2(
-            A, b, c, basis, binv, pivot_rule, tol, max_pivots - pivots,
-        )
-    except CycleGuardTripped:
-        # report the caller's budget, not what phase 1 left of it
-        raise CycleGuardTripped(f"exceeded {max_pivots} pivots") from None
+    status, x, phase2_pivots, basis, _ = _revised_phase2(
+        A, b, c, basis, binv, pivot_rule, tol, max_pivots, spent=pivots,
+    )
     pivots += phase2_pivots
     value = float(c @ x) if status is SolveStatus.OPTIMAL else math.nan
     return SimplexResult(status, value, x, pivots, basis)
@@ -291,16 +292,20 @@ class FactorPoint:
     check_weights: tuple
 
 
-def _books(code: TannerCode, budget: int):
-    books = []
-    for j in range(code.m):
-        size = code.q ** (len(code.rows[j]) - 1)
+@lru_cache(maxsize=16)
+def _codebooks(code: TannerCode) -> tuple:
+    # every check's local codebook, enumerated once per code
+    return tuple(enumerate_spc(code, j) for j in range(code.m))
+
+
+def _books(code: TannerCode, budget: int) -> tuple:
+    for j, row in enumerate(code.rows):
+        size = code.q ** (len(row) - 1)
         if size > budget:
             raise BudgetExceeded(
                 f"check {j}: codebook bound {size} exceeds budget {budget}"
             )
-        books.append(enumerate_spc(code, j))
-    return books
+    return _codebooks(code)
 
 
 def _crash_words(setup):
@@ -433,7 +438,7 @@ _PRICING_TOL = 1e-9
 
 
 def _column_generation(setup: _ExactSetup, code: TannerCode, c_ind,
-                       rule, max_pivots):
+                       max_pivots):
     """Exact LP optimum via restricted masters over growing word sets.
 
     Each round solves the decoding LP restricted to the working local words,
@@ -469,7 +474,7 @@ def _column_generation(setup: _ExactSetup, code: TannerCode, c_ind,
         binv = np.linalg.inv(A_R[:, basis])
         status, x, pivots, basis, binv = _revised_phase2(
             A_R, setup.b_pert if perturbed else setup.b, c_R, basis, binv,
-            rule, _SIMPLEX_TOL, max_pivots - total_pivots,
+            _EXACT_PIVOT_RULE, _SIMPLEX_TOL, max_pivots, spent=total_pivots,
         )
         total_pivots += pivots
         if status is not SolveStatus.OPTIMAL:
@@ -526,14 +531,16 @@ def lp_decode_exact(
     code: TannerCode,
     llr,
     codebook_budget: int = 4096,
-    pivot_rule: str = "dantzig_bland",
     max_pivots: int = 200_000,
 ) -> DecodeOutcome:
     """Solve the decoding LP exactly and read off the optimum.
 
-    An integral optimum (every indicator within 1e-6 of 0 or 1, row sums at
-    most 1) decodes to a codeword with CODEWORD_FOUND.  A fractional optimum
-    is a decoding failure: fractional positions are ERASED and the status is
+    Pivoting uses the dantzig_bland rule.  A check whose codebook bound
+    q^(d-1) exceeds codebook_budget raises BudgetExceeded, and more than
+    max_pivots simplex pivots in all raise CycleGuardTripped.  An integral
+    optimum (every indicator within 1e-6 of 0 or 1, row sums at most 1)
+    decodes to a codeword with CODEWORD_FOUND.  A fractional optimum is a
+    decoding failure: fractional positions are ERASED and the status is
     MAX_ITERATIONS.  iterations_used reports simplex pivots and the
     objective trace holds the optimal value.  LLRs of the wrong shape or
     with a non-finite entry are refused (see validate_llr).
@@ -542,12 +549,12 @@ def lp_decode_exact(
     setup = _exact_setup(code, codebook_budget)
     if setup.crash_words is not None:
         f_flat, value, pivots = _column_generation(
-            setup, code, lam.ravel(), pivot_rule, max_pivots,
+            setup, code, lam.ravel(), max_pivots,
         )
         f = f_flat.reshape(code.n, code.q - 1)
     else:
         lp = build_decoding_lp(code, lam, codebook_budget)
-        result = simplex_solve(lp, pivot_rule=pivot_rule,
+        result = simplex_solve(lp, pivot_rule=_EXACT_PIVOT_RULE,
                                max_pivots=max_pivots)
         if result.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(
@@ -597,8 +604,8 @@ def _check_weight_gaps(point, code: TannerCode, target):
             f"{len(point.check_weights)}"
         )
     coupling = nonneg = norm = 0.0
-    for j in range(code.m):
-        words = enumerate_spc(code, j).words
+    for j, book in enumerate(_codebooks(code)):
+        words = book.words
         w = np.asarray(point.check_weights[j], dtype=np.float64)
         if w.shape != (len(words),):
             raise ValueError(
@@ -698,12 +705,11 @@ def codeword_vertex(code: TannerCode, word) -> MarginalPoint:
     w = np.asarray(word, dtype=np.int64)
     if not code.is_codeword(w):
         raise InfeasibleInput(f"{w.tolist()} is not a codeword")
-    books = [enumerate_spc(code, j) for j in range(code.m)]
     f = np.zeros((code.n, code.q - 1))
     nz = np.flatnonzero(w)
     f[nz, w[nz] - 1] = 1.0
     weights = []
-    for j, book in enumerate(books):
+    for j, book in enumerate(_codebooks(code)):
         local = w[code.row_cols[j]]
         hit = np.flatnonzero((book.words == local).all(axis=1))
         vec = np.zeros(len(book))
@@ -745,25 +751,3 @@ def ml_bruteforce(code: TannerCode, llr) -> np.ndarray:
         costs += padded[codewords[:, t]]
     # np.argmin returns the first minimum, which is the lex-least codeword
     return codewords[int(np.argmin(costs))].copy()
-
-
-# ---- debug dump ----
-
-
-def write_lp(lp: LinearProgram, path) -> None:
-    """Dump an LP in a plain text layout for cross-checking with other tools."""
-    lines = ["min:"]
-    terms = [
-        f"  {lp.c[k]:+.12g} {lp.names[k]}" for k in range(len(lp.names))
-        if lp.c[k] != 0.0
-    ]
-    lines.extend(terms if terms else ["  0"])
-    lines.append("subject to:")
-    for r in range(lp.A.shape[0]):
-        cols = np.flatnonzero(lp.A[r])
-        body = " ".join(f"{lp.A[r, k]:+.12g} {lp.names[k]}" for k in cols)
-        lines.append(f"  row_{r}: {body} = {lp.b[r]:.12g}")
-    lines.append("bounds:")
-    lines.append("  all variables >= 0")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

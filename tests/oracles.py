@@ -177,14 +177,11 @@ def decode_reference(code, llr, config):
     """decode() spelled out through the public per-edge path.
 
     One cache refresh per sweep, then update_edge_soft/update_edge_hard on
-    every edge in the configured order, each tightening phi and theta right
+    every edge in check-major order, each tightening phi and theta right
     after its edge, then decide().  decode() must return exactly this.
     """
     state = D.init_state(code, llr, config)
-    if config.edge_order == "check_major":
-        edges = [(i, j) for j in range(code.m) for i, _ in code.rows[j]]
-    else:
-        edges = [(i, j) for i in range(code.n) for j in code.columns[i]]
+    edges = [(i, j) for j in range(code.m) for i, _ in code.rows[j]]
     update = D.update_edge_hard if math.isinf(config.kappa) else D.update_edge_soft
     trace = [D.dual_objective(state)]
     malformed = 0
@@ -200,7 +197,7 @@ def decode_reference(code, llr, config):
             malformed += 1
             outcome = None
             continue
-        if config.stop_on_codeword and outcome.status is D.Status.CODEWORD_FOUND:
+        if outcome.status is D.Status.CODEWORD_FOUND:
             return D.DecodeOutcome(outcome.symbols, outcome.status, iteration,
                                    tuple(trace), malformed)
     if outcome is None:

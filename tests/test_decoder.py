@@ -145,8 +145,6 @@ def test_config_validation():
         DecoderConfig(kappa=0.0)
     with pytest.raises(ValueError):
         DecoderConfig(kappa=-1.0)
-    with pytest.raises(ValueError):
-        DecoderConfig(edge_order="diagonal")
     DecoderConfig(kappa=math.inf)  # allowed
 
 
@@ -558,23 +556,12 @@ def test_decode_trace_monotone():
     rng = np.random.default_rng(64)
     code = random_regular_code(n=12, m=6, row_degree=3, q=4, rng=rng)
     llr = rng.normal(0.5, 1.0, size=(12, 3))
-    out = decode(code, llr, DecoderConfig(max_iterations=50, kappa=10.0,
-                                          stop_on_codeword=False))
+    out = decode(code, llr, DecoderConfig(max_iterations=50, kappa=10.0))
     trace = np.array(out.dual_objective_trace)
     assert np.all(np.diff(trace) >= -1e-9)
     assert out.status is Status.MAX_ITERATIONS
     assert out.iterations_used == 50
     assert out.malformed_decisions == 0
-
-
-def test_decode_stop_on_codeword_flag():
-    code = ldpc80_z4()
-    llr = _noiseless_llr(code)
-    out = decode(code, llr, DecoderConfig(max_iterations=3, kappa=math.inf,
-                                          stop_on_codeword=False))
-    assert out.status is Status.MAX_ITERATIONS
-    assert not out.symbols.any()
-    assert out.iterations_used == 3
 
 
 def test_decode_all_erased_on_symmetric_input():
@@ -614,15 +601,6 @@ def test_decode_counts_and_propagates_malformed(monkeypatch):
     )
     with pytest.raises(MalformedDecision):
         decode(code, llr, DecoderConfig(max_iterations=2, kappa=100.0))
-
-
-def test_decode_variable_major_order():
-    code = ldpc80_z4()
-    llr = _noiseless_llr(code)
-    out = decode(code, llr, DecoderConfig(max_iterations=100, kappa=100.0,
-                                          edge_order="variable_major"))
-    assert out.status is Status.CODEWORD_FOUND
-    assert not out.symbols.any()
 
 
 # ---- the fused sweep against the public per-edge path ----
@@ -666,9 +644,8 @@ def test_vectorized_bookkeeping_matches_loops():
                 D._decide_symbols(state), decide_symbols_loop(state))
 
 
-@pytest.mark.parametrize("edge_order", ["check_major", "variable_major"])
 @pytest.mark.parametrize("kappa", [1.0, 100.0, math.inf])
-def test_decode_matches_public_per_edge_path(kappa, edge_order):
+def test_decode_matches_public_per_edge_path(kappa):
     ldpc = ldpc80_z4()
     ragged = ragged_code()
     cache = D._code_cache(ragged)
@@ -678,7 +655,7 @@ def test_decode_matches_public_per_edge_path(kappa, edge_order):
     cases = [(ldpc, llr) for llr in awgn_frames(ldpc, 3.0, 2, seed=43)]
     cases += [(ragged, rng.normal(0.3, 1.5, size=(ragged.n, ragged.q - 1)))
               for _ in range(3)]
-    config = DecoderConfig(max_iterations=15, kappa=kappa, edge_order=edge_order)
+    config = DecoderConfig(max_iterations=15, kappa=kappa)
     for code, llr in cases:
         got = decode(code, llr, config)
         want = decode_reference(code, llr, config)

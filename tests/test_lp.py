@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import codewords_bruteforce, lp_vertex_enumeration
+from qarylp.channel import awgn_sample, compute_llr, modulate, psk
 from qarylp.codes import TannerCode, ldpc80_z4, random_regular_code
 from qarylp.decoder import (
     ERASED,
@@ -34,7 +35,6 @@ from qarylp.lp import (
     marginal_to_factor,
     ml_bruteforce,
     simplex_solve,
-    write_lp,
 )
 
 
@@ -309,6 +309,42 @@ def test_exact_decode_noiseless_ldpc80():
     assert out.dual_objective_trace[0] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_exact_decode_cycle_guard_names_callers_budget():
+    # column generation spends one budget over several masters; the guard
+    # must name that budget, not what was left of it in the last round
+    rng = np.random.default_rng(1)
+    lam = np.tile([2.0, 4.0, 2.0], (80, 1)) + rng.normal(0.0, 2.5, size=(80, 3))
+    with pytest.raises(CycleGuardTripped, match=r"^exceeded 150 pivots$"):
+        lp_decode_exact(ldpc80_z4(), lam, max_pivots=150)
+
+
+def test_exact_decode_codeword_translation_symmetry():
+    # under PSK the decoding LP is symmetric in the transmitted codeword:
+    # rotating the received noise onto codeword c translates the decision
+    # by c, erasures included
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sigma = 0.8
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None)
+    @hypothesis.given(shape=st.sampled_from([(4, 8, 4, 4), (8, 6, 3, 3)]),
+                      seed=st.integers(0, 2**32 - 1))
+    def check(shape, seed):
+        q, n, m, d = shape
+        rng = np.random.default_rng(seed)
+        code = random_regular_code(n=n, m=m, row_degree=d, q=q, rng=rng)
+        c = ml_bruteforce(code, rng.normal(size=(n, q - 1)))
+        cmap = psk(q)
+        y0 = awgn_sample(modulate(np.zeros(n, dtype=np.int64), cmap), sigma, rng)
+        y1 = y0 * np.exp(2j * np.pi * c / q)
+        base = lp_decode_exact(code, compute_llr(y0, cmap, sigma)).symbols
+        moved = lp_decode_exact(code, compute_llr(y1, cmap, sigma)).symbols
+        want = np.where(base == ERASED, ERASED, (base + c) % q)
+        assert np.array_equal(moved, want)
+
+    check()
+
+
 def test_exact_decode_llr_shape():
     with pytest.raises(ValueError):
         lp_decode_exact(single_check_code(), np.zeros((3, 3)))
@@ -452,7 +488,7 @@ def test_ml_bruteforce_too_large():
 
 
 def test_exact_decode_agrees_with_reference_solver():
-    # the working-set solver must reproduce the plain tableau optimum
+    # column generation must reproduce the optimum of the full LP
     code = random_regular_code(n=12, m=6, row_degree=3, q=4,
                                rng=np.random.default_rng(9))
     rng = np.random.default_rng(55)
@@ -517,16 +553,3 @@ def test_weak_duality_bounds_lp_value():
                 update_edge_soft(state, i, j)
                 assert dual_objective(state) <= res.value + 1e-6
 
-
-# ---- debug dump ----
-
-
-def test_write_lp_dump(tmp_path):
-    lp = build_decoding_lp(single_check_code(), np.ones((2, 3)))
-    path = tmp_path / "toy.lp"
-    write_lp(lp, path)
-    text = path.read_text()
-    assert text.startswith("min:")
-    assert "row_0:" in text
-    assert "= 1" in text
-    assert "ind_0_1" in text and "w_0_" in text
