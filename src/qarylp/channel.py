@@ -9,6 +9,7 @@ so LLRs are computed in nats without evaluating any density.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ _DISTINCT_TOL = 1e-9
 
 
 class NonPositiveSigma(ValueError):
-    """Noise standard deviation must be strictly positive."""
+    """Noise standard deviation must be finite and strictly positive."""
 
 
 class InvalidRate(ValueError):
@@ -72,8 +73,8 @@ def modulate(word, cmap: ConstellationMap) -> np.ndarray:
 
 def awgn_sample(x, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Add complex Gaussian noise, variance sigma^2 per real component."""
-    if sigma <= 0:
-        raise NonPositiveSigma(f"sigma must be > 0, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise NonPositiveSigma(f"sigma must be finite and > 0, got {sigma}")
     x = np.asarray(x, dtype=np.complex128)
     noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
     return x + sigma * noise
@@ -85,8 +86,8 @@ def compute_llr(y, cmap: ConstellationMap, sigma: float) -> np.ndarray:
     Row i, slot a - 1 holds (|y_i - s_a|^2 - |y_i - s_0|^2) / (2 sigma^2),
     which equals log(p(y_i | 0) / p(y_i | a)) for the Gaussian channel.
     """
-    if sigma <= 0:
-        raise NonPositiveSigma(f"sigma must be > 0, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise NonPositiveSigma(f"sigma must be finite and > 0, got {sigma}")
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
     dist = np.abs(y[:, None] - cmap.points[None, :]) ** 2
     return (dist[:, 1:] - dist[:, :1]) / (2.0 * sigma ** 2)
@@ -97,10 +98,18 @@ def ebno_to_sigma(ebno_db: float, rate: float, bits_per_symbol: float) -> float:
 
     Each channel use carries rate * bits_per_symbol information bits, so
     Es/N0 = rate * bits_per_symbol * 10^(ebno_db / 10) and sigma^2 = N0 / 2.
+    An ebno_db that gives no finite sigma > 0 (NaN, infinite, or so far
+    out that Es/N0 leaves the float range) raises ValueError.
     """
     if not 0.0 < rate <= 1.0:
         raise InvalidRate(f"rate must be in (0, 1], got {rate}")
     if bits_per_symbol <= 0:
         raise ValueError(f"bits_per_symbol must be > 0, got {bits_per_symbol}")
-    es_n0 = rate * bits_per_symbol * 10.0 ** (ebno_db / 10.0)
-    return float(np.sqrt(1.0 / (2.0 * es_n0)))
+    try:
+        es_n0 = rate * bits_per_symbol * 10.0 ** (ebno_db / 10.0)
+        sigma = float(np.sqrt(1.0 / (2.0 * es_n0)))
+    except (OverflowError, ZeroDivisionError):
+        sigma = math.nan
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"ebno_db = {ebno_db} gives no finite sigma > 0")
+    return sigma

@@ -27,6 +27,10 @@ class LengthMismatch(ValueError):
     """Word length does not match the code length."""
 
 
+class BudgetExceeded(ValueError):
+    """A check's local codebook is larger than the configured budget."""
+
+
 class ParseError(ValueError):
     """Check-matrix file is malformed; carries the offending line number."""
 
@@ -230,6 +234,11 @@ class TannerCode:
         return not np.any(self.syndrome(word))
 
 
+# enumerate_spc refuses a check whose codebook bound q^(d-1) exceeds this:
+# its prefix grid alone would take (d-1) * q^(d-1) int64 entries
+_MAX_LOCAL_WORDS = 2 ** 20
+
+
 @dataclass(frozen=True)
 class SpcCodebook:
     """All local solutions of one check, one word per row of `words`."""
@@ -248,9 +257,16 @@ def enumerate_spc(code: TannerCode, j: int) -> SpcCodebook:
     mod q, listed in lexicographic order.  The search fixes the first d_j - 1
     symbols and completes the last one; a non-unit last coefficient can admit
     zero or several completions per prefix, all of which are emitted.
+    A check with q^(d_j - 1) > _MAX_LOCAL_WORDS raises BudgetExceeded before
+    anything is allocated.
     """
     vals = code.row_vals[j]
     q, d = code.q, len(vals)
+    if q ** (d - 1) > _MAX_LOCAL_WORDS:
+        raise BudgetExceeded(
+            f"check {j}: codebook bound {q}^{d - 1} = {q ** (d - 1)} exceeds "
+            f"{_MAX_LOCAL_WORDS} local words"
+        )
     # every prefix in lexicographic order, one per row
     prefixes = np.indices((q,) * (d - 1)).reshape(d - 1, -1).T
     need = (-(prefixes @ vals[:-1])) % q

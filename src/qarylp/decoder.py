@@ -19,6 +19,9 @@ the public per-edge functions still do.  Decisions score each variable's
 constant words by the channel cost minus the sum of edge messages and pick
 the strictly cheapest word, the zero word costing 0; ties at the minimum
 erase the symbol (or, strictly below zero, surface MalformedDecision).
+Every code shares one padded layout (see _CodeCache): padding words score
++inf, so they never win a minimum, and a symbol that no local word reaches
+gets message -_MESSAGE_CLAMP.
 """
 
 from __future__ import annotations
@@ -117,18 +120,31 @@ def validate_llr(code: TannerCode, llr) -> np.ndarray:
 # ---- per-code static structure ----
 
 
-def _slot_buckets(column: np.ndarray, q: int):
-    # indices of the words holding each symbol in one slot, ascending; a
-    # stable sort groups them by symbol without reordering within a group
-    order = np.argsort(column, kind="stable")
-    counts = np.bincount(column, minlength=q)
-    if np.all(counts == counts[0]):
-        return order.reshape(q, -1)
-    return np.split(order, np.cumsum(counts)[:-1])
+def _groups(keys: np.ndarray, n_groups: int, width: int, fill: int) -> np.ndarray:
+    # row k lists, ascending, the positions of keys that hold k, padded
+    # with fill to width; a stable sort keeps each group's positions in order
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys, minlength=n_groups)
+    ranked = keys[order]
+    rank = np.arange(len(keys)) - (np.cumsum(counts) - counts)[ranked]
+    out = np.full((n_groups, width), fill, dtype=np.int64)
+    out[ranked, rank] = order
+    return out
 
 
 class _CodeCache:
-    """Edge indexing, local codewords, and bucket indices for one code."""
+    """Edge indexing, local codewords and bucket indices for one code.
+
+    One dense layout serves every code.  words[j, t, w] is the symbol in
+    slot t of local word w of check j, so each slot is one contiguous row;
+    check_edges[j, t] is the edge id of slot t of check j; buckets[j, t, b]
+    lists, ascending, the words whose slot t holds symbol b, so one gather
+    feeds all q bucket minima of an edge.  Short checks, codebooks and
+    buckets are padded: a padding slot names edge n_edges and holds
+    symbol 0, a padding word holds 0 in every slot and starts at the score
+    +inf of base_costs, and a padding bucket entry names a padding word.
+    A code whose checks all have q * B local words has no padding.
+    """
 
     def __init__(self, code: TannerCode):
         self.code = code
@@ -136,40 +152,28 @@ class _CodeCache:
         # edge ids are check-major: code.edges lists each check's row in turn
         self.edge_index = {edge: e for e, edge in enumerate(code.edges)}
         self.n_edges = len(code.edges)
-        self.check_edges = []
-        pos = 0
-        for row in code.rows:
-            self.check_edges.append(np.arange(pos, pos + len(row)))
-            pos += len(row)
         # position of each edge's variable inside its check's column list
         self.edge_slot = np.concatenate([np.arange(len(row)) for row in code.rows])
+        edge_vars, edge_checks = np.array(code.edges).T
         # var_edges[i]: edge ids of variable i, ascending, padded with
         # n_edges, which names an extra message row of -0.0 (x + -0.0 == x)
-        var_lists: list[list[int]] = [[] for _ in range(code.n)]
-        for e, (i, _) in enumerate(code.edges):
-            var_lists[i].append(e)
-        self.var_edges = np.full(
-            (code.n, max(map(len, var_lists))), self.n_edges, dtype=np.int64
-        )
-        for i, lst in enumerate(var_lists):
-            self.var_edges[i, :len(lst)] = lst
-        # words[j]: local codewords of check j, one per row, column-major so
-        # that each slot's column is contiguous
-        self.words = [
-            np.asfortranarray(enumerate_spc(code, j).words, dtype=np.int64)
-            for j in range(code.m)
-        ]
-        sizes = {words.shape[0] for words in self.words}
-        # common codebook size, or None when checks differ
-        self.book_size = sizes.pop() if len(sizes) == 1 else None
-        # buckets[j][t][beta]: indices of check-j words whose slot t holds
-        # beta.  When every beta has equally many words, a slot's buckets
-        # are the rows of one (q, L/q) matrix, so one gather feeds all q
-        # minima; otherwise they are a list of arrays
-        self.buckets = [
-            [_slot_buckets(words[:, t], q) for t in range(words.shape[1])]
-            for words in self.words
-        ]
+        self.var_edges = _groups(edge_vars, code.n,
+                                 max(map(len, code.columns)), self.n_edges)
+        width = max(map(len, code.rows))
+        self.check_edges = _groups(edge_checks, code.m, width, self.n_edges)
+        books = [enumerate_spc(code, j).words for j in range(code.m)]
+        sizes = np.array([len(words) for words in books])
+        bucket = max(int(np.bincount(words[:, t], minlength=q).max())
+                     for words in books for t in range(words.shape[1]))
+        n_words = int(sizes.max()) + bool(np.any(sizes != q * bucket))
+        self.words = np.zeros((code.m, width, n_words), dtype=np.int64)
+        self.buckets = np.zeros((code.m, width, q, bucket), dtype=np.int64)
+        self.base_costs = np.where(np.arange(n_words) < sizes[:, None], 0.0,
+                                   math.inf)
+        for j, words in enumerate(books):
+            self.words[j, :words.shape[1], :len(words)] = words.T
+            for t in range(words.shape[1]):
+                self.buckets[j, t] = _groups(words[:, t], q, bucket, n_words - 1)
         # the check-major sweep as (edge id, variable, check, slot) tuples
         self.schedule = tuple(
             (e, i, j, int(self.edge_slot[e])) for e, (i, j) in enumerate(code.edges)
@@ -183,34 +187,27 @@ def _code_cache(code: TannerCode) -> _CodeCache:
 
 # ---- soft minimum ----
 
-
-def _softmin_arr(values: np.ndarray, kappa: float) -> float:
-    """Soft minimum of a 1-d array; empty arrays give +inf."""
-    if values.size == 0:
-        return math.inf
-    if math.isinf(kappa):
-        return float(values.min())
-    lo = float(values.min())
-    if math.isinf(lo):
-        return lo
-    # shifted log-sum-exp; the lo term contributes 1, so the log is >= 0
-    return lo - math.log(np.exp(-kappa * (values - lo)).sum()) / kappa
+# an all-+inf row (an empty bucket) is shifted by this instead of by its own
+# minimum, which would give inf - inf
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def _softmin_rows(rows: np.ndarray, kappa: float) -> np.ndarray:
-    """_softmin_arr of every row of a 2-d array, bit for bit.
+    """Soft minimum of every row of a 2-d array; a row of +inf gives +inf.
 
-    Row-wise min, exp and sum give the same values as on each row alone,
-    and math.log is applied per row as _softmin_arr applies it.
+    Each row is reduced along its own contiguous axis, so its value does
+    not depend on the other rows, and math.log is applied per row.
     """
-    lo = np.minimum.reduce(rows, axis=1)
     if math.isinf(kappa):
-        return lo
+        return np.minimum.reduce(rows, axis=1)
+    lo = np.minimum.reduce(rows, axis=1, initial=_FLOAT_MAX)
     shifted = rows - lo[:, None]
     shifted *= -kappa
     total = np.add.reduce(np.exp(shifted, out=shifted), axis=1)
+    # a row's own minimum contributes 1 to its total, so only an all-+inf
+    # row totals 0
     return np.array([
-        low if math.isinf(low) else low - math.log(s) / kappa
+        low - math.log(s) / kappa if s else math.inf
         for low, s in zip(lo.tolist(), total.tolist())
     ])
 
@@ -220,14 +217,18 @@ def soft_min(values, kappa: float) -> float:
 
     Computed in shifted form, so it stays finite for kappa up to 1e3 and
     values of either sign.  Satisfies min - log(L)/kappa <= result <= min
-    for a list of length L.
+    for a list of length L.  +inf entries add nothing; a -inf entry gives
+    -inf.
     """
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
+    arr = np.asarray(values, dtype=np.float64).reshape(1, -1)
     if arr.size == 0:
         raise EmptyList("soft_min of an empty collection")
     if not kappa > 0:
         raise ValueError(f"kappa must be > 0 or math.inf, got {kappa}")
-    return _softmin_arr(arr, kappa)
+    if arr.min() == -math.inf:
+        # shifting by the minimum would give -inf - -inf
+        return -math.inf
+    return float(_softmin_rows(arr, kappa)[0])
 
 
 # ---- dual state ----
@@ -240,10 +241,10 @@ class DualState:
     messages[e] is the (q-1)-vector on edge e (check-major edge ids);
     chan[i] = -llr[i] is the fixed channel slot of variable i.  node_sum
     caches chan[i] plus the sum of messages on the variable's edges, and
-    check_costs[j] caches the score of every local codeword of check j,
-    where a word's score is the sum of messages[e][b - 1] over its nonzero
-    slots b.  check_costs is one (m, L) array when every check has L local
-    words, else a list of arrays.  Both caches are maintained incrementally
+    check_costs, one (m, W) array in the code's padded word layout, caches
+    in row j the score of every local codeword of check j, where a word's
+    score is the sum of messages[e][b - 1] over its nonzero slots b;
+    padding words score +inf.  Both caches are maintained incrementally
     by every message write.  phi and theta are tightened after each call of
     set_message or a public edge update, and by decode() once per sweep.
     """
@@ -254,7 +255,7 @@ class DualState:
     chan: np.ndarray
     messages: np.ndarray
     node_sum: np.ndarray
-    check_costs: np.ndarray | list
+    check_costs: np.ndarray
     phi: np.ndarray
     theta: np.ndarray
     cache: _CodeCache = field(repr=False, default=None)
@@ -270,10 +271,6 @@ def init_state(code: TannerCode, llr, config: DecoderConfig) -> DualState:
     """Fresh state: zero edge messages, channel slots at -llr, tight potentials."""
     lam = validate_llr(code, llr)
     cache = _code_cache(code)
-    if cache.book_size is None:
-        check_costs = [np.zeros(words.shape[0]) for words in cache.words]
-    else:
-        check_costs = np.zeros((code.m, cache.book_size))
     state = DualState(
         code=code,
         kappa=config.kappa,
@@ -281,7 +278,7 @@ def init_state(code: TannerCode, llr, config: DecoderConfig) -> DualState:
         chan=-lam,
         messages=np.zeros((cache.n_edges, code.q - 1)),
         node_sum=(-lam).copy(),
-        check_costs=check_costs,
+        check_costs=cache.base_costs.copy(),
         phi=np.zeros(code.n),
         theta=np.zeros(code.m),
         cache=cache,
@@ -290,24 +287,25 @@ def init_state(code: TannerCode, llr, config: DecoderConfig) -> DualState:
     return state
 
 
-def _variable_potential(state: DualState, i: int) -> float:
-    # constant-word scores at variable i: zero word scores 0, the word that
-    # repeats symbol b scores -node_sum[i, b-1]
-    scores = np.concatenate(([0.0], -state.node_sum[i]))
-    return _softmin_arr(scores, state.kappa)
+def _variable_potentials(state: DualState, rows=slice(None)) -> np.ndarray:
+    # phi of the variables in rows: the soft minimum over each one's
+    # constant words, where the zero word scores 0 and the word repeating
+    # symbol b scores -node_sum[i, b-1]
+    node_sum = state.node_sum[rows]
+    scores = np.zeros((len(node_sum), state.code.q))
+    np.negative(node_sum, out=scores[:, 1:])
+    return _softmin_rows(scores, state.kappa)
 
 
 def _tighten_potentials(state: DualState) -> None:
-    # every phi_i and theta_j at once; row i of scores is the concatenation
-    # _variable_potential builds for variable i
-    scores = np.zeros((state.code.n, state.code.q))
-    np.negative(state.node_sum, out=scores[:, 1:])
-    state.phi[:] = _softmin_rows(scores, state.kappa)
-    costs = state.check_costs
-    if isinstance(costs, np.ndarray):
-        state.theta[:] = _softmin_rows(costs, state.kappa)
-    else:
-        state.theta[:] = [_softmin_arr(c, state.kappa) for c in costs]
+    state.phi[:] = _variable_potentials(state)
+    state.theta[:] = _softmin_rows(state.check_costs, state.kappa)
+
+
+def _edge_potentials(state: DualState, i: int, j: int):
+    # phi_i and theta_j recomputed from the caches
+    return (_variable_potentials(state, slice(i, i + 1))[0],
+            _softmin_rows(state.check_costs[j:j + 1], state.kappa)[0])
 
 
 def _write_message(state: DualState, e: int, i: int, j: int, t: int,
@@ -318,7 +316,7 @@ def _write_message(state: DualState, e: int, i: int, j: int, t: int,
     np.subtract(new, state.messages[e], out=delta)
     state.messages[e] = new
     state.node_sum[i] += delta
-    state.check_costs[j] += pad[state.cache.words[j][:, t]]
+    state.check_costs[j] += pad[state.cache.words[j, t]]
 
 
 def set_message(state: DualState, i: int, j: int, values) -> None:
@@ -343,14 +341,16 @@ def _refresh_caches(state: DualState) -> None:
     # recompute node_sum and check_costs from messages, shedding float drift
     cache = state.cache
     state.node_sum[:] = state.chan + _message_sums(state)
-    # padded[e, b]: score change from edge e for symbol b, 0 for b = 0
-    padded = np.zeros((cache.n_edges, state.code.q))
-    padded[:, 1:] = state.messages
-    for j, words in enumerate(cache.words):
-        # row t holds every word's slot-t term; rows are summed onto 0.0 in
-        # slot order
-        terms = padded[cache.check_edges[j][:, None], words.T]
-        np.sum(terms, axis=0, initial=0.0, out=state.check_costs[j])
+    # padded[e, b]: score change from edge e for symbol b, 0 for b = 0; the
+    # extra last row is edge n_edges, named by padding slots
+    padded = np.zeros((cache.n_edges + 1, state.code.q))
+    padded[:-1, 1:] = state.messages
+    # every word's slot terms are added onto 0.0 (+inf for padding words)
+    # in slot order, one (m, W) slot at a time
+    costs = state.check_costs
+    costs[:] = cache.base_costs
+    for t in range(cache.words.shape[1]):
+        costs += padded[cache.check_edges[:, t, None], cache.words[:, t]]
 
 
 # ---- instrumentation terms ----
@@ -367,7 +367,7 @@ def compute_v_terms(state: DualState, i: int, j: int, alpha: int):
     e = state.cache.edge_index[(i, j)]
     scores = np.concatenate(([0.0], -state.node_sum[i]))
     keep = np.arange(state.code.q) != alpha
-    v_bar = -_softmin_arr(scores[keep], state.kappa)
+    v_bar = -soft_min(scores[keep], state.kappa)
     v_eq = state.node_sum[i, alpha - 1] - state.messages[e, alpha - 1]
     return v_bar, v_eq
 
@@ -384,9 +384,9 @@ def compute_c_terms(state: DualState, j: int, i: int, alpha: int):
     e = cache.edge_index[(i, j)]
     t = cache.edge_slot[e]
     costs = state.check_costs[j]
-    slot_vals = cache.words[j][:, t]
-    c_bar = -_softmin_arr(costs[slot_vals != alpha], state.kappa)
-    inc = _softmin_arr(costs[cache.buckets[j][t][alpha]], state.kappa)
+    # padding words hold symbol 0 and score +inf, so they add nothing
+    c_bar = -soft_min(costs[cache.words[j, t] != alpha], state.kappa)
+    inc = _softmin_rows(costs[cache.buckets[j, t]], state.kappa)[alpha]
     # every word in the alpha bucket carries messages[e][alpha-1]; removing
     # the position shifts the whole bucket by that constant
     c_eq = state.messages[e, alpha - 1] - inc
@@ -395,15 +395,13 @@ def compute_c_terms(state: DualState, j: int, i: int, alpha: int):
 
 def local_function(state: DualState, i: int, j: int) -> float:
     """Edge-local part of the dual objective: both potentials recomputed."""
-    return _variable_potential(state, i) + _softmin_arr(
-        state.check_costs[j], state.kappa
-    )
+    phi, theta = _edge_potentials(state, i, j)
+    return float(phi + theta)
 
 
 def update_phi_theta(state: DualState, i: int, j: int) -> DualState:
     """Tighten phi_i and theta_j to their current soft-minimum bounds."""
-    state.phi[i] = _variable_potential(state, i)
-    state.theta[j] = _softmin_arr(state.check_costs[j], state.kappa)
+    state.phi[i], state.theta[j] = _edge_potentials(state, i, j)
     return state
 
 
@@ -425,12 +423,8 @@ def _maximize_edge(state: DualState, e: int, i: int, j: int, t: int) -> None:
     # and the current w(a) cancels from the right side exactly, so a
     # message is never used to update itself.  Edge e sits in slot t of
     # check j.  phi and theta are left to the caller.
-    costs = state.check_costs[j]
-    buckets = state.cache.buckets[j][t]
-    if isinstance(buckets, np.ndarray):
-        sm = _softmin_rows(costs[buckets], state.kappa)
-    else:
-        sm = np.array([_softmin_arr(costs[b], state.kappa) for b in buckets])
+    sm = _softmin_rows(state.check_costs[j][state.cache.buckets[j, t]],
+                       state.kappa)
     new = state.messages[e] - 0.5 * (state.node_sum[i] + sm[1:] - sm[0])
     np.maximum(new, -_MESSAGE_CLAMP, out=new)
     np.minimum(new, _MESSAGE_CLAMP, out=new)

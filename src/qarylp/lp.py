@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import TannerCode, enumerate_spc
+from .codes import BudgetExceeded, TannerCode, enumerate_spc
 from .decoder import ERASED, DecodeOutcome, Status, validate_llr
 
 # reduced-cost and pivot-element threshold for the simplex core
@@ -50,10 +50,6 @@ _EXACT_PIVOT_RULE = "dantzig_bland"
 _REVISED_STALL_LIMIT = 200
 # basis-inverse refactorization cadence for the revised loop
 _REFACTOR_EVERY = 128
-
-
-class BudgetExceeded(ValueError):
-    """A check's local codebook is larger than the configured budget."""
 
 
 class TooLarge(ValueError):

@@ -59,6 +59,8 @@ class SimConfig:
         ebno = tuple(float(e) for e in self.ebno_list)
         if not ebno:
             raise ValueError("ebno_list must not be empty")
+        if not all(math.isfinite(e) for e in ebno):
+            raise ValueError(f"ebno_list entries must be finite, got {ebno}")
         object.__setattr__(self, "ebno_list", ebno)
         if self.target_frame_errors < 1:
             raise ValueError(

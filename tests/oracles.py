@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from qarylp import decoder as D
+from qarylp.codes import enumerate_spc
 
 
 def spc_words_bruteforce(code, j):
@@ -206,23 +207,31 @@ def decode_reference(code, llr, config):
                            config.max_iterations, tuple(trace), malformed)
 
 
-def _variable_edges(code, i):
+def variable_edges(code, i):
+    """Edge ids of variable i, ascending."""
     return [e for e, (v, _) in enumerate(code.edges) if v == i]
+
+
+def check_edges(code, j):
+    """Edge ids of check j in slot order (edge ids are check-major)."""
+    return [code.edges.index((int(i), j)) for i in code.row_cols[j]]
 
 
 def refresh_caches_loop(state):
     """node_sum and check_costs rebuilt from messages one variable and one
-    check at a time; returns (node_sum, list of per-check cost arrays)."""
-    cache = state.cache
+    check at a time, scoring the words enumerate_spc lists; returns
+    (node_sum, list of per-check cost arrays, one entry per local word)."""
+    code = state.code
     node_sum = state.chan.copy()
-    for i in range(state.code.n):
-        edges = _variable_edges(state.code, i)
+    for i in range(code.n):
+        edges = variable_edges(code, i)
         if edges:
             node_sum[i] += state.messages[edges].sum(axis=0)
     check_costs = []
-    for j, words in enumerate(cache.words):
-        costs = np.zeros(words.shape[0])
-        for t, e in enumerate(cache.check_edges[j]):
+    for j in range(code.m):
+        words = enumerate_spc(code, j).words
+        costs = np.zeros(len(words))
+        for t, e in enumerate(check_edges(code, j)):
             pad = np.concatenate(([0.0], state.messages[e]))
             costs += pad[words[:, t]]
         check_costs.append(costs)
@@ -234,7 +243,7 @@ def decide_symbols_loop(state):
     n = state.code.n
     scores = state.llr.copy()
     for i in range(n):
-        edges = _variable_edges(state.code, i)
+        edges = variable_edges(state.code, i)
         if edges:
             scores[i] -= state.messages[edges].sum(axis=0)
     symbols = np.empty(n, dtype=np.int64)

@@ -124,6 +124,17 @@ def test_llr_rejects_bad_sigma():
         compute_llr(np.array([1.0 + 0j]), qpsk(), -1.0)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_channel_refuses_non_finite_sigma(sigma):
+    # NaN passed the old sigma <= 0 test and gave NaN samples and LLRs
+    cmap = qpsk()
+    x = modulate([0, 1], cmap)
+    with pytest.raises(NonPositiveSigma, match="finite"):
+        awgn_sample(x, sigma, np.random.default_rng(0))
+    with pytest.raises(NonPositiveSigma, match="finite"):
+        compute_llr(x, cmap, sigma)
+
+
 def test_ebno_to_sigma():
     # Es/N0 = 1 exactly when rate * bits * 10^(db/10) = 1
     db = -10.0 * math.log10(2.0)
@@ -137,3 +148,12 @@ def test_ebno_to_sigma():
         ebno_to_sigma(0.0, rate=0.0, bits_per_symbol=2)
     with pytest.raises(InvalidRate):
         ebno_to_sigma(0.0, rate=1.2, bits_per_symbol=2)
+
+
+@pytest.mark.parametrize(
+    "ebno_db", [-math.inf, math.inf, math.nan, -4000.0, -3220.0, 4000.0])
+def test_ebno_to_sigma_refuses_unusable_ebno(ebno_db):
+    # -inf and -4000 divided by zero, NaN returned a NaN sigma, -3220 an
+    # infinite one, +inf a zero one, and 4000 overflowed
+    with pytest.raises(ValueError, match="gives no finite sigma > 0"):
+        ebno_to_sigma(ebno_db, rate=0.6, bits_per_symbol=2)

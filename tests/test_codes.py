@@ -1,7 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
+import qarylp.lp
 from qarylp import (
+    BudgetExceeded,
     LengthMismatch,
     MalformedIndicator,
     ParseError,
@@ -167,6 +171,16 @@ def test_enumerate_spc_ldpc80_row():
     # lexicographic and duplicate-free
     as_tuples = [tuple(w) for w in book.words.tolist()]
     assert as_tuples == sorted(set(as_tuples))
+
+
+def test_enumerate_spc_refuses_oversized_check():
+    # 8^11 local words would need gigabytes of prefixes: refused at once
+    code = TannerCode(q=8, n=12, rows=(tuple((i, 1) for i in range(12)),))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"check 0: .* 8\^11 .* 1048576"):
+        enumerate_spc(code, 0)
+    assert time.perf_counter() - start < 1.0
+    assert qarylp.lp.BudgetExceeded is BudgetExceeded
 
 
 # ---- bundled code ----

@@ -7,7 +7,13 @@ import pytest
 
 from qarylp import decoder as D
 from qarylp.channel import awgn_sample, compute_llr, ebno_to_sigma, modulate, psk, qpsk
-from qarylp.codes import TannerCode, ldpc80_z4, random_regular_code
+from qarylp.codes import (
+    BudgetExceeded,
+    TannerCode,
+    enumerate_spc,
+    ldpc80_z4,
+    random_regular_code,
+)
 from qarylp.decoder import (
     ERASED,
     DecoderConfig,
@@ -32,11 +38,13 @@ from qarylp.decoder import (
 
 from oracles import (
     central_difference_gradient,
+    check_edges,
     coordinate_grid_max,
     decide_symbols_loop,
     decode_reference,
     refresh_caches_loop,
     softmin_bruteforce,
+    variable_edges,
 )
 
 
@@ -124,6 +132,11 @@ def test_soft_min_extreme_inputs():
         sm = soft_min(values, kappa)
         assert math.isfinite(sm)
         assert sm <= values.min()
+    # +inf entries (the decoder's padding words) add nothing; -inf wins
+    for kappa in (1.0, 1e300, math.inf):
+        assert soft_min([math.inf, 2.0], kappa) == 2.0
+        assert soft_min([math.inf, math.inf], kappa) == math.inf
+        assert soft_min([-math.inf, 2.0], kappa) == -math.inf
 
 
 def test_soft_min_rejects_bad_input():
@@ -181,6 +194,15 @@ def test_decode_refuses_non_finite_llr(bad):
         with pytest.raises(NonFiniteLLR, match=r"llr\[5, 1\]"):
             decode(code, llr, DecoderConfig(kappa=kappa))
         assert time.perf_counter() - start < 1.0
+
+
+def test_decode_refuses_oversized_check():
+    # one degree-12 check over Z_8 has 8^11 local words
+    code = TannerCode(q=8, n=12, rows=(tuple((i, 1) for i in range(12)),))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="check 0"):
+        decode(code, np.ones((12, 7)), DecoderConfig())
+    assert time.perf_counter() - start < 1.0
 
 
 def test_init_state_zero_llr_dual_values():
@@ -249,9 +271,9 @@ def test_c_terms_match_bruteforce():
     for kappa in (1.0, 10.0, math.inf):
         code, state = random_state(kappa, rng)
         for i, j in [code.edges[k] for k in rng.integers(0, len(code.edges), 4)]:
-            e = state.cache.edge_index[(i, j)]
-            words = state.cache.words[j]
-            eids = state.cache.check_edges[j]
+            e = code.edges.index((i, j))
+            words = enumerate_spc(code, j).words
+            eids = check_edges(code, j)
             costs = []
             for word in words:
                 total = 0.0
@@ -260,7 +282,7 @@ def test_c_terms_match_bruteforce():
                         total += state.messages[eids[t], b - 1]
                 costs.append(total)
             costs = np.array(costs)
-            t_i = state.cache.edge_slot[e]
+            t_i = eids.index(e)
             for alpha in range(1, code.q):
                 mask = words[:, t_i] == alpha
                 want_bar = -soft_min(costs[~mask], kappa)
@@ -438,6 +460,44 @@ def test_update_clamps_unreachable_symbol():
     assert math.isfinite(dual_objective(state))
 
 
+@pytest.mark.parametrize("kappa", [1.0, 100.0, math.inf])
+def test_padded_edge_updates_match_closed_form(kappa):
+    # one update per edge of a ragged code, in check-major order; each new
+    # message is the closed form with bucket soft minima taken over the
+    # check's enumerate_spc words, not over the decoder's padded layout
+    code = ragged_code()
+    update = update_edge_hard if math.isinf(kappa) else update_edge_soft
+    rng = np.random.default_rng(44)
+    empty = 0
+    for _ in range(3):
+        llr = rng.normal(0.3, 1.5, size=(code.n, code.q - 1))
+        state = init_state(code, llr, DecoderConfig(kappa=kappa))
+        for e, (i, j) in enumerate(code.edges):
+            words = enumerate_spc(code, j).words
+            slots = check_edges(code, j)
+            costs = np.zeros(len(words))
+            for t, edge in enumerate(slots):
+                costs += np.concatenate(([0.0], state.messages[edge]))[words[:, t]]
+            column = words[:, slots.index(e)]
+            bucket = np.array([
+                softmin_bruteforce(costs[column == b], kappa)
+                if np.any(column == b) else math.inf
+                for b in range(code.q)
+            ])
+            mine = variable_edges(code, i)
+            node_sum = state.chan[i] + state.messages[mine].sum(axis=0)
+            want = np.clip(
+                state.messages[e] - 0.5 * (node_sum + bucket[1:] - bucket[0]),
+                -1e18, 1e18)
+            update(state, i, j)
+            # rtol covers the ulps of messages near 5e17 that follow a clamp
+            np.testing.assert_allclose(state.messages[e], want, rtol=1e-15, atol=1e-9)
+            for b in np.flatnonzero(bucket[1:] == math.inf):
+                assert state.messages[e, b] == -1e18
+                empty += 1
+    assert empty == 6  # symbols 1 and 3 never sit in slot 0 of check 0
+
+
 def test_update_phi_theta_tightness():
     rng = np.random.default_rng(37)
     code, state = random_state(5.0, rng)
@@ -607,24 +667,44 @@ def test_decode_counts_and_propagates_malformed(monkeypatch):
 
 
 def test_slot_bucket_rows_match_per_bucket_softmin():
-    # a slot's buckets as one index matrix: each row is the bucket, and the
-    # row-wise soft minima equal the per-bucket ones bit for bit
+    # a slot's buckets as one index matrix: each row lists the bucket's
+    # words, then padding words scored +inf, and the row-wise soft minima
+    # equal the per-bucket ones over the enumerate_spc words: bit for bit
+    # on rows without padding, within 1e-12 on padded rows, +inf for a
+    # bucket no word reaches
     rng = np.random.default_rng(40)
-    for code in (ldpc80_z4(), random_regular_code(12, 4, 3, 8, rng)):
+    codes = ((ldpc80_z4(), False), (random_regular_code(12, 4, 3, 8, rng), False),
+             (ragged_code(), True))
+    for code, padded in codes:
         cache = D._code_cache(code)
+        # equal codebooks with even buckets get no padding at all
+        assert np.isinf(cache.base_costs).any() == padded
         for j in (0, code.m - 1):
-            words = cache.words[j]
-            costs = rng.normal(0.0, 1.0, size=words.shape[0]) * 10.0 ** rng.integers(
-                -6, 7, size=words.shape[0])
+            words = enumerate_spc(code, j).words
+            costs = rng.normal(0.0, 1.0, size=len(words)) * 10.0 ** rng.integers(
+                -6, 7, size=len(words))
+            row = np.full(cache.base_costs.shape[1], np.inf)
+            row[:len(words)] = costs
             for t in range(words.shape[1]):
-                mat = cache.buckets[j][t]
-                assert mat.shape == (code.q, words.shape[0] // code.q)
+                mat = cache.buckets[j, t]
+                if not padded:
+                    assert mat.shape == (code.q, len(words) // code.q)
                 for kappa in (1.0, 100.0, math.inf):
-                    rows = D._softmin_rows(costs[mat], kappa)
+                    rows = D._softmin_rows(row[mat], kappa)
                     for beta in range(code.q):
-                        np.testing.assert_array_equal(
-                            mat[beta], np.flatnonzero(words[:, t] == beta))
-                        assert rows[beta] == D._softmin_arr(costs[mat[beta]], kappa)
+                        members = np.flatnonzero(words[:, t] == beta)
+                        np.testing.assert_array_equal(mat[beta, :len(members)], members)
+                        assert np.all(mat[beta, len(members):] >= len(words))
+                        if not len(members):
+                            assert rows[beta] == math.inf
+                            continue
+                        if len(members) == mat.shape[1]:
+                            assert rows[beta] == soft_min(costs[members], kappa)
+                        else:
+                            assert rows[beta] == pytest.approx(
+                                soft_min(costs[members], kappa), rel=0, abs=1e-12)
+                        assert rows[beta] == pytest.approx(softmin_bruteforce(
+                            costs[members], kappa), rel=1e-12, abs=1e-12)
 
 
 def test_vectorized_bookkeeping_matches_loops():
@@ -638,8 +718,9 @@ def test_vectorized_bookkeeping_matches_loops():
             node_sum, check_costs = refresh_caches_loop(state)
             D._refresh_caches(state)
             np.testing.assert_array_equal(state.node_sum, node_sum)
-            for j in range(code.m):
-                np.testing.assert_array_equal(state.check_costs[j], check_costs[j])
+            for j, costs in enumerate(check_costs):
+                np.testing.assert_array_equal(state.check_costs[j, :len(costs)], costs)
+                assert np.all(state.check_costs[j, len(costs):] == math.inf)
             np.testing.assert_array_equal(
                 D._decide_symbols(state), decide_symbols_loop(state))
 
@@ -648,9 +729,11 @@ def test_vectorized_bookkeeping_matches_loops():
 def test_decode_matches_public_per_edge_path(kappa):
     ldpc = ldpc80_z4()
     ragged = ragged_code()
-    cache = D._code_cache(ragged)
-    assert cache.book_size is None
-    assert any(isinstance(b, list) for slots in cache.buckets for b in slots)
+    # unequal codebooks and uneven buckets, so the sweep reads padding
+    books = [enumerate_spc(ragged, j).words for j in range(ragged.m)]
+    assert len({len(words) for words in books}) > 1
+    assert any(np.ptp(np.bincount(words[:, t], minlength=ragged.q))
+               for words in books for t in range(words.shape[1]))
     rng = np.random.default_rng(42)
     cases = [(ldpc, llr) for llr in awgn_frames(ldpc, 3.0, 2, seed=43)]
     cases += [(ragged, rng.normal(0.3, 1.5, size=(ragged.n, ragged.q - 1)))

@@ -56,6 +56,12 @@ def test_config_validation():
         SimConfig(ebno_list=(1.0,), workers=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_refuses_non_finite_ebno(bad):
+    with pytest.raises(ValueError, match="ebno_list entries must be finite"):
+        SimConfig(ebno_list=(1.0, bad))
+
+
 def test_config_coerces_ebno_to_floats():
     cfg = SimConfig(ebno_list=(1, 2))
     assert cfg.ebno_list == (1.0, 2.0)
@@ -219,6 +225,13 @@ def test_random_codeword_mode(tmp_path, small_code_file):
     assert p.fer == 0.0
 
 
+def test_run_point_refuses_nan_ebno(small_code_file):
+    # a NaN point used to reach the decoder as NaN LLRs (NonFiniteLLR)
+    cfg = SimConfig(code=small_code_file, ebno_list=(8.0,), max_frames=2)
+    with pytest.raises(ValueError, match="gives no finite sigma > 0"):
+        run_point(cfg, math.nan)
+
+
 def test_lp_decoder_point(small_code_file):
     cfg = SimConfig(code=small_code_file, decoder="lp", ebno_list=(2.0,),
                     target_frame_errors=5, max_frames=60, seed=6)
@@ -333,6 +346,14 @@ def test_cli_error_exit(tmp_path, small_code_file, capsys):
     ])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["-inf", "inf", "nan"])
+def test_cli_refuses_non_finite_ebno(text, capsys):
+    # --ebno=-inf used to end in a ZeroDivisionError traceback
+    assert main([f"--ebno={text}", "--max-frames", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
 
 
 def test_cli_rejects_unknown_decoder():
