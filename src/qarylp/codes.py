@@ -278,6 +278,9 @@ def enumerate_spc(code: TannerCode, j: int) -> SpcCodebook:
 
 # ---- Code constructions ----
 
+# random_regular_code gives up after this many draws of the whole matrix
+_MAX_CODE_ATTEMPTS = 1000
+
 _LDPC80_OFFSETS = ((0, 1), (8, 3), (25, 3), (41, 1), (48, 1))
 
 
@@ -305,7 +308,9 @@ def random_regular_code(
     """A random code with constant check degree and every column covered.
 
     With unit_entries=True coefficients are drawn from the units of Z_q, so
-    every symbol value remains locally reachable at every edge.
+    every symbol value remains locally reachable at every edge.  The column
+    supports are redrawn whole until no check repeats a column; after
+    _MAX_CODE_ATTEMPTS failed draws a ValueError names the parameters.
     """
     slots = m * row_degree
     if slots < n:
@@ -316,12 +321,16 @@ def random_regular_code(
         values = [v for v in range(1, q) if math.gcd(v, q) == 1]
     else:
         values = list(range(1, q))
-    while True:
+    for _ in range(_MAX_CODE_ATTEMPTS):
         pool = list(range(n)) + [int(rng.integers(n)) for _ in range(slots - n)]
         rng.shuffle(pool)
         rows_cols = [pool[k * row_degree:(k + 1) * row_degree] for k in range(m)]
         if all(len(set(r)) == row_degree for r in rows_cols):
             break
+    else:
+        raise ValueError(
+            f"no column supports without repeats for n={n}, m={m}, "
+            f"row_degree={row_degree} after {_MAX_CODE_ATTEMPTS} draws")
     rows = tuple(
         tuple((i, int(rng.choice(values))) for i in sorted(r)) for r in rows_cols
     )

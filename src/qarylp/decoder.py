@@ -13,15 +13,17 @@ which is the exact per-edge maximizer.  A sweep over the edges therefore
 never decreases the dual objective.  kappa = math.inf applies the same
 update with hard minima: still locally maximal, but without the monotone
 guarantee.  decode() tightens every potential once per sweep, after the
-last edge update: phi_i and theta_j depend only on their own variable's and
-check's cached sums, so this equals tightening them after every edge, which
-the public per-edge functions still do.  Decisions score each variable's
-constant words by the channel cost minus the sum of edge messages and pick
-the strictly cheapest word, the zero word costing 0; ties at the minimum
-erase the symbol (or, strictly below zero, surface MalformedDecision).
-Every code shares one padded layout (see _CodeCache): padding words score
-+inf, so they never win a minimum, and a symbol that no local word reaches
-gets message -_MESSAGE_CLAMP.
+last edge update: phi_i depends only on its variable's node_sum and theta_j
+only on its check's messages, so this equals tightening them after every
+edge, which the public per-edge functions still do.  Decisions score each
+variable's constant words by the channel cost minus the sum of edge
+messages and pick the strictly cheapest word, the zero word costing 0; ties
+at the minimum erase the symbol (or, strictly below zero, surface
+MalformedDecision).  No local codebook is enumerated: each check is a
+trellis over its q partial syndromes (see _CodeCache), and theta_j and an
+edge's bucket soft minima come from prefix and suffix soft minima, O(d q^2)
+terms per degree-d check for theta and O(q^3) per edge update.  A symbol
+that no local word reaches gets message -_MESSAGE_CLAMP.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import TannerCode, enumerate_spc
+from .codes import TannerCode
 
 # messages are clipped here; a bucket with no local word would otherwise
 # push its message to infinity
@@ -132,22 +134,33 @@ def _groups(keys: np.ndarray, n_groups: int, width: int, fill: int) -> np.ndarra
     return out
 
 
-class _CodeCache:
-    """Edge indexing, local codewords and bucket indices for one code.
+def _kernel_table(q: int, h_prev: int, h: int) -> np.ndarray:
+    # gather table of the trellis step into slot t.  Entry k = s q + b of
+    # the grid F(s) + w(b) (prefix F and row w of slot t - 1, coefficient
+    # h_prev) takes from g = [B(0), ..., B(q-1), 0, +inf] (suffix B after
+    # slot t, coefficient h): in row s' a 0 if it lands on prefix syndrome
+    # s', else +inf; in row q + c the B that closes a word with c at slot t
+    s, b = np.divmod(np.arange(q * q), q)
+    syndrome = (s + h_prev * b) % q
+    symbols = np.arange(q)[:, None]
+    return np.concatenate([np.where(syndrome == symbols, q, q + 1),
+                           (-syndrome - h * symbols) % q])
 
-    One dense layout serves every code.  words[j, t, w] is the symbol in
-    slot t of local word w of check j, so each slot is one contiguous row;
-    check_edges[j, t] is the edge id of slot t of check j; buckets[j, t, b]
-    lists, ascending, the words whose slot t holds symbol b, so one gather
-    feeds all q bucket minima of an edge.  Short checks, codebooks and
-    buckets are padded: a padding slot names edge n_edges and holds
-    symbol 0, a padding word holds 0 in every slot and starts at the score
-    +inf of base_costs, and a padding bucket entry names a padding word.
-    A code whose checks all have q * B local words has no padding.
+
+class _CodeCache:
+    """Edge indexing and trellis tables for one code.
+
+    check_edges[j, t] is the edge id of slot t of check j; short checks
+    are padded with edge n_edges, whose message row [0, +inf, ...] makes a
+    padding slot (coefficient 0) an exact identity section.
+    shifts[j, t, r q + b] is the suffix syndrome after slot t when the
+    slots from t on sum to r and slot t holds b.  slots[j] lists (edge id,
+    variable, gather table) per slot: slot 0 gathers its extrinsic row
+    from the suffix after it, slot t > 0 takes the (2q, q^2) _kernel_table
+    of its coefficient pair.  No size here grows with the local codebook.
     """
 
     def __init__(self, code: TannerCode):
-        self.code = code
         q = code.q
         # edge ids are check-major: code.edges lists each check's row in turn
         self.edge_index = {edge: e for e, edge in enumerate(code.edges)}
@@ -161,23 +174,15 @@ class _CodeCache:
                                  max(map(len, code.columns)), self.n_edges)
         width = max(map(len, code.rows))
         self.check_edges = _groups(edge_checks, code.m, width, self.n_edges)
-        books = [enumerate_spc(code, j).words for j in range(code.m)]
-        sizes = np.array([len(words) for words in books])
-        bucket = max(int(np.bincount(words[:, t], minlength=q).max())
-                     for words in books for t in range(words.shape[1]))
-        n_words = int(sizes.max()) + bool(np.any(sizes != q * bucket))
-        self.words = np.zeros((code.m, width, n_words), dtype=np.int64)
-        self.buckets = np.zeros((code.m, width, q, bucket), dtype=np.int64)
-        self.base_costs = np.where(np.arange(n_words) < sizes[:, None], 0.0,
-                                   math.inf)
-        for j, words in enumerate(books):
-            self.words[j, :words.shape[1], :len(words)] = words.T
-            for t in range(words.shape[1]):
-                self.buckets[j, t] = _groups(words[:, t], q, bucket, n_words - 1)
-        # the check-major sweep as (edge id, variable, check, slot) tuples
-        self.schedule = tuple(
-            (e, i, j, int(self.edge_slot[e])) for e, (i, j) in enumerate(code.edges)
-        )
+        coefs = np.append(np.concatenate(code.row_vals), 0)[self.check_edges]
+        r, b = np.divmod(np.arange(q * q), q)
+        self.shifts = (r - coefs[:, :, None] * b) % q
+        vals = [h.tolist() for h in code.row_vals]
+        tables = {p: _kernel_table(q, *p) for h in vals for p in zip(h, h[1:])}
+        self.slots = tuple(
+            tuple(zip(edges.tolist(), cols.tolist(), [(-h[0] * np.arange(q)) % q]
+                      + [tables[p] for p in zip(h, h[1:])]))
+            for edges, cols, h in zip(self.check_edges, code.row_cols, vals))
 
 
 @lru_cache(maxsize=16)
@@ -240,13 +245,11 @@ class DualState:
 
     messages[e] is the (q-1)-vector on edge e (check-major edge ids);
     chan[i] = -llr[i] is the fixed channel slot of variable i.  node_sum
-    caches chan[i] plus the sum of messages on the variable's edges, and
-    check_costs, one (m, W) array in the code's padded word layout, caches
-    in row j the score of every local codeword of check j, where a word's
-    score is the sum of messages[e][b - 1] over its nonzero slots b;
-    padding words score +inf.  Both caches are maintained incrementally
-    by every message write.  phi and theta are tightened after each call of
-    set_message or a public edge update, and by decode() once per sweep.
+    caches chan[i] plus the sum of messages on the variable's edges, kept
+    up to date by every message write.  Nothing is cached per check: its
+    values are trellis soft minima of its current messages.  phi and theta
+    are tightened after each call of set_message or a public edge update,
+    and by decode() once per sweep.
     """
 
     code: TannerCode
@@ -255,36 +258,46 @@ class DualState:
     chan: np.ndarray
     messages: np.ndarray
     node_sum: np.ndarray
-    check_costs: np.ndarray
     phi: np.ndarray
     theta: np.ndarray
     cache: _CodeCache = field(repr=False, default=None)
-    # scratch row [0, delta]: pad[b] is the score change of a word whose
-    # slot holds symbol b when one edge message moves by delta
-    pad: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.pad = np.zeros(self.code.q)
 
 
 def init_state(code: TannerCode, llr, config: DecoderConfig) -> DualState:
     """Fresh state: zero edge messages, channel slots at -llr, tight potentials."""
     lam = validate_llr(code, llr)
     cache = _code_cache(code)
-    state = DualState(
-        code=code,
-        kappa=config.kappa,
-        llr=lam,
-        chan=-lam,
-        messages=np.zeros((cache.n_edges, code.q - 1)),
-        node_sum=(-lam).copy(),
-        check_costs=cache.base_costs.copy(),
-        phi=np.zeros(code.n),
-        theta=np.zeros(code.m),
-        cache=cache,
-    )
+    state = DualState(code=code, kappa=config.kappa, llr=lam, chan=-lam,
+                      messages=np.zeros((cache.n_edges, code.q - 1)),
+                      node_sum=(-lam).copy(), phi=np.zeros(code.n),
+                      theta=np.zeros(code.m), cache=cache)
     _tighten_potentials(state)
     return state
+
+
+def _suffix_arrays(state: DualState, checks=slice(None)) -> np.ndarray:
+    # out[k, t, r] = B_t(r) of the k-th given check: the soft minimum of the
+    # message sums of slots t, t+1, ... over their symbols of syndrome r;
+    # theta is B_0(0).  Columns q, q + 1 hold 0, +inf for _visit_check.
+    # Each step works elementwise or row by row, so no check's rows depend
+    # on the other checks passed.
+    cache = state.cache
+    q = state.code.q
+    rows = np.zeros((cache.n_edges + 1, q))
+    rows[:-1, 1:] = state.messages
+    rows[-1, 1:] = math.inf
+    w = rows[cache.check_edges[checks]]
+    shifts = cache.shifts[checks]
+    count, width = w.shape[:2]
+    out = np.zeros((count, width + 1, q + 2))
+    out[:, :, q + 1] = math.inf
+    out[:, width, 1:q] = math.inf
+    for t in range(width - 1, -1, -1):
+        # B_t(r) = softmin_b [w_t(b) + B_{t+1}(r - h_t b)]
+        terms = np.take_along_axis(out[:, t + 1, :q], shifts[:, t], axis=1)
+        terms = (terms.reshape(count, q, q) + w[:, t, None]).reshape(-1, q)
+        out[:, t, :q] = _softmin_rows(terms, state.kappa).reshape(count, q)
+    return out
 
 
 def _variable_potentials(state: DualState, rows=slice(None)) -> np.ndarray:
@@ -297,34 +310,26 @@ def _variable_potentials(state: DualState, rows=slice(None)) -> np.ndarray:
     return _softmin_rows(scores, state.kappa)
 
 
-def _tighten_potentials(state: DualState) -> None:
+def _tighten_potentials(state: DualState) -> np.ndarray:
+    # tighten every phi and theta; returns the suffix arrays of all checks
     state.phi[:] = _variable_potentials(state)
-    state.theta[:] = _softmin_rows(state.check_costs, state.kappa)
+    suffix = _suffix_arrays(state)
+    state.theta[:] = suffix[:, 0, 0]
+    return suffix
 
 
 def _edge_potentials(state: DualState, i: int, j: int):
-    # phi_i and theta_j recomputed from the caches
+    # phi_i and theta_j recomputed from node_sum and check j's messages
     return (_variable_potentials(state, slice(i, i + 1))[0],
-            _softmin_rows(state.check_costs[j:j + 1], state.kappa)[0])
-
-
-def _write_message(state: DualState, e: int, i: int, j: int, t: int,
-                   new: np.ndarray) -> None:
-    # store edge e's new message and fold the change into both caches
-    pad = state.pad
-    delta = pad[1:]
-    np.subtract(new, state.messages[e], out=delta)
-    state.messages[e] = new
-    state.node_sum[i] += delta
-    state.check_costs[j] += pad[state.cache.words[j, t]]
+            _suffix_arrays(state, [j])[0, 0, 0])
 
 
 def set_message(state: DualState, i: int, j: int, values) -> None:
     """Assign the message on edge (i, j), keeping all caches consistent."""
-    cache = state.cache
-    e = cache.edge_index[(i, j)]
-    _write_message(state, e, i, j, int(cache.edge_slot[e]),
-                   np.asarray(values, dtype=np.float64))
+    e = state.cache.edge_index[(i, j)]
+    new = np.asarray(values, dtype=np.float64)
+    state.node_sum[i] += new - state.messages[e]
+    state.messages[e] = new
     update_phi_theta(state, i, j)
 
 
@@ -338,19 +343,35 @@ def _message_sums(state: DualState) -> np.ndarray:
 
 
 def _refresh_caches(state: DualState) -> None:
-    # recompute node_sum and check_costs from messages, shedding float drift
-    cache = state.cache
+    # recompute node_sum from messages, shedding the float drift of the
+    # incremental updates, which a message clamped at +-1e18 makes large
     state.node_sum[:] = state.chan + _message_sums(state)
-    # padded[e, b]: score change from edge e for symbol b, 0 for b = 0; the
-    # extra last row is edge n_edges, named by padding slots
-    padded = np.zeros((cache.n_edges + 1, state.code.q))
-    padded[:-1, 1:] = state.messages
-    # every word's slot terms are added onto 0.0 (+inf for padding words)
-    # in slot order, one (m, W) slot at a time
-    costs = state.check_costs
-    costs[:] = cache.base_costs
-    for t in range(cache.words.shape[1]):
-        costs += padded[cache.check_edges[:, t, None], cache.words[:, t]]
+
+
+def _visit_check(state: DualState, j: int, suffix=None, stop=None):
+    # check j's slots in order; ext[b] is the soft minimum over its words
+    # with b in slot t of their message sums outside slot t.  stop=None (the
+    # sweep) updates every slot's message from ext; else nothing is written
+    # and slot stop's ext is returned.  suffix, check j's _suffix_arrays
+    # block (computed when omitted), holds until this visit writes it.
+    if suffix is None:
+        suffix = _suffix_arrays(state, [j])[0]
+    q = state.code.q
+    prefix = suffix[-1, :q]  # [0, +inf, ...]: the empty prefix
+    row = np.zeros(q)  # [0, message] of the previous slot
+    for t, (e, i, table) in enumerate(state.cache.slots[j]):
+        if t:
+            terms = suffix[t + 1][table]
+            terms += (prefix[:, None] + row).ravel()
+            minima = _softmin_rows(terms, state.kappa)
+            prefix, ext = minima[:q], minima[q:]
+        else:
+            ext = suffix[1][table]
+        if t == stop:
+            return ext
+        if stop is None:
+            _maximize_edge(state, e, i, ext)
+        row[1:] = state.messages[e]
 
 
 # ---- instrumentation terms ----
@@ -380,17 +401,13 @@ def compute_c_terms(state: DualState, j: int, i: int, alpha: int):
     over words with that slot equal to alpha, scored with variable i's
     position excluded.  Returns (C_bar, C_eq).
     """
-    cache = state.cache
-    e = cache.edge_index[(i, j)]
-    t = cache.edge_slot[e]
-    costs = state.check_costs[j]
-    # padding words hold symbol 0 and score +inf, so they add nothing
-    c_bar = -soft_min(costs[cache.words[j, t] != alpha], state.kappa)
-    inc = _softmin_rows(costs[cache.buckets[j, t]], state.kappa)[alpha]
-    # every word in the alpha bucket carries messages[e][alpha-1]; removing
-    # the position shifts the whole bucket by that constant
-    c_eq = state.messages[e, alpha - 1] - inc
-    return c_bar, c_eq
+    e = state.cache.edge_index[(i, j)]
+    ext = _visit_check(state, j, stop=int(state.cache.edge_slot[e]))
+    # bucket(b) = w(b) + ext(b) covers the words with b in variable i's slot
+    bucket = np.concatenate(([0.0], state.messages[e])) + ext
+    c_bar = -soft_min(bucket[np.arange(state.code.q) != alpha], state.kappa)
+    # C_eq = w(alpha) - bucket(alpha): the alpha bucket without that slot
+    return c_bar, -ext[alpha]
 
 
 def local_function(state: DualState, i: int, j: int) -> float:
@@ -413,27 +430,27 @@ def dual_objective(state: DualState) -> float:
 # ---- edge updates ----
 
 
-def _maximize_edge(state: DualState, e: int, i: int, j: int, t: int) -> None:
+def _maximize_edge(state: DualState, e: int, i: int, ext: np.ndarray) -> None:
     # closed-form joint maximizer of the edge-local objective: with
-    # bucket(b) = soft minimum of check-j word scores whose slot for
-    # variable i equals b (current messages included), the stationary point
-    # of phi_i + theta_j in this edge's message w is, per nonzero symbol a,
+    # bucket(b) = w(b) + ext(b), the soft minimum of check-j word scores
+    # whose slot for variable i equals b, the stationary point of
+    # phi_i + theta_j in this edge's message w is, per nonzero symbol a,
     #   w(a) <- w(a) - (node_sum(i, a) + bucket(a) - bucket(0)) / 2
-    # The a-slots decouple once the shared normalizer bucket(0) is fixed,
-    # and the current w(a) cancels from the right side exactly, so a
-    # message is never used to update itself.  Edge e sits in slot t of
-    # check j.  phi and theta are left to the caller.
-    sm = _softmin_rows(state.check_costs[j][state.cache.buckets[j, t]],
-                       state.kappa)
-    new = state.messages[e] - 0.5 * (state.node_sum[i] + sm[1:] - sm[0])
+    # with bucket(0) = ext(0) a shared normalizer; the current w(a) cancels
+    # from the right side.  phi and theta are left to the caller.
+    msg = state.messages[e]
+    new = msg - 0.5 * (state.node_sum[i] + (msg + ext[1:]) - ext[0])
     np.maximum(new, -_MESSAGE_CLAMP, out=new)
     np.minimum(new, _MESSAGE_CLAMP, out=new)
-    _write_message(state, e, i, j, t, new)
+    state.node_sum[i] += new - msg
+    msg[:] = new
 
 
 def _update_edge(state: DualState, i: int, j: int) -> None:
+    # check j's kernel replayed up to the edge: the sweep's operations
     e = state.cache.edge_index[(i, j)]
-    _maximize_edge(state, e, i, j, int(state.cache.edge_slot[e]))
+    _maximize_edge(state, e, i,
+                   _visit_check(state, j, stop=int(state.cache.edge_slot[e])))
     update_phi_theta(state, i, j)
 
 
@@ -460,20 +477,14 @@ def update_edge_hard(state: DualState, i: int, j: int) -> DualState:
 # ---- decisions ----
 
 
-def _decision_scores(state: DualState) -> np.ndarray:
-    # x_hat[i, alpha] = llr[i, alpha] - sum of edge messages: the channel
-    # slot joins the per-variable sum like any other slot of the repetition
-    # code; recomputed from messages directly so decisions are immune to
-    # cache drift
-    return state.llr - _message_sums(state)
-
-
 def _decide_symbols(state: DualState) -> np.ndarray:
     # each variable decides the repetition word with the smallest score,
     # where the zero word scores 0 and the word repeating alpha scores
-    # x_hat[i, alpha]; a tie for the smallest score means no unique word
-    # claims the decision
-    scores = _decision_scores(state)
+    # x_hat[i, alpha] = llr[i, alpha] - sum of edge messages (the channel
+    # slot joins the sum like any other slot of the repetition code, and the
+    # sum is taken from messages so decisions are immune to node_sum drift);
+    # a tie for the smallest score means no unique word claims the decision
+    scores = state.llr - _message_sums(state)
     full = np.zeros((state.code.n, state.code.q))
     full[:, 1:] = scores
     order = np.argsort(full, axis=1, kind="stable")
@@ -505,12 +516,8 @@ def decide(state: DualState) -> DecodeOutcome:
     """
     symbols = _decide_symbols(state)
     found = not np.any(symbols == ERASED) and state.code.is_codeword(symbols)
-    return DecodeOutcome(
-        symbols=symbols,
-        status=Status.CODEWORD_FOUND if found else Status.MAX_ITERATIONS,
-        iterations_used=0,
-        dual_objective_trace=(dual_objective(state),),
-    )
+    status = Status.CODEWORD_FOUND if found else Status.MAX_ITERATIONS
+    return DecodeOutcome(symbols, status, 0, (dual_objective(state),))
 
 
 def decode(code: TannerCode, llr, config: DecoderConfig) -> DecodeOutcome:
@@ -526,14 +533,18 @@ def decode(code: TannerCode, llr, config: DecoderConfig) -> DecodeOutcome:
     MalformedDecision.
     """
     state = init_state(code, llr, config)
+    # a check's suffix arrays stay valid until its own visit writes it, so
+    # one pass of all checks per sweep serves both the sweep and theta
+    suffix = _suffix_arrays(state)
     trace = [dual_objective(state)]
     malformed = 0
     symbols = None
+    status = Status.MAX_ITERATIONS
     for iteration in range(1, config.max_iterations + 1):
         _refresh_caches(state)
-        for e, i, j, t in state.cache.schedule:
-            _maximize_edge(state, e, i, j, t)
-        _tighten_potentials(state)
+        for j in range(code.m):
+            _visit_check(state, j, suffix[j])
+        suffix = _tighten_potentials(state)
         trace.append(dual_objective(state))
         try:
             symbols = _decide_symbols(state)
@@ -542,20 +553,9 @@ def decode(code: TannerCode, llr, config: DecoderConfig) -> DecodeOutcome:
             symbols = None
             continue
         if not np.any(symbols == ERASED) and code.is_codeword(symbols):
-            return DecodeOutcome(
-                symbols=symbols,
-                status=Status.CODEWORD_FOUND,
-                iterations_used=iteration,
-                dual_objective_trace=tuple(trace),
-                malformed_decisions=malformed,
-            )
+            status = Status.CODEWORD_FOUND
+            break
     if symbols is None:
         # the final sweep's decision was malformed: surface it
         _decide_symbols(state)
-    return DecodeOutcome(
-        symbols=symbols,
-        status=Status.MAX_ITERATIONS,
-        iterations_used=config.max_iterations,
-        dual_objective_trace=tuple(trace),
-        malformed_decisions=malformed,
-    )
+    return DecodeOutcome(symbols, status, iteration, tuple(trace), malformed)

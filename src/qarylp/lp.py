@@ -310,27 +310,32 @@ def _crash_words(setup):
     Weight columns only touch their own check's rows, so selecting per check
     an independent set of codebook columns (the zero word first) yields a
     block-diagonal basis whose basic solution puts weight 1 on each zero
-    word.  Returns None when some check's local columns cannot fill its
-    block (a symbol unreachable on some edge makes a coupling row all zero).
+    word.  Columns are taken greedily in codebook order whenever they are
+    independent of those already taken: one Gaussian elimination per check
+    block reduces every later column against each accepted one, and a
+    column is accepted when its residual exceeds _SIMPLEX_TOL somewhere.  Returns None when some
+    check's local columns cannot fill its block (a symbol unreachable on
+    some edge makes a coupling row all zero).
     """
     chosen_words = []
     for j, book in enumerate(setup.books):
         start = setup.coup_starts[j]
         rows = list(range(start, start + book.words.shape[1] * (setup.q - 1)))
         rows.append(setup.norm_rows[j])
-        block = setup.word_columns(j, book.words)[rows]
-        need = len(rows)
-        chosen = [0]  # zero word: unit column on the normalization row
-        basis_mat = block[:, [0]]
-        for col in range(1, block.shape[1]):
-            if len(chosen) == need:
-                break
-            trial = np.column_stack([basis_mat, block[:, col]])
-            if np.linalg.matrix_rank(trial) > basis_mat.shape[1]:
-                chosen.append(col)
-                basis_mat = trial
-        if len(chosen) < need:
-            return None
+        residual = setup.word_columns(j, book.words)[rows]
+        chosen = []
+        col = 0
+        while len(chosen) < len(rows):
+            free = np.abs(residual[:, col:]).max(axis=0) > _SIMPLEX_TOL
+            if not free.any():
+                return None
+            col += int(np.argmax(free))
+            chosen.append(col)
+            pivot = residual[:, col].copy()
+            p = int(np.argmax(np.abs(pivot)))
+            # zero row p in every later column; the accepted ones stay zero
+            residual[:, col:] -= np.outer(pivot / pivot[p], residual[p, col:])
+            col += 1
         chosen_words.append(chosen)
     return chosen_words
 

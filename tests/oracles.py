@@ -217,25 +217,69 @@ def check_edges(code, j):
     return [code.edges.index((int(i), j)) for i in code.row_cols[j]]
 
 
-def refresh_caches_loop(state):
-    """node_sum and check_costs rebuilt from messages one variable and one
-    check at a time, scoring the words enumerate_spc lists; returns
-    (node_sum, list of per-check cost arrays, one entry per local word)."""
+def node_sum_loop(state):
+    """node_sum rebuilt from messages one variable at a time."""
     code = state.code
     node_sum = state.chan.copy()
     for i in range(code.n):
         edges = variable_edges(code, i)
         if edges:
             node_sum[i] += state.messages[edges].sum(axis=0)
-    check_costs = []
+    return node_sum
+
+
+def local_word_scores(state, j):
+    """(words, scores) of check j: its enumerate_spc words, each scored by
+    the sum of messages[e][b - 1] over its nonzero slots b."""
+    words = enumerate_spc(state.code, j).words
+    scores = np.zeros(len(words))
+    for t, e in enumerate(check_edges(state.code, j)):
+        scores += np.concatenate(([0.0], state.messages[e]))[words[:, t]]
+    return words, scores
+
+
+def slot_buckets_bruteforce(state, j, t):
+    """Soft minimum of the word scores of check j per symbol of slot t,
+    +inf for a symbol no local word puts there."""
+    words, scores = local_word_scores(state, j)
+    return np.array([
+        softmin_bruteforce(scores[words[:, t] == b], state.kappa)
+        if np.any(words[:, t] == b) else math.inf
+        for b in range(state.code.q)
+    ])
+
+
+def crash_words_rank_greedy(code):
+    """Per check, the first codebook columns (in enumerate_spc order) that
+    raise the matrix_rank of those taken before, restricted to the check's
+    coupling rows (position-major, then symbol) and normalization row;
+    None when some check cannot fill its block.  Checks with equal
+    coefficient rows share one block, so each distinct row is solved once."""
+    q = code.q
+    solved = {}
+    out = []
     for j in range(code.m):
-        words = enumerate_spc(code, j).words
-        costs = np.zeros(len(words))
-        for t, e in enumerate(check_edges(code, j)):
-            pad = np.concatenate(([0.0], state.messages[e]))
-            costs += pad[words[:, t]]
-        check_costs.append(costs)
-    return node_sum, check_costs
+        key = tuple(code.row_vals[j].tolist())
+        if key not in solved:
+            words = enumerate_spc(code, j).words.astype(np.int64)
+            d = words.shape[1]
+            block = np.zeros((d * (q - 1) + 1, len(words)))
+            for w, word in enumerate(words):
+                for t, b in enumerate(word):
+                    if b:
+                        block[t * (q - 1) + b - 1, w] = -1.0
+            block[-1] = 1.0
+            chosen = []
+            for col in range(len(words)):
+                if len(chosen) == block.shape[0]:
+                    break
+                if np.linalg.matrix_rank(block[:, chosen + [col]]) > len(chosen):
+                    chosen.append(col)
+            solved[key] = chosen if len(chosen) == block.shape[0] else None
+        if solved[key] is None:
+            return None
+        out.append(solved[key])
+    return out
 
 
 def decide_symbols_loop(state):

@@ -231,6 +231,16 @@ def test_random_regular_code_rejects_impossible():
         random_regular_code(n=2, m=3, row_degree=3, q=4, rng=rng)
 
 
+def test_random_regular_code_gives_up_on_unlikely_supports():
+    # six distinct columns out of eight in each of 12 checks: the whole-matrix
+    # redraw almost never succeeds, so the draw must give up, and quickly
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"n=8, m=12, row_degree=6"):
+        random_regular_code(n=8, m=12, row_degree=6, q=4,
+                            rng=np.random.default_rng(0))
+    assert time.perf_counter() - start < 2.0
+
+
 # ---- file format ----
 
 

@@ -8,7 +8,6 @@ import pytest
 from qarylp import decoder as D
 from qarylp.channel import awgn_sample, compute_llr, ebno_to_sigma, modulate, psk, qpsk
 from qarylp.codes import (
-    BudgetExceeded,
     TannerCode,
     enumerate_spc,
     ldpc80_z4,
@@ -42,7 +41,9 @@ from oracles import (
     coordinate_grid_max,
     decide_symbols_loop,
     decode_reference,
-    refresh_caches_loop,
+    local_word_scores,
+    node_sum_loop,
+    slot_buckets_bruteforce,
     softmin_bruteforce,
     variable_edges,
 )
@@ -83,6 +84,30 @@ def ragged_code():
         ((2, 1), (5, 1)),
         ((0, 3), (3, 1), (4, 2), (5, 1)),
     ))
+
+
+def zero_divisor_codes():
+    # Z_6 with coefficients 2 and 3 and Z_8 with 4, zero divisors: some
+    # slots reach only some symbols, so buckets are uneven or empty
+    return (
+        TannerCode(q=6, n=5, rows=(
+            ((0, 2), (1, 3), (2, 1)),
+            ((1, 1), (2, 2), (3, 3), (4, 1)),
+            ((0, 3), (4, 2)),
+        )),
+        TannerCode(q=8, n=5, rows=(
+            ((0, 4), (1, 1), (2, 2)),
+            ((0, 1), (2, 1), (3, 2), (4, 4)),
+            ((1, 4), (3, 4), (4, 1)),
+        )),
+    )
+
+
+def trellis_buckets(state, j, t):
+    """Slot t's bucket row of check j from the decoder's trellis."""
+    e = check_edges(state.code, j)[t]
+    return (np.concatenate(([0.0], state.messages[e]))
+            + D._visit_check(state, j, stop=t))
 
 
 def awgn_frames(code, ebno_db, count, seed):
@@ -196,12 +221,17 @@ def test_decode_refuses_non_finite_llr(bad):
         assert time.perf_counter() - start < 1.0
 
 
-def test_decode_refuses_oversized_check():
-    # one degree-12 check over Z_8 has 8^11 local words
+def test_decode_degree_12_z8_check():
+    # one degree-12 check over Z_8 has 8^11 local words, more than
+    # enumerate_spc lists; the trellis decoder enumerates none of them
     code = TannerCode(q=8, n=12, rows=(tuple((i, 1) for i in range(12)),))
+    cmap = psk(8)
+    llr = compute_llr(modulate(np.zeros(12, dtype=np.int64), cmap), cmap, 0.5)
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match="check 0"):
-        decode(code, np.ones((12, 7)), DecoderConfig())
+    for kappa in (100.0, math.inf):
+        out = decode(code, llr, DecoderConfig(kappa=kappa))
+        assert out.status is Status.CODEWORD_FOUND
+        assert not out.symbols.any()
     assert time.perf_counter() - start < 1.0
 
 
@@ -505,8 +535,9 @@ def test_update_phi_theta_tightness():
     update_phi_theta(state, i, j)
     scores = np.concatenate(([0.0], -state.node_sum[i]))
     assert state.phi[i] == pytest.approx(soft_min(scores, 5.0), abs=1e-12)
+    _, word_scores = local_word_scores(state, j)
     assert state.theta[j] == pytest.approx(
-        soft_min(state.check_costs[j], 5.0), abs=1e-12)
+        softmin_bruteforce(word_scores, 5.0), rel=1e-12, abs=1e-12)
 
 
 def test_set_message_keeps_caches_consistent():
@@ -515,9 +546,11 @@ def test_set_message_keeps_caches_consistent():
     fresh = copy.deepcopy(state)
     D._refresh_caches(fresh)
     np.testing.assert_allclose(fresh.node_sum, state.node_sum, atol=1e-9)
+    # each check's last set_message left its theta tight
     for j in range(code.m):
-        np.testing.assert_allclose(
-            fresh.check_costs[j], state.check_costs[j], atol=1e-9)
+        _, scores = local_word_scores(state, j)
+        assert state.theta[j] == pytest.approx(
+            softmin_bruteforce(scores, 2.0), rel=1e-12, abs=1e-12)
 
 
 # ---- decisions ----
@@ -667,44 +700,28 @@ def test_decode_counts_and_propagates_malformed(monkeypatch):
 
 
 def test_slot_bucket_rows_match_per_bucket_softmin():
-    # a slot's buckets as one index matrix: each row lists the bucket's
-    # words, then padding words scored +inf, and the row-wise soft minima
-    # equal the per-bucket ones over the enumerate_spc words: bit for bit
-    # on rows without padding, within 1e-12 on padded rows, +inf for a
-    # bucket no word reaches
+    # a slot's bucket row from the trellis (its message plus the extrinsic
+    # row of check j's replayed kernel) against per-bucket soft minima over
+    # the enumerate_spc word scores, with messages spread over 13 decades;
+    # a bucket no word reaches is +inf
     rng = np.random.default_rng(40)
-    codes = ((ldpc80_z4(), False), (random_regular_code(12, 4, 3, 8, rng), False),
-             (ragged_code(), True))
-    for code, padded in codes:
-        cache = D._code_cache(code)
-        # equal codebooks with even buckets get no padding at all
-        assert np.isinf(cache.base_costs).any() == padded
-        for j in (0, code.m - 1):
-            words = enumerate_spc(code, j).words
-            costs = rng.normal(0.0, 1.0, size=len(words)) * 10.0 ** rng.integers(
-                -6, 7, size=len(words))
-            row = np.full(cache.base_costs.shape[1], np.inf)
-            row[:len(words)] = costs
-            for t in range(words.shape[1]):
-                mat = cache.buckets[j, t]
-                if not padded:
-                    assert mat.shape == (code.q, len(words) // code.q)
-                for kappa in (1.0, 100.0, math.inf):
-                    rows = D._softmin_rows(row[mat], kappa)
-                    for beta in range(code.q):
-                        members = np.flatnonzero(words[:, t] == beta)
-                        np.testing.assert_array_equal(mat[beta, :len(members)], members)
-                        assert np.all(mat[beta, len(members):] >= len(words))
-                        if not len(members):
-                            assert rows[beta] == math.inf
-                            continue
-                        if len(members) == mat.shape[1]:
-                            assert rows[beta] == soft_min(costs[members], kappa)
-                        else:
-                            assert rows[beta] == pytest.approx(
-                                soft_min(costs[members], kappa), rel=0, abs=1e-12)
-                        assert rows[beta] == pytest.approx(softmin_bruteforce(
-                            costs[members], kappa), rel=1e-12, abs=1e-12)
+    codes = (ldpc80_z4(), random_regular_code(12, 4, 3, 8, rng), ragged_code())
+    for code in codes:
+        for kappa in (1.0, 100.0, math.inf):
+            state = init_state(code, np.zeros((code.n, code.q - 1)),
+                               DecoderConfig(kappa=kappa))
+            shape = state.messages.shape
+            state.messages[:] = (rng.normal(size=shape)
+                                 * 10.0 ** rng.integers(-6, 7, size=shape))
+            for j in (0, code.m - 1):
+                # the summation order differs, so allow rounding at the
+                # scale of the largest message sum
+                scale = np.abs(state.messages[check_edges(code, j)]).sum()
+                for t in range(len(code.rows[j])):
+                    np.testing.assert_allclose(
+                        trellis_buckets(state, j, t),
+                        slot_buckets_bruteforce(state, j, t),
+                        rtol=1e-12, atol=1e-15 * scale)
 
 
 def test_vectorized_bookkeeping_matches_loops():
@@ -715,14 +732,77 @@ def test_vectorized_bookkeeping_matches_loops():
             state = init_state(code, llr, DecoderConfig(kappa=2.0))
             for i, j in code.edges:
                 set_message(state, i, j, rng.normal(0.0, 1.5, size=code.q - 1))
-            node_sum, check_costs = refresh_caches_loop(state)
+            node_sum = node_sum_loop(state)
             D._refresh_caches(state)
             np.testing.assert_array_equal(state.node_sum, node_sum)
-            for j, costs in enumerate(check_costs):
-                np.testing.assert_array_equal(state.check_costs[j, :len(costs)], costs)
-                assert np.all(state.check_costs[j, len(costs):] == math.inf)
+            # the all-checks suffix pass gives every check's theta
+            suffix = D._suffix_arrays(state)
+            for j in range(code.m):
+                _, scores = local_word_scores(state, j)
+                assert suffix[j, 0, 0] == pytest.approx(
+                    softmin_bruteforce(scores, 2.0), rel=1e-12, abs=1e-12)
             np.testing.assert_array_equal(
                 D._decide_symbols(state), decide_symbols_loop(state))
+
+
+@pytest.mark.parametrize("kappa", [1.0, 100.0, math.inf])
+def test_suffix_pass_matches_per_check_pass(kappa):
+    # one pass vectorized over all checks equals each check's own pass bit
+    # for bit, padded short checks included; decode() relies on it
+    rng = np.random.default_rng(45)
+    codes = (ldpc80_z4(), ragged_code(), *zero_divisor_codes(),
+             random_regular_code(32, 4, 8, 16, rng))
+    for code in codes:
+        state = init_state(code, np.zeros((code.n, code.q - 1)),
+                           DecoderConfig(kappa=kappa))
+        state.messages[:] = rng.normal(0.0, 2.0, size=state.messages.shape)
+        whole = D._suffix_arrays(state)
+        for j in range(code.m):
+            assert np.array_equal(whole[j], D._suffix_arrays(state, [j])[0])
+
+
+@pytest.mark.parametrize("kappa", [1.0, 100.0, math.inf])
+def test_trellis_matches_codebook_oracle(kappa):
+    # buckets, theta and the C terms from the trellis against soft minima
+    # over enumerate_spc words; then one update per edge, where a symbol
+    # that no local word puts in the edge's slot gets exactly -1e18
+    rng = np.random.default_rng(46)
+    update = update_edge_hard if math.isinf(kappa) else update_edge_soft
+    empty = 0
+    for code in (ragged_code(), *zero_divisor_codes()):
+        llr = rng.normal(0.3, 1.5, size=(code.n, code.q - 1))
+        state = init_state(code, llr, DecoderConfig(kappa=kappa))
+        for i, j in code.edges:
+            set_message(state, i, j, rng.normal(0.0, 1.5, size=code.q - 1))
+        for j in range(code.m):
+            words, scores = local_word_scores(state, j)
+            assert state.theta[j] == pytest.approx(
+                softmin_bruteforce(scores, kappa), rel=1e-12, abs=1e-12)
+            for t, e in enumerate(check_edges(code, j)):
+                want = slot_buckets_bruteforce(state, j, t)
+                np.testing.assert_allclose(trellis_buckets(state, j, t), want,
+                                           rtol=1e-12, atol=1e-12)
+                for alpha in range(1, code.q):
+                    c_bar, c_eq = compute_c_terms(state, j, code.edges[e][0], alpha)
+                    mask = words[:, t] == alpha
+                    assert c_bar == pytest.approx(
+                        -softmin_bruteforce(scores[~mask], kappa), rel=1e-12, abs=1e-12)
+                    if mask.any():
+                        assert c_eq == pytest.approx(-softmin_bruteforce(
+                            scores[mask] - state.messages[e, alpha - 1], kappa),
+                            rel=1e-12, abs=1e-12)
+                    else:
+                        assert c_eq == -math.inf
+        for e, (i, j) in enumerate(code.edges):
+            want = slot_buckets_bruteforce(state, j, check_edges(code, j).index(e))
+            update(state, i, j)
+            for b in np.flatnonzero(want[1:] == math.inf):
+                assert state.messages[e, b] == -1e18
+                empty += 1
+    # unreachable nonzero symbols per slot: ragged check 0 slot 0 misses 2;
+    # Z_6 check 2 misses 3 in slot 0 and 4 in slot 1; Z_8 check 0 misses
+    # 4 in slot 1 and check 2 misses 6 in slot 2
+    assert empty == 2 + 3 + 4 + 4 + 6
 
 
 @pytest.mark.parametrize("kappa", [1.0, 100.0, math.inf])

@@ -1,12 +1,18 @@
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import codewords_bruteforce, lp_vertex_enumeration
+import qarylp.lp
+from oracles import (
+    codewords_bruteforce,
+    crash_words_rank_greedy,
+    lp_vertex_enumeration,
+)
 from qarylp.channel import awgn_sample, compute_llr, modulate, psk
-from qarylp.codes import TannerCode, ldpc80_z4, random_regular_code
+from qarylp.codes import TannerCode, ldpc80_z4, random_regular_code, read_check_matrix
 from qarylp.decoder import (
     ERASED,
     DecoderConfig,
@@ -243,6 +249,33 @@ def test_decoding_lp_budget():
 def test_decoding_lp_llr_shape():
     with pytest.raises(ValueError):
         build_decoding_lp(single_check_code(), np.zeros((2, 4)))
+
+
+def test_crash_words_match_rank_greedy():
+    # the crash basis takes, per check, the first codebook columns that
+    # raise the rank of those taken before; the elimination must pick the
+    # same words as matrix_rank does, on every code these tests build
+    z8 = Path(__file__).resolve().parents[1] / "perfbench" / "codes" / "ldpc80_z8.txt"
+    codes = [ldpc80_z4(), read_check_matrix(z8), single_check_code(),
+             four_cycle_code(),
+             TannerCode(q=4, n=3, rows=(((0, 1), (1, 1)), ((0, 1), (2, 1)))),
+             TannerCode(q=4, n=2, rows=(((0, 1), (1, 3)),))]
+    for n, m, seed in ((6, 3, 3), (12, 6, 9), (8, 4, 13)):
+        for unit in (True, False):
+            codes.append(random_regular_code(n=n, m=m, row_degree=3, q=4,
+                                             rng=np.random.default_rng(seed),
+                                             unit_entries=unit))
+    for seed in range(3):
+        codes.append(random_regular_code(n=8, m=4, row_degree=4, q=4,
+                                         rng=np.random.default_rng(seed)))
+        codes.append(random_regular_code(n=6, m=3, row_degree=3, q=8,
+                                         rng=np.random.default_rng(seed)))
+    filled = 0
+    for code in codes:
+        want = crash_words_rank_greedy(code)
+        assert qarylp.lp._ExactSetup(code, 4096).crash_words == want
+        filled += want is not None
+    assert filled == 11
 
 
 # ---- exact decoding ----

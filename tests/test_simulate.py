@@ -339,6 +339,22 @@ def test_cli_runs_sweep(tmp_path, small_code_file, capsys):
     assert "ebno 8.0 dB:" in capsys.readouterr().out
 
 
+def test_cli_decodes_checks_beyond_enumeration(tmp_path):
+    # q = 16 and row degree 8: 16^7 local words per check, more than
+    # enumerate_spc lists; the coordinate-ascent decoder enumerates none
+    code = random_regular_code(n=64, m=8, row_degree=8, q=16,
+                               rng=np.random.default_rng(5))
+    path = tmp_path / "z16.txt"
+    write_check_matrix(code, path)
+    out = tmp_path / "z16.csv"
+    rc = main(["--code", f"file:{path}", "--decoder", "soft", "--ebno", "14",
+               "--max-frames", "2", "--out", str(out)])
+    assert rc == 0
+    meta, header, *rows = out.read_text().splitlines()
+    assert len(rows) == 1
+    assert rows[0].split(",")[header.split(",").index("frames")] == "2"
+
+
 def test_cli_error_exit(tmp_path, small_code_file, capsys):
     rc = main([
         "--code", small_code_file, "--ebno", "8.0",
