@@ -24,6 +24,19 @@ trellis over its q partial syndromes (see _CodeCache), and theta_j and an
 edge's bucket soft minima come from prefix and suffix soft minima, O(d q^2)
 terms per degree-d check for theta and O(q^3) per edge update.  A symbol
 that no local word reaches gets message -_MESSAGE_CLAMP.
+
+A sweep updates the edges in check-major order, but decode() visits the
+checks by levels: sets of checks that share no variable, where a check's
+level is one more than the highest level of an earlier check sharing a
+variable with it.  One kernel, _visit_checks, updates slot t of every
+check of a level at once.  A check's visit reads only its own messages,
+its suffix soft minima (computed once per sweep and unchanged until the
+check's own visit) and the node_sum rows of its own variables; a
+variable's checks lie in strictly increasing levels, so those rows have
+received exactly the writes, in the same order, that check-major order
+would have made.  Every kernel operation is elementwise or row by row,
+so the level sweep is bit-identical to the edge-by-edge public path,
+which runs the same kernel on one check.
 """
 
 from __future__ import annotations
@@ -72,8 +85,9 @@ class Status(enum.Enum):
 class DecoderConfig:
     """Knobs for decode(): the sweep budget and the smoothing kappa.
 
-    kappa = math.inf selects hard minima.  Edges are always visited in
-    check-major order and decoding stops at the first codeword.
+    kappa = math.inf selects hard minima.  Sweeps give the result of
+    visiting the edges in check-major order, and decoding stops at the
+    first codeword.
     """
 
     max_iterations: int = 100
@@ -147,17 +161,48 @@ def _kernel_table(q: int, h_prev: int, h: int) -> np.ndarray:
                            (-syndrome - h * symbols) % q])
 
 
+# the most float terms (512 KiB) one step of _visit_checks stacks, unless
+# a single check needs more (2 q^3 per check); larger steps made large-q
+# sweeps slower than visiting their checks one at a time
+_STEP_TERMS = 1 << 16
+
+
+def _levels(code: TannerCode, degree: np.ndarray) -> list:
+    # check j's level is one more than the highest level of an earlier
+    # check sharing a variable with it; each level lists its checks by
+    # descending degree (stable), so the checks still active at a slot
+    # are a prefix of the list
+    last = np.full(code.n, -1)
+    level = np.empty(code.m, dtype=np.int64)
+    for j, cols in enumerate(code.row_cols):
+        level[j] = last[cols].max() + 1
+        last[cols] = level[j]
+    out = []
+    for k in range(level.max() + 1):
+        checks = np.flatnonzero(level == k)
+        out.append(checks[np.argsort(-degree[checks], kind="stable")])
+    return out
+
+
 class _CodeCache:
-    """Edge indexing and trellis tables for one code.
+    """Edge indexing, trellis tables and the level schedule of one code.
 
     check_edges[j, t] is the edge id of slot t of check j; short checks
     are padded with edge n_edges, whose message row [0, +inf, ...] makes a
-    padding slot (coefficient 0) an exact identity section.
-    shifts[j, t, r q + b] is the suffix syndrome after slot t when the
-    slots from t on sum to r and slot t holds b.  slots[j] lists (edge id,
-    variable, gather table) per slot: slot 0 gathers its extrinsic row
-    from the suffix after it, slot t > 0 takes the (2q, q^2) _kernel_table
-    of its coefficient pair.  No size here grows with the local codebook.
+    padding slot (coefficient 0) an exact identity section.  Check j's
+    _suffix_arrays block is row j of a (count, width + 1, q + 2) array, and
+    suffix_index[j, t, r q + b] is the flat offset, inside that block, of
+    B_{t+1} at the suffix syndrome after slot t when the slots from t on
+    sum to r and slot t holds b.  tables stacks the (2q, q^2) _kernel_table
+    of every coefficient pair (h_{t-1}, h_t) of the code.
+
+    levels splits the checks into sets that share no variable, each
+    variable's checks in strictly increasing levels in their original
+    order (see _levels; the module docstring says why a level visit is
+    bit-identical to check-major order).  A level whose step would stack
+    more than _STEP_TERMS terms is cut into runs of consecutive checks,
+    which keep both properties.  plans holds each level's kernel steps
+    (see plan).  No size here grows with the local codebook.
     """
 
     def __init__(self, code: TannerCode):
@@ -174,15 +219,65 @@ class _CodeCache:
                                  max(map(len, code.columns)), self.n_edges)
         width = max(map(len, code.rows))
         self.check_edges = _groups(edge_checks, code.m, width, self.n_edges)
+        self.check_vars = np.append(edge_vars, -1)[self.check_edges]
+        self.degree = np.array([len(row) for row in code.rows])
         coefs = np.append(np.concatenate(code.row_vals), 0)[self.check_edges]
+        # a check's suffix block is block_rows rows of stride entries
+        self.block_rows, self.stride = width + 1, q + 2
         r, b = np.divmod(np.arange(q * q), q)
-        self.shifts = (r - coefs[:, :, None] * b) % q
+        self.suffix_index = ((r - coefs[:, :, None] * b) % q
+                             + self.stride * np.arange(1, width + 1)[:, None])
+        # slot 0 gathers its extrinsic row from B_1 at syndrome -h_0 b,
+        # the r = 0 offsets of slot 0
+        self.first_index = self.suffix_index[:, 0, :q]
+        # the prefix before slot 0, shared by every check: syndrome 0 at
+        # cost 0
+        self.empty_prefix = np.full((1, q), math.inf)
+        self.empty_prefix[0, 0] = 0.0
         vals = [h.tolist() for h in code.row_vals]
-        tables = {p: _kernel_table(q, *p) for h in vals for p in zip(h, h[1:])}
-        self.slots = tuple(
-            tuple(zip(edges.tolist(), cols.tolist(), [(-h[0] * np.arange(q)) % q]
-                      + [tables[p] for p in zip(h, h[1:])]))
-            for edges, cols, h in zip(self.check_edges, code.row_cols, vals))
+        pairs = sorted({p for h in vals for p in zip(h, h[1:])})
+        self.tables = np.empty((len(pairs), 2 * q, q * q), dtype=np.int64)
+        for k, p in enumerate(pairs):
+            self.tables[k] = _kernel_table(q, *p)
+        ids = {p: k for k, p in enumerate(pairs)}
+        self.table_ids = np.zeros((code.m, width), dtype=np.int64)
+        for j, h in enumerate(vals):
+            self.table_ids[j, 1:len(h)] = [ids[p] for p in zip(h, h[1:])]
+        # a level step stacks 2 q^3 terms per check
+        size = max(1, _STEP_TERMS // (2 * q ** 3))
+        self.levels = [level[s:s + size] for level in _levels(code, self.degree)
+                       for s in range(0, len(level), size)]
+        self.plans = tuple(self.plan(checks, checks) for checks in self.levels)
+
+    def plan(self, checks: np.ndarray, rows: np.ndarray) -> tuple:
+        """Kernel steps of _visit_checks for conflict-free checks.
+
+        checks are sorted by descending degree and their suffix blocks sit
+        at rows of the suffix array the kernel is given.  Step t holds, for
+        the first k checks, those of degree above t: the edge ids and
+        variables of slot t, the gather source and the gather runs.  At
+        slot 0 the source is the (k, q) array of flat suffix offsets and
+        there are no runs; after it, the source is the (k,) index of each
+        check's suffix row t + 1 (rows of q + 2 entries), and each run
+        (table id, a, b) gathers checks a..b-1 through one kernel table.
+        """
+        steps = []
+        for t in range(self.degree[checks[0]]):
+            k = np.count_nonzero(self.degree[checks] > t)
+            # c: the checks still active; base: their blocks' first rows
+            c, base = checks[:k], rows[:k] * self.block_rows
+            if t == 0:
+                source = self.first_index[c] + self.stride * base[:, None]
+                runs = None
+            else:
+                ids = self.table_ids[c, t].tolist()
+                cuts = [a for a in range(1, k) if ids[a] != ids[a - 1]]
+                source = base + t + 1
+                runs = tuple((ids[a], a, b)
+                             for a, b in zip([0] + cuts, cuts + [k]))
+            steps.append((self.check_edges[c, t], self.check_vars[c, t],
+                          source, runs))
+        return tuple(steps)
 
 
 @lru_cache(maxsize=16)
@@ -201,7 +296,8 @@ def _softmin_rows(rows: np.ndarray, kappa: float) -> np.ndarray:
     """Soft minimum of every row of a 2-d array; a row of +inf gives +inf.
 
     Each row is reduced along its own contiguous axis, so its value does
-    not depend on the other rows, and math.log is applied per row.
+    not depend on the other rows.  The log is math.log, row by row: np.log
+    may differ from it in the last bit, which would move decoded traces.
     """
     if math.isinf(kappa):
         return np.minimum.reduce(rows, axis=1)
@@ -210,11 +306,13 @@ def _softmin_rows(rows: np.ndarray, kappa: float) -> np.ndarray:
     shifted *= -kappa
     total = np.add.reduce(np.exp(shifted, out=shifted), axis=1)
     # a row's own minimum contributes 1 to its total, so only an all-+inf
-    # row totals 0
-    return np.array([
-        low - math.log(s) / kappa if s else math.inf
-        for low, s in zip(lo.tolist(), total.tolist())
-    ])
+    # row totals 0; it takes log 1 here and +inf below
+    empty = total == 0
+    total[empty] = 1.0
+    out = lo - np.fromiter(map(math.log, total.tolist()), np.float64,
+                           len(total)) / kappa
+    out[empty] = math.inf
+    return out
 
 
 def soft_min(values, kappa: float) -> float:
@@ -278,7 +376,7 @@ def init_state(code: TannerCode, llr, config: DecoderConfig) -> DualState:
 def _suffix_arrays(state: DualState, checks=slice(None)) -> np.ndarray:
     # out[k, t, r] = B_t(r) of the k-th given check: the soft minimum of the
     # message sums of slots t, t+1, ... over their symbols of syndrome r;
-    # theta is B_0(0).  Columns q, q + 1 hold 0, +inf for _visit_check.
+    # theta is B_0(0).  Columns q, q + 1 hold 0, +inf for _visit_checks.
     # Each step works elementwise or row by row, so no check's rows depend
     # on the other checks passed.
     cache = state.cache
@@ -287,16 +385,18 @@ def _suffix_arrays(state: DualState, checks=slice(None)) -> np.ndarray:
     rows[:-1, 1:] = state.messages
     rows[-1, 1:] = math.inf
     w = rows[cache.check_edges[checks]]
-    shifts = cache.shifts[checks]
     count, width = w.shape[:2]
     out = np.zeros((count, width + 1, q + 2))
     out[:, :, q + 1] = math.inf
     out[:, width, 1:q] = math.inf
+    flat = out.reshape(-1)
+    index = (cache.suffix_index[checks]
+             + cache.block_rows * cache.stride * np.arange(count)[:, None, None])
     for t in range(width - 1, -1, -1):
         # B_t(r) = softmin_b [w_t(b) + B_{t+1}(r - h_t b)]
-        terms = np.take_along_axis(out[:, t + 1, :q], shifts[:, t], axis=1)
-        terms = (terms.reshape(count, q, q) + w[:, t, None]).reshape(-1, q)
-        out[:, t, :q] = _softmin_rows(terms, state.kappa).reshape(count, q)
+        terms = (flat[index[:, t]].reshape(count, q, q) + w[:, t, None])
+        out[:, t, :q] = _softmin_rows(terms.reshape(-1, q),
+                                      state.kappa).reshape(count, q)
     return out
 
 
@@ -348,30 +448,47 @@ def _refresh_caches(state: DualState) -> None:
     state.node_sum[:] = state.chan + _message_sums(state)
 
 
-def _visit_check(state: DualState, j: int, suffix=None, stop=None):
-    # check j's slots in order; ext[b] is the soft minimum over its words
-    # with b in slot t of their message sums outside slot t.  stop=None (the
-    # sweep) updates every slot's message from ext; else nothing is written
-    # and slot stop's ext is returned.  suffix, check j's _suffix_arrays
-    # block (computed when omitted), holds until this visit writes it.
-    if suffix is None:
-        suffix = _suffix_arrays(state, [j])[0]
+def _visit_checks(state: DualState, plan: tuple, suffix: np.ndarray,
+                  stop=None):
+    # the kernel: visit conflict-free checks together, slot by slot, as
+    # planned by _CodeCache.plan against suffix (their _suffix_arrays
+    # blocks, which hold until this visit writes the checks).  ext[k, b] is
+    # the soft minimum over check k's words with b in slot t of their
+    # message sums outside slot t.  stop=None (the sweep) updates every
+    # slot's message from ext; else nothing is written and slot stop's ext
+    # is returned.  Every operation is elementwise or row by row, so each
+    # check gets the bits of a visit on its own.
     q = state.code.q
-    prefix = suffix[-1, :q]  # [0, +inf, ...]: the empty prefix
-    row = np.zeros(q)  # [0, message] of the previous slot
-    for t, (e, i, table) in enumerate(state.cache.slots[j]):
+    flat = suffix.reshape(-1)
+    suffix_rows = flat.reshape(-1, q + 2)
+    tables = state.cache.tables
+    for t, (edges, variables, source, runs) in enumerate(plan):
+        k = len(edges)
         if t:
-            terms = suffix[t + 1][table]
-            terms += (prefix[:, None] + row).ravel()
-            minima = _softmin_rows(terms, state.kappa)
-            prefix, ext = minima[:q], minima[q:]
+            # step the prefix F over slot t - 1 (rows 0..q-1 of the
+            # minima) and close words with slot t (rows q..2q-1)
+            g = suffix_rows[source]
+            terms = np.empty((k, 2 * q, q * q))
+            for table, a, b in runs:
+                g[a:b].take(tables[table], axis=1, out=terms[a:b], mode="clip")
+            terms += (prefix[:k, :, None] + row[:k, None, :]).reshape(k, 1, -1)
+            minima = _softmin_rows(terms.reshape(k * 2 * q, q * q),
+                                   state.kappa).reshape(k, 2 * q)
+            prefix, ext = minima[:, :q], minima[:, q:]
         else:
-            ext = suffix[1][table]
+            ext = flat[source]
+            prefix = state.cache.empty_prefix
         if t == stop:
             return ext
-        if stop is None:
-            _maximize_edge(state, e, i, ext)
-        row[1:] = state.messages[e]
+        row = np.zeros((k, q))  # [0, message] of slot t
+        row[:, 1:] = (state.messages[edges] if stop is not None
+                      else _maximize_edges(state, edges, variables, ext))
+
+
+def _slot_ext(state: DualState, j: int, t: int) -> np.ndarray:
+    # slot t's ext row of check j: its kernel replayed up to the slot
+    plan = state.cache.plan(np.array([j]), np.array([0]))
+    return _visit_checks(state, plan, _suffix_arrays(state, [j]), stop=t)[0]
 
 
 # ---- instrumentation terms ----
@@ -402,7 +519,7 @@ def compute_c_terms(state: DualState, j: int, i: int, alpha: int):
     position excluded.  Returns (C_bar, C_eq).
     """
     e = state.cache.edge_index[(i, j)]
-    ext = _visit_check(state, j, stop=int(state.cache.edge_slot[e]))
+    ext = _slot_ext(state, j, int(state.cache.edge_slot[e]))
     # bucket(b) = w(b) + ext(b) covers the words with b in variable i's slot
     bucket = np.concatenate(([0.0], state.messages[e])) + ext
     c_bar = -soft_min(bucket[np.arange(state.code.q) != alpha], state.kappa)
@@ -430,27 +547,32 @@ def dual_objective(state: DualState) -> float:
 # ---- edge updates ----
 
 
-def _maximize_edge(state: DualState, e: int, i: int, ext: np.ndarray) -> None:
-    # closed-form joint maximizer of the edge-local objective: with
-    # bucket(b) = w(b) + ext(b), the soft minimum of check-j word scores
-    # whose slot for variable i equals b, the stationary point of
-    # phi_i + theta_j in this edge's message w is, per nonzero symbol a,
+def _maximize_edges(state: DualState, edges, variables,
+                    ext: np.ndarray) -> np.ndarray:
+    # closed-form joint maximizer of the edge-local objective, edge by
+    # edge over edges of distinct variables: with bucket(b) = w(b) +
+    # ext(b), the soft minimum of check-j word scores whose slot for
+    # variable i equals b, the stationary point of phi_i + theta_j in this
+    # edge's message w is, per nonzero symbol a,
     #   w(a) <- w(a) - (node_sum(i, a) + bucket(a) - bucket(0)) / 2
     # with bucket(0) = ext(0) a shared normalizer; the current w(a) cancels
-    # from the right side.  phi and theta are left to the caller.
-    msg = state.messages[e]
-    new = msg - 0.5 * (state.node_sum[i] + (msg + ext[1:]) - ext[0])
+    # from the right side.  Returns the new messages; phi and theta are
+    # left to the caller.
+    msg = state.messages[edges]
+    node_sum = state.node_sum[variables]
+    new = msg - 0.5 * (node_sum + (msg + ext[:, 1:]) - ext[:, :1])
     np.maximum(new, -_MESSAGE_CLAMP, out=new)
     np.minimum(new, _MESSAGE_CLAMP, out=new)
-    state.node_sum[i] += new - msg
-    msg[:] = new
+    state.node_sum[variables] = node_sum + (new - msg)
+    state.messages[edges] = new
+    return new
 
 
 def _update_edge(state: DualState, i: int, j: int) -> None:
     # check j's kernel replayed up to the edge: the sweep's operations
     e = state.cache.edge_index[(i, j)]
-    _maximize_edge(state, e, i,
-                   _visit_check(state, j, stop=int(state.cache.edge_slot[e])))
+    ext = _slot_ext(state, j, int(state.cache.edge_slot[e]))
+    _maximize_edges(state, [e], [i], ext[None])
     update_phi_theta(state, i, j)
 
 
@@ -523,14 +645,14 @@ def decide(state: DualState) -> DecodeOutcome:
 def decode(code: TannerCode, llr, config: DecoderConfig) -> DecodeOutcome:
     """Run coordinate-ascent sweeps until a codeword is found or the budget ends.
 
-    Each iteration visits every edge in check-major order, applying the
-    soft update (finite kappa) or the hard update (kappa = math.inf), then
-    tightens every potential, records the dual objective and reads a
+    Each iteration updates every edge, checks level by level, applying
+    the soft update (finite kappa) or the hard update (kappa = math.inf),
+    then tightens every potential, records the dual objective and reads a
     decision.  The result equals running update_edge_soft/update_edge_hard
-    edge by edge.  The first erasure-free decision with zero syndrome
-    returns CODEWORD_FOUND.  Iterations whose decision is malformed are
-    counted and skipped; a malformed final decision propagates
-    MalformedDecision.
+    edge by edge in check-major order.  The first erasure-free decision
+    with zero syndrome returns CODEWORD_FOUND.  Iterations whose decision
+    is malformed are counted and skipped; a malformed final decision
+    propagates MalformedDecision.
     """
     state = init_state(code, llr, config)
     # a check's suffix arrays stay valid until its own visit writes it, so
@@ -542,8 +664,8 @@ def decode(code: TannerCode, llr, config: DecoderConfig) -> DecodeOutcome:
     status = Status.MAX_ITERATIONS
     for iteration in range(1, config.max_iterations + 1):
         _refresh_caches(state)
-        for j in range(code.m):
-            _visit_check(state, j, suffix[j])
+        for plan in state.cache.plans:
+            _visit_checks(state, plan, suffix)
         suffix = _tighten_potentials(state)
         trace.append(dual_objective(state))
         try:

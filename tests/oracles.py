@@ -74,6 +74,23 @@ def softmin_bruteforce(values, kappa):
     return float(m - np.log(np.exp(-kappa * work).sum()) / kappa)
 
 
+def softmin_rows_loop(rows, kappa):
+    """The decoder's row soft minimum with its log taken row by row in a
+    list, as _softmin_rows computed it before its log was vectorized:
+    shifted by each row's minimum (or by the largest float for a row of
+    +inf, which gives +inf)."""
+    if math.isinf(kappa):
+        return np.minimum.reduce(rows, axis=1)
+    lo = np.minimum.reduce(rows, axis=1, initial=np.finfo(np.float64).max)
+    shifted = rows - lo[:, None]
+    shifted *= -kappa
+    total = np.add.reduce(np.exp(shifted, out=shifted), axis=1)
+    return np.array([
+        low - math.log(s) / kappa if s else math.inf
+        for low, s in zip(lo.tolist(), total.tolist())
+    ])
+
+
 def central_difference_gradient(fn, x, step=1e-5):
     """Central finite-difference gradient of a scalar function on R^k."""
     x = np.asarray(x, dtype=np.float64)

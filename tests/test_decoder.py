@@ -1,6 +1,7 @@
 import copy
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qarylp.codes import (
     enumerate_spc,
     ldpc80_z4,
     random_regular_code,
+    read_check_matrix,
 )
 from qarylp.decoder import (
     ERASED,
@@ -45,8 +47,11 @@ from oracles import (
     node_sum_loop,
     slot_buckets_bruteforce,
     softmin_bruteforce,
+    softmin_rows_loop,
     variable_edges,
 )
+
+Z8_CODE = Path(__file__).resolve().parents[1] / "perfbench" / "codes" / "ldpc80_z8.txt"
 
 
 # ---- helpers ----
@@ -104,10 +109,27 @@ def zero_divisor_codes():
 
 
 def trellis_buckets(state, j, t):
-    """Slot t's bucket row of check j from the decoder's trellis."""
+    """Slot t's bucket row of check j from the decoder's trellis: the
+    level kernel run on check j alone up to slot t, nothing written."""
     e = check_edges(state.code, j)[t]
     return (np.concatenate(([0.0], state.messages[e]))
-            + D._visit_check(state, j, stop=t))
+            + D._slot_ext(state, j, t))
+
+
+def mixed_degree_code():
+    # checks 0 and 1 share no variable and check 0 is the shorter, so
+    # their level lists check 1 first; check 2 meets both
+    return TannerCode(q=4, n=7, rows=(
+        ((0, 1), (1, 2)),
+        ((2, 1), (3, 3), (4, 2)),
+        ((0, 3), (2, 1), (5, 2), (6, 1)),
+    ))
+
+
+def star_code(m=5):
+    # every check holds variable 0, so no two checks may share a level
+    return TannerCode(q=4, n=m + 1,
+                      rows=tuple(((0, 1), (j + 1, 3)) for j in range(m)))
 
 
 def awgn_frames(code, ebno_db, count, seed):
@@ -162,6 +184,22 @@ def test_soft_min_extreme_inputs():
         assert soft_min([math.inf, 2.0], kappa) == 2.0
         assert soft_min([math.inf, math.inf], kappa) == math.inf
         assert soft_min([-math.inf, 2.0], kappa) == -math.inf
+
+
+@pytest.mark.parametrize("kappa", [1.0, 100.0, 1e3])
+def test_softmin_rows_matches_list_form(kappa):
+    # the vectorized log step gives the list form's bits, all-+inf rows
+    # (empty buckets) included; the decoder's digests rest on it
+    rng = np.random.default_rng(18)
+    # enough rows that a log differing in the last bit on a fraction of a
+    # percent of its inputs would show
+    rows = rng.normal(0.0, 3.0, size=(20000, 8)) / kappa
+    rows[rng.random(rows.shape) < 0.3] = math.inf
+    rows[::7] = math.inf
+    got = D._softmin_rows(rows.copy(), kappa)
+    want = softmin_rows_loop(rows.copy(), kappa)
+    assert np.isinf(got[::7]).all()
+    assert np.array_equal(got, want)
 
 
 def test_soft_min_rejects_bad_input():
@@ -761,6 +799,67 @@ def test_suffix_pass_matches_per_check_pass(kappa):
             assert np.array_equal(whole[j], D._suffix_arrays(state, [j])[0])
 
 
+def test_level_plan_is_a_conflict_free_check_major_schedule():
+    # every check once; no two checks of a level share a variable; each
+    # variable's checks in strictly increasing levels, in their original
+    # order; checks by descending degree within a level
+    rng = np.random.default_rng(48)
+    codes = [ragged_code(), mixed_degree_code(), star_code(), ldpc80_z4(),
+             read_check_matrix(Z8_CODE)]
+    codes += [random_regular_code(n, m, d, q, rng, unit_entries=False)
+              for n, m, d, q in ((12, 6, 3, 4), (24, 8, 6, 6), (10, 9, 4, 8),
+                                 (30, 10, 5, 4), (8, 12, 2, 3), (12, 4, 3, 32))]
+    for code in codes:
+        levels = D._code_cache(code).levels
+        # a level step stacks at most _STEP_TERMS terms, unless one check
+        # alone needs more
+        assert max(map(len, levels)) <= max(1, D._STEP_TERMS // (2 * code.q ** 3))
+        order = np.concatenate(levels)
+        assert sorted(order.tolist()) == list(range(code.m))
+        level_of = np.empty(code.m, dtype=np.int64)
+        for k, checks in enumerate(levels):
+            level_of[checks] = k
+            cols = np.concatenate([code.row_cols[j] for j in checks])
+            assert len(set(cols.tolist())) == len(cols)
+            degrees = [len(code.rows[j]) for j in checks]
+            assert degrees == sorted(degrees, reverse=True)
+        for checks in code.columns:
+            assert list(checks) == sorted(checks)
+            assert np.all(np.diff(level_of[list(checks)]) > 0)
+    assert len(D._code_cache(star_code()).levels) == 5
+    mixed = D._code_cache(mixed_degree_code()).levels
+    assert [c.tolist() for c in mixed] == [[1, 0], [2]]
+    # the bench graph (over Z_4 and Z_8): 25 kernel steps per sweep
+    for code in (ldpc80_z4(), read_check_matrix(Z8_CODE)):
+        assert [len(c) for c in D._code_cache(code).levels] == [7, 7, 7, 7, 4]
+
+
+@pytest.mark.parametrize("kappa", [1.0, 100.0, math.inf])
+def test_level_visit_matches_check_by_check(kappa):
+    # one sweep, level by level, against the same sweep visiting each
+    # level's checks alone in check-major order: messages and node_sum
+    # equal bit for bit after every level
+    rng = np.random.default_rng(49)
+    codes = (ldpc80_z4(), ragged_code(), mixed_degree_code(),
+             *zero_divisor_codes(), star_code(),
+             random_regular_code(24, 8, 6, 6, rng, unit_entries=False))
+    for code in codes:
+        llr = rng.normal(0.3, 1.5, size=(code.n, code.q - 1))
+        state = init_state(code, llr, DecoderConfig(kappa=kappa))
+        state.messages[:] = rng.normal(0.0, 2.0, size=state.messages.shape)
+        D._refresh_caches(state)
+        alone = copy.deepcopy(state)
+        cache = state.cache
+        suffix = D._suffix_arrays(state)
+        for checks, plan in zip(cache.levels, cache.plans):
+            D._visit_checks(state, plan, suffix)
+            for j in sorted(checks.tolist()):
+                D._visit_checks(alone, cache.plan(np.array([j]), np.array([j])),
+                                suffix)
+            assert np.array_equal(state.messages, alone.messages)
+            assert np.array_equal(state.node_sum, alone.node_sum)
+
+
 @pytest.mark.parametrize("kappa", [1.0, 100.0, math.inf])
 def test_trellis_matches_codebook_oracle(kappa):
     # buckets, theta and the C terms from the trellis against soft minima
@@ -818,6 +917,13 @@ def test_decode_matches_public_per_edge_path(kappa):
     cases = [(ldpc, llr) for llr in awgn_frames(ldpc, 3.0, 2, seed=43)]
     cases += [(ragged, rng.normal(0.3, 1.5, size=(ragged.n, ragged.q - 1)))
               for _ in range(3)]
+    # the Z_8 bench code and a Z_6 code with zero-divisor coefficients
+    z8 = read_check_matrix(Z8_CODE)
+    cases += [(z8, llr) for llr in awgn_frames(z8, 6.0, 2, seed=44)]
+    z6 = random_regular_code(18, 6, 4, 6, rng, unit_entries=False)
+    assert any(math.gcd(int(h), 6) > 1 for h in np.concatenate(z6.row_vals))
+    cases += [(z6, rng.normal(0.3, 1.5, size=(z6.n, z6.q - 1)))
+              for _ in range(2)]
     config = DecoderConfig(max_iterations=15, kappa=kappa)
     for code, llr in cases:
         got = decode(code, llr, config)
