@@ -15,10 +15,19 @@ both directions preserve the cost exactly, and each form has a constraint
 checker that reports the worst violation per constraint family.
 
 The simplex core is a two-phase revised method that keeps only the basis
-inverse; phase 1 runs the same loop on artificial columns.  Bland's rule is
-the default of simplex_solve (termination guaranteed); the exact decoder
-always uses the Dantzig rule that falls back to Bland after a degenerate
-stall, which is much faster on the decoding LPs.
+inverse; phase 1 runs the same loop on artificial columns.  Columns are
+held sparse, as padded (row ids, values) pairs: a decoding-LP column has at
+most max(d+1, d_v) nonzeros.  Pricing, the entering column's B^-1 a and the
+product-form update (on the rows where B^-1 a is nonzero) are gathers and
+ufunc sums, and the periodic refactorization replays product-form updates
+from the identity, so no BLAS or LAPACK routine runs and the pivot path
+does not depend on the thread count.  Column generation only appends the
+columns of priced-in words to its master, so one basis inverse is carried
+from round to round; the crash basis it starts from is inverted once per
+code.  Bland's rule is the default of simplex_solve (termination
+guaranteed); the exact decoder always uses the Dantzig rule that falls back
+to Bland after a degenerate stall, which is much faster on the decoding
+LPs.
 """
 
 from __future__ import annotations
@@ -111,37 +120,120 @@ class SimplexResult:
     basis: list
 
 
+def _column_store(A):
+    """Padded sparse columns (rows, vals) of a dense matrix, one line per
+    column.
+
+    Each column's nonzero entries come first, in row order.  The remaining
+    slots point at row len(A), the zero dual slot that _duals appends, with
+    value 0, so pricing gathers need no mask.
+    """
+    m = A.shape[0]
+    nz = A.T != 0
+    width = max(int(nz.sum(axis=1).max(initial=0)), 1)
+    order = np.argsort(~nz, axis=1, kind="stable")[:, :width]
+    vals = np.take_along_axis(A.T, order, axis=1)
+    rows = np.where(np.take_along_axis(nz, order, axis=1), order, m)
+    return rows, vals
+
+
+def _dense(rows, vals, m):
+    """The dense (m, len(rows)) matrix of a padded column store."""
+    A = np.zeros((m + 1, len(rows)))
+    A[rows, np.arange(len(rows))[:, None]] = vals
+    return A[:m]
+
+
+def _duals(cb, binv):
+    """y = cb·binv over the rows of nonzero basic cost, plus a zero slot."""
+    y = np.zeros(len(binv) + 1)
+    live = np.flatnonzero(cb)
+    np.sum(cb[live, None] * binv[live], axis=0, out=y[:-1])
+    return y
+
+
+def _price(y, cols):
+    """y·a for every column a of a store; y carries the zero slot."""
+    rows, vals = cols
+    return (vals * y[rows]).sum(axis=1)
+
+
+def _ftran(binv, rows, vals):
+    """d = binv·a for one stored column: a signed sum of columns of binv."""
+    live = vals != 0
+    return (binv[:, rows[live]] * vals[live]).sum(axis=1)
+
+
+def _matvec(binv, b):
+    """binv·b as a row-wise ufunc sum."""
+    return (binv * b).sum(axis=1)
+
+
 def _update_inverse(binv, d, r):
-    """Update binv in place for the column a, d = binv @ a, entering at r."""
+    """Update binv in place for the column a, d = binv·a, entering at r.
+
+    Only the rows where d is nonzero change: on every other row the dense
+    rank-one update would subtract an exact zero.
+    """
     row = binv[r] / d[r]
-    scale = d.copy()
-    scale[r] = 0.0
-    binv -= np.outer(scale, row)
+    hit = np.flatnonzero(d)
+    hit = hit[hit != r]
+    binv[hit] -= d[hit, None] * row
     binv[r] = row
 
 
-def _revised_phase2(A, b, c, basis, binv, rule, tol, max_pivots, spent=0):
+def _invert(cols, basis, m):
+    """Inverse of the basis columns, by product-form updates from I.
+
+    Each basis column enters, through _update_inverse, at the row not yet
+    taken where its d is largest in magnitude (partial pivoting); the rows
+    are then put back in basis order.  Raises ValueError when a column has
+    no nonzero entry left on the free rows, that is, the basis is singular.
+    """
+    rows, vals = cols
+    binv = np.eye(m)
+    free = np.ones(m, dtype=bool)
+    order = np.empty(m, dtype=np.intp)
+    for k, s in enumerate(basis):
+        d = _ftran(binv, rows[s], vals[s])
+        mag = np.where(free, np.abs(d), -1.0)
+        r = int(np.argmax(mag))
+        if mag[r] <= 0.0:
+            raise ValueError("basis is singular")
+        _update_inverse(binv, d, r)
+        free[r] = False
+        order[k] = r
+    return binv[order]
+
+
+def _revised_phase2(cols, b, c, basis, binv, rule, tol, max_pivots, spent=0):
     """Simplex pivots from a feasible basis, keeping only the basis inverse.
 
-    One pricing matvec per pivot instead of a full tableau update, which is
-    what makes the larger decoding LPs affordable.  Both phases of
-    simplex_solve and every column-generation master run here.  spent counts
-    pivots the caller made before this call; CycleGuardTripped fires once
-    spent plus this call's pivots exceed max_pivots.  Returns (status, x,
-    pivots, basis, binv), pivots counting this call only; x is the last
+    The constraint matrix is a padded column store (see _column_store), and
+    no step calls BLAS or LAPACK, so the pivot path is the same whatever
+    the thread count.  Each pivot prices every column with one gather-sum
+    over the duals (themselves a sum of the basis-inverse rows of nonzero
+    basic cost), forms the entering column's d as a signed sum of as many
+    columns of binv as it has nonzeros, and updates binv on the rows where
+    d is nonzero.  Every _REFACTOR_EVERY-th pivot, counted from spent,
+    rebuilds binv with _invert, so a caller that carries binv from one call
+    to the next keeps one cadence.  binv is updated in place.  Both phases
+    of simplex_solve and every column-generation master run here.  spent
+    counts pivots the caller made before this call; CycleGuardTripped fires
+    once spent plus this call's pivots exceed max_pivots.  Returns (status,
+    x, pivots, basis, binv), pivots counting this call only; x is the last
     basic solution, also when the program is unbounded.
     """
-    m, n = A.shape
-    basis = list(basis)
-    binv = binv.copy()
-    xb = np.clip(binv @ b, 0.0, None)
+    rows, vals = cols
+    m = len(b)
+    basis = np.array(basis, dtype=np.intp)
+    xb = np.clip(_matvec(binv, b), 0.0, None)
     pivots = 0
     bland = rule == "bland"
     stall = 0
     status = SolveStatus.OPTIMAL
     while True:
-        cb = c[basis]
-        z = c - (cb @ binv) @ A
+        z = c - _price(_duals(c[basis], binv), cols)
         if bland:
             negative = np.flatnonzero(z < -tol)
             if negative.size == 0:
@@ -151,16 +243,16 @@ def _revised_phase2(A, b, c, basis, binv, rule, tol, max_pivots, spent=0):
             s = int(np.argmin(z))
             if z[s] >= -tol:
                 break
-        d = binv @ A[:, s]
-        rows = np.flatnonzero(d > tol)
-        if rows.size == 0:
+        d = _ftran(binv, rows[s], vals[s])
+        candidates = np.flatnonzero(d > tol)
+        if candidates.size == 0:
             status = SolveStatus.UNBOUNDED
             break
-        ratios = xb[rows] / d[rows]
+        ratios = xb[candidates] / d[candidates]
         best = ratios.min()
-        ties = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
+        ties = candidates[ratios <= best + 1e-12 * (1.0 + abs(best))]
         # lowest-index leaving variable: anti-cycling with Bland entering
-        r = int(ties[np.argmin(np.asarray(basis)[ties])])
+        r = int(ties[np.argmin(basis[ties])])
         if best <= tol:
             stall += 1
             if rule == "dantzig_bland" and stall > _REVISED_STALL_LIMIT:
@@ -174,14 +266,14 @@ def _revised_phase2(A, b, c, basis, binv, rule, tol, max_pivots, spent=0):
         _update_inverse(binv, d, r)
         basis[r] = s
         pivots += 1
-        if pivots % _REFACTOR_EVERY == 0:
-            binv = np.linalg.inv(A[:, basis])
-            xb = np.clip(binv @ b, 0.0, None)
+        if (spent + pivots) % _REFACTOR_EVERY == 0:
+            binv = _invert(cols, basis, m)
+            xb = np.clip(_matvec(binv, b), 0.0, None)
         if spent + pivots > max_pivots:
             raise CycleGuardTripped(f"exceeded {max_pivots} pivots")
-    x = np.zeros(n)
+    x = np.zeros(len(c))
     x[basis] = xb
-    return status, x, pivots, basis, binv
+    return status, x, pivots, basis.tolist(), binv
 
 
 def simplex_solve(
@@ -213,19 +305,21 @@ def simplex_solve(
         basis = [int(k) for k in initial_basis]
         if len(basis) != m or len(set(basis)) != m:
             raise ValueError(f"initial basis must hold {m} distinct columns")
+        cols = _column_store(A)
         try:
-            binv = np.linalg.inv(A[:, basis])
-        except np.linalg.LinAlgError:
+            binv = _invert(cols, basis, m)
+        except ValueError:
             raise ValueError("initial basis is singular") from None
-        if (binv @ b).min() < -_FEAS_TOL:
+        if _matvec(binv, b).min() < -_FEAS_TOL:
             raise ValueError("initial basis is not primal feasible")
     else:
         # phase 1 on [A | I] from the artificial basis; it cannot be
         # unbounded, since its objective is bounded below by 0
+        rows, vals = _column_store(np.hstack([A, np.eye(m)]))
         art_cost = np.concatenate([np.zeros(n), np.ones(m)])
         _, x1, pivots, basis, binv = _revised_phase2(
-            np.hstack([A, np.eye(m)]), b, art_cost, range(n, n + m),
-            np.eye(m), pivot_rule, tol, max_pivots,
+            (rows, vals), b, art_cost, range(n, n + m), np.eye(m),
+            pivot_rule, tol, max_pivots,
         )
         if x1[n:].sum() > _FEAS_TOL:
             return SimplexResult(SolveStatus.INFEASIBLE, math.nan,
@@ -233,13 +327,15 @@ def simplex_solve(
         # swap artificials left at zero level for structural columns; the
         # artificial of original row k has binv[r, k] = 1, so when binv[r]
         # annihilates every structural column, row k is redundant
+        structural = (rows[:n], vals[:n])
         drop = []
         for r in range(m):
             if basis[r] >= n:
-                candidates = np.flatnonzero(np.abs(binv[r] @ A) > tol)
+                row = _price(np.append(binv[r], 0.0), structural)
+                candidates = np.flatnonzero(np.abs(row) > tol)
                 if candidates.size:
                     s = int(candidates[0])
-                    _update_inverse(binv, binv @ A[:, s], r)
+                    _update_inverse(binv, _ftran(binv, rows[s], vals[s]), r)
                     basis[r] = s
                     pivots += 1
                 else:
@@ -249,13 +345,14 @@ def simplex_solve(
             A = A[keep]
             b = b[keep]
             basis = [k for k in basis if k < n]
-        binv = np.linalg.inv(A[:, basis])
+        cols = _column_store(A)
+        binv = _invert(cols, basis, len(b))
 
     status, x, phase2_pivots, basis, _ = _revised_phase2(
-        A, b, c, basis, binv, pivot_rule, tol, max_pivots, spent=pivots,
+        cols, b, c, basis, binv, pivot_rule, tol, max_pivots, spent=pivots,
     )
     pivots += phase2_pivots
-    value = float(c @ x) if status is SolveStatus.OPTIMAL else math.nan
+    value = float((c * x).sum()) if status is SolveStatus.OPTIMAL else math.nan
     return SimplexResult(status, value, x, pivots, basis)
 
 
@@ -322,7 +419,7 @@ def _crash_words(setup):
         start = setup.coup_starts[j]
         rows = list(range(start, start + book.words.shape[1] * (setup.q - 1)))
         rows.append(setup.norm_rows[j])
-        residual = setup.word_columns(j, book.words)[rows]
+        residual = _dense(*setup.word_store(j, book.words), setup.n_rows)[rows]
         chosen = []
         col = 0
         while len(chosen) < len(rows):
@@ -345,7 +442,9 @@ class _ExactSetup:
 
     Rows are the indicator/weight coupling equalities (check-major, then
     position, then symbol) followed by one normalization row per check;
-    columns are the n * (q-1) indicators, then local-word weights.
+    columns are the n * (q-1) indicators, then local-word weights.  Columns
+    are kept as a padded store (see _column_store) of row ids and signs,
+    width slots each; padding points at row n_rows.
     """
 
     def __init__(self, code: TannerCode, budget: int):
@@ -363,45 +462,71 @@ class _ExactSetup:
         self.b = np.zeros(self.n_rows)
         self.b[self.n_coupling:] = 1.0
         # indicator columns: +1 on every coupling row of the matching symbol
-        self.A_ind = np.zeros((self.n_rows, self.n_ind))
+        ind = [[] for _ in range(self.n_ind)]
         for j, row in enumerate(code.rows):
             for t, (i, _) in enumerate(row):
                 for alpha in range(1, q):
-                    self.A_ind[
-                        self.coup_starts[j] + t * (q - 1) + alpha - 1,
-                        i * (q - 1) + alpha - 1,
-                    ] = 1.0
+                    ind[i * (q - 1) + alpha - 1].append(
+                        self.coup_starts[j] + t * (q - 1) + alpha - 1
+                    )
+        self.width = max(max(map(len, ind)),
+                         max(len(row) for row in code.rows) + 1)
+        self.ind_rows = np.full((self.n_ind, self.width), self.n_rows)
+        for k, rows in enumerate(ind):
+            self.ind_rows[k, :len(rows)] = rows
+        self.ind_signs = (self.ind_rows < self.n_rows).astype(np.float64)
         self.crash_words = _crash_words(self)
-        # fixed rhs perturbation: breaks the heavy degeneracy of the
-        # decoding polytope so the masters pivot without stalling, while
-        # keeping every decode a deterministic function of the input
         self.b_pert = None
         if self.crash_words is not None:
-            B0 = self.columns(self.crash_words)[:, self.n_ind:]
+            # the crash words follow the indicators, and their columns form
+            # a block-diagonal basis, inverted once here for every frame
+            self.crash_store = self.store(self.crash_words)
+            self.crash_basis = range(self.n_ind, self.n_ind + self.n_rows)
+            self.crash_binv = _invert(self.crash_store, self.crash_basis,
+                                      self.n_rows)
+            # fixed rhs perturbation: breaks the heavy degeneracy of the
+            # decoding polytope so the masters pivot without stalling,
+            # while keeping every decode a deterministic function of the
+            # input
             u = np.random.default_rng(2_718_281).uniform(
                 1e-7, 2e-7, self.n_rows
             )
-            # perturbing by B0 @ u keeps the crash solution feasible: its
+            # perturbing by B0·u keeps the crash solution feasible: its
             # basic values move by exactly +u
-            self.b_pert = self.b + B0 @ u
+            rows, signs = (a[self.n_ind:] for a in self.crash_store)
+            self.b_pert = self.b + np.bincount(
+                rows.ravel(), (signs * u[:, None]).ravel(),
+                minlength=self.n_rows + 1,
+            )[:-1]
 
-    def word_columns(self, j: int, words) -> np.ndarray:
-        """Constraint columns of the given local words of check j."""
-        block = np.zeros((self.n_rows, len(words)))
-        for t in range(words.shape[1]):
-            vals = words[:, t]
-            hit = np.flatnonzero(vals)
-            block[self.coup_starts[j] + t * (self.q - 1) + vals[hit] - 1,
-                  hit] = -1.0
-        block[self.norm_rows[j]] = 1.0
-        return block
+    def word_store(self, j: int, words):
+        """Stored columns of local words of check j: -1 on the coupling row
+        of each nonzero symbol, +1 on the check's normalization row."""
+        count, d = words.shape
+        rows = np.full((count, self.width), self.n_rows)
+        signs = np.zeros((count, self.width))
+        hit = words != 0
+        rows[:, :d] = np.where(
+            hit,
+            self.coup_starts[j] + np.arange(d) * (self.q - 1) + words - 1,
+            self.n_rows,
+        )
+        signs[:, :d] = np.where(hit, -1.0, 0.0)
+        rows[:, d] = self.norm_rows[j]
+        signs[:, d] = 1.0
+        return rows, signs
+
+    def store(self, word_ids):
+        """Stored indicator columns, then per check j the words word_ids[j]."""
+        parts = [(self.ind_rows, self.ind_signs)] + [
+            self.word_store(j, self.books[j].words[np.asarray(ws, np.intp)])
+            for j, ws in enumerate(word_ids)
+        ]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
     def columns(self, word_ids) -> np.ndarray:
-        """The indicator columns, then per check j the words word_ids[j]."""
-        return np.concatenate([self.A_ind] + [
-            self.word_columns(j, self.books[j].words[np.asarray(ws)])
-            for j, ws in enumerate(word_ids)
-        ], axis=1)
+        """The dense columns of store(word_ids)."""
+        return _dense(*self.store(word_ids), self.n_rows)
 
 
 @lru_cache(maxsize=4)
@@ -438,52 +563,40 @@ _CG_ADDS_PER_CHECK = 25
 _PRICING_TOL = 1e-9
 
 
-def _column_generation(setup: _ExactSetup, code: TannerCode, c_ind,
-                       max_pivots):
+def _column_generation(setup: _ExactSetup, c_ind, max_pivots):
     """Exact LP optimum via restricted masters over growing word sets.
 
     Each round solves the decoding LP restricted to the working local words,
     then prices every excluded word against the restricted duals (one cheap
     gather per check).  Words with negative reduced cost join the working
-    set; a round with none certifies the restricted optimum as the optimum
-    of the full LP.  Returns (indicator part of x, value, total pivots).
+    set: their columns are built from their symbols and appended to the
+    master, so every earlier column keeps its place and the basis and its
+    inverse carry over to the next round unchanged.  A round with none
+    certifies the restricted optimum as the optimum of the full LP.
+    Returns (indicator part of x, value, total pivots).
     """
-    q = code.q
-    working = [list(ws) for ws in setup.crash_words]
-    members = [set(ws) for ws in working]
-    # basis carried across rounds as (check, word) pairs; starts at the
-    # zero-codeword vertex provided by the crash selection
-    basis_words = [(j, wid) for j, ws in enumerate(working) for wid in ws]
-    basis_inds: list = []
+    q = setup.q
+    rows, signs = setup.crash_store
+    c = np.zeros(len(rows))
+    c[:setup.n_ind] = c_ind
+    members = [set(ws) for ws in setup.crash_words]
+    # start at the zero-codeword vertex provided by the crash selection
+    basis = setup.crash_basis
+    binv = setup.crash_binv.copy()
+    b = setup.b_pert
     total_pivots = 0
-    perturbed = True
     for _ in range(_MAX_CG_ROUNDS):
-        w_offsets = []
-        pos = setup.n_ind
-        for ws in working:
-            w_offsets.append(pos)
-            pos += len(ws)
-        A_R = setup.columns(working)
-        c_R = np.zeros(A_R.shape[1])
-        c_R[:setup.n_ind] = c_ind
-        local_pos = [
-            {wid: k for k, wid in enumerate(ws)} for ws in working
-        ]
-        basis = list(basis_inds)
-        basis.extend(w_offsets[j] + local_pos[j][wid]
-                     for j, wid in basis_words)
-        binv = np.linalg.inv(A_R[:, basis])
         status, x, pivots, basis, binv = _revised_phase2(
-            A_R, setup.b_pert if perturbed else setup.b, c_R, basis, binv,
-            _EXACT_PIVOT_RULE, _SIMPLEX_TOL, max_pivots, spent=total_pivots,
+            (rows, signs), b, c, basis, binv, _EXACT_PIVOT_RULE,
+            _SIMPLEX_TOL, max_pivots, spent=total_pivots,
         )
         total_pivots += pivots
         if status is not SolveStatus.OPTIMAL:
             raise RuntimeError(
                 f"restricted decoding LP should be bounded, got {status}"
             )
-        y = c_R[basis] @ binv
-        added = 0
+        y = _duals(c[basis], binv)
+        added = []
         for j, book in enumerate(setup.books):
             d = book.words.shape[1]
             slot_duals = y[
@@ -497,32 +610,29 @@ def _column_generation(setup: _ExactSetup, code: TannerCode, c_ind,
             candidates = np.flatnonzero(scores < -_PRICING_TOL)
             candidates = [int(k) for k in candidates if int(k) not in members[j]]
             candidates.sort(key=lambda k: scores[k])
-            for wid in candidates[:_CG_ADDS_PER_CHECK]:
-                working[j].append(wid)
-                members[j].add(wid)
-                added += 1
-        if added == 0:
-            if not perturbed:
-                return x[:setup.n_ind], float(c_R @ x), total_pivots
+            picked = candidates[:_CG_ADDS_PER_CHECK]
+            if picked:
+                members[j].update(picked)
+                added.append(setup.word_store(j, book.words[picked]))
+        if not added:
+            if b is setup.b:
+                return x[:setup.n_ind], float((c * x).sum()), total_pivots
             # reduced costs do not depend on the rhs, so the basis stays
             # optimal for the true rhs as long as it stays feasible there
-            xb_true = binv @ setup.b
+            xb_true = _matvec(binv, setup.b)
             if xb_true.min() >= -_FEAS_TOL:
-                x_true = np.zeros(A_R.shape[1])
+                x_true = np.zeros(len(c))
                 x_true[basis] = np.clip(xb_true, 0.0, None)
-                return x_true[:setup.n_ind], float(c_R @ x_true), total_pivots
+                return (x_true[:setup.n_ind], float((c * x_true).sum()),
+                        total_pivots)
             # rare: re-run unperturbed from the crash vertex
-            perturbed = False
-            basis_inds = []
-            basis_words = [(j, wid) for j, ws in enumerate(setup.crash_words)
-                           for wid in ws]
+            b = setup.b
+            basis = setup.crash_basis
+            binv = setup.crash_binv.copy()
             continue
-        basis_inds = [k for k in basis if k < setup.n_ind]
-        basis_words = []
-        for k in basis:
-            if k >= setup.n_ind:
-                j = int(np.searchsorted(w_offsets, k, side="right")) - 1
-                basis_words.append((j, working[j][k - w_offsets[j]]))
+        rows = np.concatenate([rows] + [r for r, _ in added])
+        signs = np.concatenate([signs] + [s for _, s in added])
+        c = np.concatenate([c, np.zeros(len(rows) - len(c))])
     raise CycleGuardTripped(
         f"column generation did not settle in {_MAX_CG_ROUNDS} rounds"
     )
@@ -550,7 +660,7 @@ def lp_decode_exact(
     setup = _exact_setup(code, codebook_budget)
     if setup.crash_words is not None:
         f_flat, value, pivots = _column_generation(
-            setup, code, lam.ravel(), max_pivots,
+            setup, lam.ravel(), max_pivots,
         )
         f = f_flat.reshape(code.n, code.q - 1)
     else:

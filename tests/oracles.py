@@ -323,3 +323,45 @@ def decide_symbols_loop(state):
             continue
         symbols[i] = int(order[0])
     return symbols
+
+
+def update_inverse_dense(binv, d, r):
+    """Product-form update of binv in place as one dense rank-one outer
+    product over every row; d = binv @ a for the column a entering at r."""
+    row = binv[r] / d[r]
+    scale = d.copy()
+    scale[r] = 0.0
+    binv -= np.outer(scale, row)
+    binv[r] = row
+
+
+def decoding_lp_columns(code):
+    """The decoding LP's constraint matrix, entry by entry.
+
+    Rows: per check, per position, per nonzero symbol a coupling row, then
+    one normalization row per check.  Columns: indicator (i, alpha) with +1
+    on the coupling row of alpha at every edge of i, then per check its
+    local words in spc_words_bruteforce order, with -1 on the coupling row
+    of each nonzero symbol and +1 on the check's normalization row.
+    """
+    q = code.q
+    starts = np.cumsum([0] + [len(row) * (q - 1) for row in code.rows])
+    n_rows = int(starts[-1]) + code.m
+    cols = []
+    for i in range(code.n):
+        for alpha in range(1, q):
+            col = np.zeros(n_rows)
+            for j, row in enumerate(code.rows):
+                for t, (v, _) in enumerate(row):
+                    if v == i:
+                        col[starts[j] + t * (q - 1) + alpha - 1] = 1.0
+            cols.append(col)
+    for j in range(code.m):
+        for word in spc_words_bruteforce(code, j):
+            col = np.zeros(n_rows)
+            for t, s in enumerate(word):
+                if s:
+                    col[starts[j] + t * (q - 1) + s - 1] = -1.0
+            col[starts[-1] + j] = 1.0
+            cols.append(col)
+    return np.array(cols).T

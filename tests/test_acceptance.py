@@ -6,11 +6,16 @@ runs last: it decodes a few thousand frames and dominates the runtime.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qarylp
 from qarylp import (
     DecoderConfig,
     ERASED,
@@ -315,6 +320,28 @@ def test_criterion_10_reproducible_csv(capsys):
                           parallel_cfg).encode()
     _report(capsys, 10, serial == parallel,
             f"{len(serial)} CSV bytes identical across 1 and 8 workers")
+
+
+def test_criterion_10_lp_csv_independent_of_blas_threads(capsys, tmp_path):
+    # OpenBLAS reads its thread count when numpy loads, so each count runs
+    # the sweep in its own process
+    src = str(Path(qarylp.__file__).resolve().parents[1])
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"lp_{threads}.csv"
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        subprocess.run(
+            [sys.executable, "-m", "qarylp.cli", "--decoder", "lp",
+             "--ebno", "3.0", "--seed", "1", "--max-frames", "12",
+             "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=600,
+        )
+        csvs.append(out.read_bytes())
+    _report(capsys, 10, csvs[0] == csvs[1],
+            f"{len(csvs[0])} lp CSV bytes identical at 1 and 2 OpenBLAS "
+            f"threads")
 
 
 def test_criterion_01_fer_parity_with_exact_lp(capsys):

@@ -9,9 +9,11 @@ import qarylp.lp
 from oracles import (
     codewords_bruteforce,
     crash_words_rank_greedy,
+    decoding_lp_columns,
     lp_vertex_enumeration,
+    update_inverse_dense,
 )
-from qarylp.channel import awgn_sample, compute_llr, modulate, psk
+from qarylp.channel import awgn_sample, compute_llr, ebno_to_sigma, modulate, psk
 from qarylp.codes import TannerCode, ldpc80_z4, random_regular_code, read_check_matrix
 from qarylp.decoder import (
     ERASED,
@@ -51,6 +53,16 @@ def single_check_code():
 def four_cycle_code():
     # two checks on the same pair of variables: codewords (0,0) and (2,2)
     return TannerCode(q=4, n=2, rows=(((0, 1), (1, 1)), ((0, 1), (1, 3))))
+
+
+def ldpc80_frames(count, seed):
+    """LLRs of all-zero ldpc80_z4 frames at 3 dB Eb/N0 (design rate 0.6)."""
+    cmap = psk(4)
+    sigma = ebno_to_sigma(3.0, 0.6, 2.0)
+    rng = np.random.default_rng(seed)
+    tx = modulate(np.zeros(80, dtype=np.int64), cmap)
+    return [compute_llr(awgn_sample(tx, sigma, rng), cmap, sigma)
+            for _ in range(count)]
 
 
 def word_cost(llr, word):
@@ -206,6 +218,101 @@ def test_simplex_cycle_guard():
         simplex_solve(lp, max_pivots=0)
 
 
+# ---- the sparse simplex engine ----
+
+
+def test_update_inverse_matches_dense_form(monkeypatch):
+    # every inverse update of two 3 dB ldpc80_z4 decodes (pivots and
+    # refactorizations) gives the values of the dense rank-one form
+    calls = []
+    sparse = qarylp.lp._update_inverse
+
+    def both(binv, d, r):
+        want = binv.copy()
+        update_inverse_dense(want, d, r)
+        sparse(binv, d, r)
+        calls.append(np.array_equal(binv, want))
+
+    monkeypatch.setattr(qarylp.lp, "_update_inverse", both)
+    for lam in ldpc80_frames(2, seed=21):
+        lp_decode_exact(ldpc80_z4(), lam)
+    assert len(calls) > 1000
+    assert all(calls)
+
+
+def test_invert_matches_linalg_inv():
+    setup = qarylp.lp._ExactSetup(ldpc80_z4(), 4096)
+    B0 = setup.columns(setup.crash_words)[:, setup.n_ind:]
+    assert np.abs(setup.crash_binv - np.linalg.inv(B0)).max() < 1e-12
+    rng = np.random.default_rng(5)
+    for m in (5, 30, 80):
+        # a sparse matrix with a dominant diagonal, columns and rows shuffled
+        # and padded with spare columns; the basis picks the shuffled ones
+        M = np.diag(rng.choice([-4.0, 3.0, 5.0], size=m))
+        hit = rng.random((m, m)) < 3.0 / m
+        M[hit] += rng.choice([-1.0, 1.0, 2.0], size=int(hit.sum()))
+        M = M[rng.permutation(m)]
+        n = m + 7
+        A = np.zeros((m, n))
+        basis = rng.permutation(n)[:m]
+        A[:, basis] = M[:, rng.permutation(m)]
+        spare = np.setdiff1d(np.arange(n), basis)
+        A[:, spare] = rng.normal(size=(m, len(spare)))
+        binv = qarylp.lp._invert(qarylp.lp._column_store(A), basis, m)
+        assert np.abs(binv - np.linalg.inv(A[:, basis])).max() < 1e-12
+    singular = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1.0, 2.0, 1.0]])
+    cols = qarylp.lp._column_store(singular)
+    for basis in ([0, 1, 2], [0, 2, 1]):
+        with pytest.raises(ValueError, match="singular"):
+            qarylp.lp._invert(cols, basis, 3)
+
+
+def test_gather_pricing_matches_dense(monkeypatch):
+    # the reduced costs and entering columns of column-generation masters
+    # against dense products; every master column must be a column of the
+    # full decoding LP
+    code = ldpc80_z4()
+    full = decoding_lp_columns(code)
+    known = {col.tobytes() for col in full.T}
+    masters = []
+    engine = qarylp.lp._revised_phase2
+
+    def capture(cols, b, c, basis, binv, *args, **kwargs):
+        masters.append((cols, c.copy(), list(basis), binv.copy()))
+        return engine(cols, b, c, basis, binv, *args, **kwargs)
+
+    monkeypatch.setattr(qarylp.lp, "_revised_phase2", capture)
+    lp_decode_exact(code, ldpc80_frames(1, seed=4)[0])
+    assert len(masters) > 1
+    for (rows, signs), c, basis, binv in masters:
+        A = np.zeros((full.shape[0] + 1, len(rows)))
+        for k in range(len(rows)):
+            for r, v in zip(rows[k], signs[k]):
+                A[r, k] += v
+        assert not A[-1].any()
+        A = A[:-1]
+        assert all(col.tobytes() in known for col in A.T)
+        y = c[basis] @ binv
+        got = c - qarylp.lp._price(qarylp.lp._duals(c[basis], binv),
+                                   (rows, signs))
+        assert np.abs(got - (c - y @ A)).max() < 1e-12
+        for s in range(0, len(rows), 97):
+            d = qarylp.lp._ftran(binv, rows[s], signs[s])
+            assert np.abs(d - binv @ A[:, s]).max() < 1e-12
+
+
+def test_exact_decode_matches_highs_on_ldpc80():
+    optimize = pytest.importorskip("scipy.optimize")
+    code = ldpc80_z4()
+    for lam in ldpc80_frames(8, seed=8):
+        lp = build_decoding_lp(code, lam)
+        ref = optimize.linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None),
+                               method="highs")
+        assert ref.status == 0
+        out = lp_decode_exact(code, lam)
+        assert out.dual_objective_trace[0] == pytest.approx(ref.fun, abs=1e-7)
+
+
 # ---- decoding LP construction ----
 
 
@@ -249,6 +356,16 @@ def test_decoding_lp_budget():
 def test_decoding_lp_llr_shape():
     with pytest.raises(ValueError):
         build_decoding_lp(single_check_code(), np.zeros((2, 4)))
+
+
+def test_decoding_lp_matches_entrywise_build():
+    codes = [ldpc80_z4(), single_check_code(), four_cycle_code(),
+             random_regular_code(n=8, m=4, row_degree=3, q=8,
+                                 rng=np.random.default_rng(4),
+                                 unit_entries=False)]
+    for code in codes:
+        lp = build_decoding_lp(code, np.ones((code.n, code.q - 1)))
+        assert np.array_equal(lp.A, decoding_lp_columns(code))
 
 
 def test_crash_words_match_rank_greedy():
