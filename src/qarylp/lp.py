@@ -27,7 +27,10 @@ from round to round; the crash basis it starts from is inverted once per
 code.  Bland's rule is the default of simplex_solve (termination
 guaranteed); the exact decoder always uses the Dantzig rule that falls back
 to Bland after a degenerate stall, which is much faster on the decoding
-LPs.
+LPs.  Columns that only complete a starting basis (simplex_solve's
+artificials, the unit columns of a crash basis whose check's codebook
+columns cannot fill its block) are fixed at zero, so every code decodes by
+column generation from the zero codeword.
 """
 
 from __future__ import annotations
@@ -206,7 +209,8 @@ def _invert(cols, basis, m):
     return binv[order]
 
 
-def _revised_phase2(cols, b, c, basis, binv, rule, tol, max_pivots, spent=0):
+def _revised_phase2(cols, b, c, basis, binv, rule, tol, max_pivots, fixed,
+                    spent=0):
     """Simplex pivots from a feasible basis, keeping only the basis inverse.
 
     The constraint matrix is a padded column store (see _column_store), and
@@ -217,12 +221,14 @@ def _revised_phase2(cols, b, c, basis, binv, rule, tol, max_pivots, spent=0):
     columns of binv as it has nonzeros, and updates binv on the rows where
     d is nonzero.  Every _REFACTOR_EVERY-th pivot, counted from spent,
     rebuilds binv with _invert, so a caller that carries binv from one call
-    to the next keeps one cadence.  binv is updated in place.  Both phases
-    of simplex_solve and every column-generation master run here.  spent
-    counts pivots the caller made before this call; CycleGuardTripped fires
-    once spent plus this call's pivots exceed max_pivots.  Returns (status,
-    x, pivots, basis, binv), pivots counting this call only; x is the last
-    basic solution, also when the program is unbounded.
+    to the next keeps one cadence.  binv is updated in place.  A column of
+    the boolean mask fixed stays at zero: it is never priced in, and while
+    basic it blocks the ratio test at ratio 0 wherever |d| > tol.  Both
+    phases of simplex_solve and every column-generation master run here.
+    spent counts pivots the caller made before this call; CycleGuardTripped
+    fires once spent plus this call's pivots exceed max_pivots.  Returns
+    (status, x, pivots, basis, binv), pivots counting this call only; x is
+    the last basic solution, also when the program is unbounded.
     """
     rows, vals = cols
     m = len(b)
@@ -234,6 +240,7 @@ def _revised_phase2(cols, b, c, basis, binv, rule, tol, max_pivots, spent=0):
     status = SolveStatus.OPTIMAL
     while True:
         z = c - _price(_duals(c[basis], binv), cols)
+        z[fixed] = 0.0
         if bland:
             negative = np.flatnonzero(z < -tol)
             if negative.size == 0:
@@ -244,11 +251,13 @@ def _revised_phase2(cols, b, c, basis, binv, rule, tol, max_pivots, spent=0):
             if z[s] >= -tol:
                 break
         d = _ftran(binv, rows[s], vals[s])
-        candidates = np.flatnonzero(d > tol)
+        held = fixed[basis]
+        candidates = np.flatnonzero((d > tol) | (held & (d < -tol)))
         if candidates.size == 0:
             status = SolveStatus.UNBOUNDED
             break
-        ratios = xb[candidates] / d[candidates]
+        ratios = np.where(held[candidates], 0.0,
+                          xb[candidates] / d[candidates])
         best = ratios.min()
         ties = candidates[ratios <= best + 1e-12 * (1.0 + abs(best))]
         # lowest-index leaving variable: anti-cycling with Bland entering
@@ -259,7 +268,7 @@ def _revised_phase2(cols, b, c, basis, binv, rule, tol, max_pivots, spent=0):
                 bland = True
         else:
             stall = 0
-        step = xb[r] / d[r]
+        step = 0.0 if held[r] else xb[r] / d[r]
         xb -= step * d
         xb[r] = step
         np.clip(xb, 0.0, None, out=xb)
@@ -285,27 +294,31 @@ def simplex_solve(
 ) -> SimplexResult:
     """Two-phase revised simplex for min c @ x, A @ x = b, x >= 0.
 
-    With initial_basis (a list of column indices whose basic solution is
-    feasible) phase 1 is skipped.  pivot_rule is one of 'bland' (default,
-    termination guaranteed), 'dantzig', or 'dantzig_bland' (most-negative
-    entering column until a degenerate stall, then Bland).
+    With initial_basis (m columns of A whose basic solution is feasible)
+    phase 1 is skipped.  Otherwise phase 1 runs on [A | I] from the
+    artificial basis, and phase 2 continues on the same basis and inverse
+    with the artificials fixed at zero.  The result's basis lists its
+    structural columns only: it has fewer than m entries when an artificial
+    stays basic, as on a redundant row.  pivot_rule is one of 'bland'
+    (default, termination guaranteed), 'dantzig', or 'dantzig_bland'
+    (most-negative entering column until a degenerate stall, then Bland).
     """
     if pivot_rule not in _PIVOT_RULES:
         raise ValueError(f"pivot_rule must be one of {_PIVOT_RULES}")
     A = lp.A.copy()
     b = lp.b.copy()
-    c = lp.c
     m, n = A.shape
     flip = b < 0
     A[flip] *= -1.0
     b[flip] *= -1.0
+    cols = _column_store(np.hstack([A, np.eye(m)]))
+    artificial = np.arange(n + m) >= n
     pivots = 0
 
     if initial_basis is not None:
         basis = [int(k) for k in initial_basis]
-        if len(basis) != m or len(set(basis)) != m:
+        if len(basis) != m or len(set(basis) & set(range(n))) != m:
             raise ValueError(f"initial basis must hold {m} distinct columns")
-        cols = _column_store(A)
         try:
             binv = _invert(cols, basis, m)
         except ValueError:
@@ -313,47 +326,26 @@ def simplex_solve(
         if _matvec(binv, b).min() < -_FEAS_TOL:
             raise ValueError("initial basis is not primal feasible")
     else:
-        # phase 1 on [A | I] from the artificial basis; it cannot be
-        # unbounded, since its objective is bounded below by 0
-        rows, vals = _column_store(np.hstack([A, np.eye(m)]))
-        art_cost = np.concatenate([np.zeros(n), np.ones(m)])
+        # phase 1 from the artificial basis; it cannot be unbounded, since
+        # its objective is bounded below by 0
         _, x1, pivots, basis, binv = _revised_phase2(
-            (rows, vals), b, art_cost, range(n, n + m), np.eye(m),
-            pivot_rule, tol, max_pivots,
+            cols, b, artificial * 1.0, range(n, n + m), np.eye(m),
+            pivot_rule, tol, max_pivots, np.zeros(n + m, dtype=bool),
         )
         if x1[n:].sum() > _FEAS_TOL:
             return SimplexResult(SolveStatus.INFEASIBLE, math.nan,
-                                 np.full(n, math.nan), pivots, basis)
-        # swap artificials left at zero level for structural columns; the
-        # artificial of original row k has binv[r, k] = 1, so when binv[r]
-        # annihilates every structural column, row k is redundant
-        structural = (rows[:n], vals[:n])
-        drop = []
-        for r in range(m):
-            if basis[r] >= n:
-                row = _price(np.append(binv[r], 0.0), structural)
-                candidates = np.flatnonzero(np.abs(row) > tol)
-                if candidates.size:
-                    s = int(candidates[0])
-                    _update_inverse(binv, _ftran(binv, rows[s], vals[s]), r)
-                    basis[r] = s
-                    pivots += 1
-                else:
-                    drop.append(basis[r] - n)
-        if drop:
-            keep = [k for k in range(m) if k not in drop]
-            A = A[keep]
-            b = b[keep]
-            basis = [k for k in basis if k < n]
-        cols = _column_store(A)
-        binv = _invert(cols, basis, len(b))
+                                 np.full(n, math.nan), pivots,
+                                 [k for k in basis if k < n])
 
     status, x, phase2_pivots, basis, _ = _revised_phase2(
-        cols, b, c, basis, binv, pivot_rule, tol, max_pivots, spent=pivots,
+        cols, b, np.concatenate([lp.c, np.zeros(m)]), basis, binv,
+        pivot_rule, tol, max_pivots, artificial, spent=pivots,
     )
     pivots += phase2_pivots
-    value = float((c * x).sum()) if status is SolveStatus.OPTIMAL else math.nan
-    return SimplexResult(status, value, x, pivots, basis)
+    x = x[:n]
+    value = (float((lp.c * x).sum()) if status is SolveStatus.OPTIMAL
+             else math.nan)
+    return SimplexResult(status, value, x, pivots, [k for k in basis if k < n])
 
 
 # ---- the decoding LP ----
@@ -402,7 +394,7 @@ def _books(code: TannerCode, budget: int) -> tuple:
 
 
 def _crash_words(setup):
-    """Per-check word sets whose columns form a feasible zero-vertex basis.
+    """Per-check words and unit columns that form a feasible zero-vertex basis.
 
     Weight columns only touch their own check's rows, so selecting per check
     an independent set of codebook columns (the zero word first) yields a
@@ -410,22 +402,23 @@ def _crash_words(setup):
     word.  Columns are taken greedily in codebook order whenever they are
     independent of those already taken: one Gaussian elimination per check
     block reduces every later column against each accepted one, and a
-    column is accepted when its residual exceeds _SIMPLEX_TOL somewhere.  Returns None when some
-    check's local columns cannot fill its block (a symbol unreachable on
-    some edge makes a coupling row all zero).
+    column is accepted when its residual exceeds _SIMPLEX_TOL somewhere.
+    Where the words cannot fill a block (non-unit coefficients), the pass
+    goes on over the block's unit vectors in row order; those it takes are
+    unit columns, fixed at zero.  Returns (words, units): per check the
+    word ids and the block rows (see block_rows) of the unit columns.
     """
-    chosen_words = []
+    chosen_words, chosen_units = [], []
     for j, book in enumerate(setup.books):
-        start = setup.coup_starts[j]
-        rows = list(range(start, start + book.words.shape[1] * (setup.q - 1)))
-        rows.append(setup.norm_rows[j])
-        residual = _dense(*setup.word_store(j, book.words), setup.n_rows)[rows]
+        rows = setup.block_rows(j)
+        residual = np.hstack([
+            _dense(*setup.word_store(j, book.words), setup.n_rows)[rows],
+            np.eye(len(rows)),
+        ])
         chosen = []
         col = 0
         while len(chosen) < len(rows):
             free = np.abs(residual[:, col:]).max(axis=0) > _SIMPLEX_TOL
-            if not free.any():
-                return None
             col += int(np.argmax(free))
             chosen.append(col)
             pivot = residual[:, col].copy()
@@ -433,8 +426,9 @@ def _crash_words(setup):
             # zero row p in every later column; the accepted ones stay zero
             residual[:, col:] -= np.outer(pivot / pivot[p], residual[p, col:])
             col += 1
-        chosen_words.append(chosen)
-    return chosen_words
+        chosen_words.append([k for k in chosen if k < len(book)])
+        chosen_units.append([k - len(book) for k in chosen if k >= len(book)])
+    return chosen_words, chosen_units
 
 
 class _ExactSetup:
@@ -444,7 +438,9 @@ class _ExactSetup:
     position, then symbol) followed by one normalization row per check;
     columns are the n * (q-1) indicators, then local-word weights.  Columns
     are kept as a padded store (see _column_store) of row ids and signs,
-    width slots each; padding points at row n_rows.
+    width slots each; padding points at row n_rows.  crash_store holds the
+    indicators, every check's crash words, then the unit columns (see
+    _crash_words), which crash_fixed marks.
     """
 
     def __init__(self, code: TannerCode, budget: int):
@@ -475,29 +471,40 @@ class _ExactSetup:
         for k, rows in enumerate(ind):
             self.ind_rows[k, :len(rows)] = rows
         self.ind_signs = (self.ind_rows < self.n_rows).astype(np.float64)
-        self.crash_words = _crash_words(self)
-        self.b_pert = None
-        if self.crash_words is not None:
-            # the crash words follow the indicators, and their columns form
-            # a block-diagonal basis, inverted once here for every frame
-            self.crash_store = self.store(self.crash_words)
-            self.crash_basis = range(self.n_ind, self.n_ind + self.n_rows)
-            self.crash_binv = _invert(self.crash_store, self.crash_basis,
-                                      self.n_rows)
-            # fixed rhs perturbation: breaks the heavy degeneracy of the
-            # decoding polytope so the masters pivot without stalling,
-            # while keeping every decode a deterministic function of the
-            # input
-            u = np.random.default_rng(2_718_281).uniform(
-                1e-7, 2e-7, self.n_rows
-            )
-            # perturbing by B0·u keeps the crash solution feasible: its
-            # basic values move by exactly +u
-            rows, signs = (a[self.n_ind:] for a in self.crash_store)
-            self.b_pert = self.b + np.bincount(
-                rows.ravel(), (signs * u[:, None]).ravel(),
-                minlength=self.n_rows + 1,
-            )[:-1]
+        self.crash_words, self.crash_units = _crash_words(self)
+        units = np.full((sum(map(len, self.crash_units)), self.width),
+                        self.n_rows)
+        units[:, 0] = [self.block_rows(j)[k]
+                       for j, ks in enumerate(self.crash_units) for k in ks]
+        self.crash_store = tuple(np.concatenate(arrays) for arrays in zip(
+            self.store(self.crash_words), (units, (units < self.n_rows) * 1.0)
+        ))
+        n_crash = self.n_ind + self.n_rows
+        self.crash_fixed = np.arange(n_crash) >= n_crash - len(units)
+        # the crash columns follow the indicators, and they form a
+        # block-diagonal basis, inverted once here for every frame
+        self.crash_basis = range(self.n_ind, n_crash)
+        self.crash_binv = _invert(self.crash_store, self.crash_basis,
+                                  self.n_rows)
+        # fixed rhs perturbation: breaks the heavy degeneracy of the
+        # decoding polytope so the masters pivot without stalling, while
+        # keeping every decode a deterministic function of the input
+        u = np.random.default_rng(2_718_281).uniform(1e-7, 2e-7, self.n_rows)
+        # perturbing by B0·u keeps the crash solution feasible: its basic
+        # values move by exactly +u, and by 0 on the fixed unit columns
+        u[self.crash_fixed[self.n_ind:]] = 0.0
+        rows, signs = (a[self.n_ind:] for a in self.crash_store)
+        self.b_pert = self.b + np.bincount(
+            rows.ravel(), (signs * u[:, None]).ravel(),
+            minlength=self.n_rows + 1,
+        )[:-1]
+
+    def block_rows(self, j: int) -> list:
+        """Rows of check j's block: its coupling rows (position-major, then
+        symbol), then its normalization row."""
+        start = self.coup_starts[j]
+        size = self.books[j].words.shape[1] * (self.q - 1)
+        return list(range(start, start + size)) + [self.norm_rows[j]]
 
     def word_store(self, j: int, words):
         """Stored columns of local words of check j: -1 on the coupling row
@@ -572,11 +579,12 @@ def _column_generation(setup: _ExactSetup, c_ind, max_pivots):
     set: their columns are built from their symbols and appended to the
     master, so every earlier column keeps its place and the basis and its
     inverse carry over to the next round unchanged.  A round with none
-    certifies the restricted optimum as the optimum of the full LP.
-    Returns (indicator part of x, value, total pivots).
+    certifies the restricted optimum as the optimum of the full LP (the
+    crash basis's unit columns stay in the master, fixed at zero).  Returns (indicator part of x, value, total pivots).
     """
     q = setup.q
     rows, signs = setup.crash_store
+    fixed = setup.crash_fixed
     c = np.zeros(len(rows))
     c[:setup.n_ind] = c_ind
     members = [set(ws) for ws in setup.crash_words]
@@ -588,7 +596,7 @@ def _column_generation(setup: _ExactSetup, c_ind, max_pivots):
     for _ in range(_MAX_CG_ROUNDS):
         status, x, pivots, basis, binv = _revised_phase2(
             (rows, signs), b, c, basis, binv, _EXACT_PIVOT_RULE,
-            _SIMPLEX_TOL, max_pivots, spent=total_pivots,
+            _SIMPLEX_TOL, max_pivots, fixed, spent=total_pivots,
         )
         total_pivots += pivots
         if status is not SolveStatus.OPTIMAL:
@@ -618,9 +626,11 @@ def _column_generation(setup: _ExactSetup, c_ind, max_pivots):
             if b is setup.b:
                 return x[:setup.n_ind], float((c * x).sum()), total_pivots
             # reduced costs do not depend on the rhs, so the basis stays
-            # optimal for the true rhs as long as it stays feasible there
+            # optimal for the true rhs as long as it stays feasible there,
+            # fixed columns at zero included
             xb_true = _matvec(binv, setup.b)
-            if xb_true.min() >= -_FEAS_TOL:
+            if (xb_true.min() >= -_FEAS_TOL
+                    and xb_true[fixed[basis]].max(initial=0.0) <= _FEAS_TOL):
                 x_true = np.zeros(len(c))
                 x_true[basis] = np.clip(xb_true, 0.0, None)
                 return (x_true[:setup.n_ind], float((c * x_true).sum()),
@@ -633,6 +643,7 @@ def _column_generation(setup: _ExactSetup, c_ind, max_pivots):
         rows = np.concatenate([rows] + [r for r, _ in added])
         signs = np.concatenate([signs] + [s for _, s in added])
         c = np.concatenate([c, np.zeros(len(rows) - len(c))])
+        fixed = np.concatenate([fixed, np.zeros(len(rows) - len(fixed), bool)])
     raise CycleGuardTripped(
         f"column generation did not settle in {_MAX_CG_ROUNDS} rounds"
     )
@@ -657,24 +668,10 @@ def lp_decode_exact(
     with a non-finite entry are refused (see validate_llr).
     """
     lam = validate_llr(code, llr)
-    setup = _exact_setup(code, codebook_budget)
-    if setup.crash_words is not None:
-        f_flat, value, pivots = _column_generation(
-            setup, lam.ravel(), max_pivots,
-        )
-        f = f_flat.reshape(code.n, code.q - 1)
-    else:
-        lp = build_decoding_lp(code, lam, codebook_budget)
-        result = simplex_solve(lp, pivot_rule=_EXACT_PIVOT_RULE,
-                               max_pivots=max_pivots)
-        if result.status is not SolveStatus.OPTIMAL:
-            raise RuntimeError(
-                f"decoding LP should be bounded and feasible, "
-                f"got {result.status}"
-            )
-        f = result.x[:setup.n_ind].reshape(code.n, code.q - 1)
-        value = result.value
-        pivots = result.pivots
+    f_flat, value, pivots = _column_generation(
+        _exact_setup(code, codebook_budget), lam.ravel(), max_pivots,
+    )
+    f = f_flat.reshape(code.n, code.q - 1)
     near = np.minimum(np.abs(f), np.abs(f - 1.0))
     integral_rows = (
         (near.max(axis=1) <= _INTEGRALITY_TOL)

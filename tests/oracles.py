@@ -269,12 +269,14 @@ def slot_buckets_bruteforce(state, j, t):
 def crash_words_rank_greedy(code):
     """Per check, the first codebook columns (in enumerate_spc order) that
     raise the matrix_rank of those taken before, restricted to the check's
-    coupling rows (position-major, then symbol) and normalization row;
-    None when some check cannot fill its block.  Checks with equal
+    coupling rows (position-major, then symbol) and normalization row; then
+    the first unit vectors of that block, in row order, that raise it
+    further until the block is full.  Returns (words, units): per check the
+    word ids and the block rows of the unit vectors.  Checks with equal
     coefficient rows share one block, so each distinct row is solved once."""
     q = code.q
     solved = {}
-    out = []
+    words_out, units_out = [], []
     for j in range(code.m):
         key = tuple(code.row_vals[j].tolist())
         if key not in solved:
@@ -286,17 +288,19 @@ def crash_words_rank_greedy(code):
                     if b:
                         block[t * (q - 1) + b - 1, w] = -1.0
             block[-1] = 1.0
+            size = block.shape[0]
+            block = np.hstack([block, np.eye(size)])
             chosen = []
-            for col in range(len(words)):
-                if len(chosen) == block.shape[0]:
+            for col in range(block.shape[1]):
+                if len(chosen) == size:
                     break
                 if np.linalg.matrix_rank(block[:, chosen + [col]]) > len(chosen):
                     chosen.append(col)
-            solved[key] = chosen if len(chosen) == block.shape[0] else None
-        if solved[key] is None:
-            return None
-        out.append(solved[key])
-    return out
+            solved[key] = ([k for k in chosen if k < len(words)],
+                           [k - len(words) for k in chosen if k >= len(words)])
+        words_out.append(solved[key][0])
+        units_out.append(solved[key][1])
+    return words_out, units_out
 
 
 def decide_symbols_loop(state):

@@ -190,6 +190,9 @@ def test_simplex_warm_start_rejects_bad_basis():
         simplex_solve(lp, initial_basis=[0, 1])  # singular block
     with pytest.raises(ValueError):
         simplex_solve(lp, initial_basis=[0])  # wrong size
+    for basis in ([0, 3], [-3, 2]):  # not columns of A
+        with pytest.raises(ValueError, match="distinct columns"):
+            simplex_solve(lp, initial_basis=basis)
 
 
 def test_simplex_drops_redundant_rows():
@@ -203,6 +206,16 @@ def test_simplex_drops_redundant_rows():
     assert res.status is SolveStatus.OPTIMAL
     assert res.value == pytest.approx(0.0, abs=1e-12)
     assert res.x == pytest.approx([0.0, 1.0], abs=1e-9)
+    # the basis lists structural columns only: the redundant row keeps its
+    # artificial, so the basis warm-starts the program without that row
+    assert res.basis == [1]
+    with pytest.raises(ValueError, match="2 distinct columns"):
+        simplex_solve(lp, initial_basis=res.basis)
+    reduced = LinearProgram(c=lp.c, A=lp.A[:1], b=lp.b[:1], names=lp.names)
+    warm = simplex_solve(reduced, initial_basis=res.basis)
+    assert warm.status is SolveStatus.OPTIMAL
+    assert warm.pivots == 0
+    assert warm.value == pytest.approx(res.value, abs=1e-12)
 
 
 def test_simplex_rejects_unknown_rule():
@@ -370,8 +383,9 @@ def test_decoding_lp_matches_entrywise_build():
 
 def test_crash_words_match_rank_greedy():
     # the crash basis takes, per check, the first codebook columns that
-    # raise the rank of those taken before; the elimination must pick the
-    # same words as matrix_rank does, on every code these tests build
+    # raise the rank of those taken before, then the first unit vectors of
+    # the block that fill it; the elimination must pick the same words and
+    # unit rows as matrix_rank does, on every code these tests build
     z8 = Path(__file__).resolve().parents[1] / "perfbench" / "codes" / "ldpc80_z8.txt"
     codes = [ldpc80_z4(), read_check_matrix(z8), single_check_code(),
              four_cycle_code(),
@@ -389,9 +403,12 @@ def test_crash_words_match_rank_greedy():
                                          rng=np.random.default_rng(seed)))
     filled = 0
     for code in codes:
-        want = crash_words_rank_greedy(code)
-        assert qarylp.lp._ExactSetup(code, 4096).crash_words == want
-        filled += want is not None
+        words, units = crash_words_rank_greedy(code)
+        setup = qarylp.lp._ExactSetup(code, 4096)
+        assert setup.crash_words == words
+        assert setup.crash_units == units
+        assert setup.crash_fixed.sum() == sum(map(len, units))
+        filled += not any(units)
     assert filled == 11
 
 
@@ -404,7 +421,8 @@ def test_exact_decode_matches_ml_costs():
         TannerCode(q=4, n=3, rows=(((0, 1), (1, 1)), ((0, 1), (2, 1)))),
         random_regular_code(n=6, m=3, row_degree=3, q=4,
                             rng=np.random.default_rng(3)),
-        # non-unit coefficients leave no crash basis: simplex_solve decodes
+        # non-unit coefficients leave rank-deficient check blocks: the
+        # crash basis fills them with unit columns fixed at zero
         random_regular_code(n=6, m=3, row_degree=3, q=4,
                             rng=np.random.default_rng(3),
                             unit_entries=False),
@@ -491,6 +509,60 @@ def test_exact_decode_codeword_translation_symmetry():
         moved = lp_decode_exact(code, compute_llr(y1, cmap, sigma)).symbols
         want = np.where(base == ERASED, ERASED, (base + c) % q)
         assert np.array_equal(moved, want)
+
+    check()
+
+
+def test_exact_decode_non_unit_z8_matches_highs():
+    # a degenerate non-unit Z_8 frame: the unperturbed full LP stalls past
+    # 20 000 pivots on it, column generation from a crash basis with unit
+    # columns needs about 1 300
+    optimize = pytest.importorskip("scipy.optimize")
+    code = random_regular_code(n=8, m=4, row_degree=4, q=8,
+                               rng=np.random.default_rng(301),
+                               unit_entries=False)
+    lam = np.random.default_rng(1).normal(size=(8, 7)) * 1.5
+    assert any(qarylp.lp._ExactSetup(code, 4096).crash_units)
+    out = lp_decode_exact(code, lam, max_pivots=20_000)
+    lp = build_decoding_lp(code, lam)
+    ref = optimize.linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None),
+                           method="highs")
+    assert ref.status == 0
+    assert out.dual_objective_trace[0] == pytest.approx(ref.fun, abs=1e-7)
+
+
+def test_exact_decode_permutation_equivariance():
+    # relabeling variables and reordering checks leaves the decoding LP the
+    # same program: the optimum must not move, and an integral optimum must
+    # move its symbols with the variables
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None)
+    @hypothesis.given(shape=st.sampled_from([(4, 8, 4, 3, True),
+                                             (4, 6, 3, 3, False),
+                                             (6, 6, 3, 3, False),
+                                             (8, 6, 3, 3, True),
+                                             (8, 8, 4, 3, False)]),
+                      seed=st.integers(0, 2**32 - 1))
+    def check(shape, seed):
+        q, n, m, d, unit = shape
+        rng = np.random.default_rng(seed)
+        code = random_regular_code(n=n, m=m, row_degree=d, q=q, rng=rng,
+                                   unit_entries=unit)
+        lam = rng.normal(size=(n, q - 1)) * 1.5
+        # new variable k is old variable var[k]; checks are reordered
+        var = rng.permutation(n)
+        new_id = np.argsort(var)
+        rows = tuple(tuple((int(new_id[i]), h) for i, h in code.rows[j])
+                     for j in rng.permutation(m))
+        moved = TannerCode(q=q, n=n, rows=rows)
+        base = lp_decode_exact(code, lam)
+        out = lp_decode_exact(moved, lam[var])
+        assert out.dual_objective_trace[0] == pytest.approx(
+            base.dual_objective_trace[0], abs=1e-7)
+        if base.status is Status.CODEWORD_FOUND:
+            assert np.array_equal(out.symbols, base.symbols[var])
 
     check()
 
@@ -638,18 +710,26 @@ def test_ml_bruteforce_too_large():
 
 
 def test_exact_decode_agrees_with_reference_solver():
-    # column generation must reproduce the optimum of the full LP
-    code = random_regular_code(n=12, m=6, row_degree=3, q=4,
-                               rng=np.random.default_rng(9))
-    rng = np.random.default_rng(55)
-    for _ in range(10):
-        lam = rng.normal(size=(12, 3)) * 1.5
-        out = lp_decode_exact(code, lam)
-        ref = simplex_solve(build_decoding_lp(code, lam),
-                            pivot_rule="dantzig_bland")
-        assert ref.status is SolveStatus.OPTIMAL
-        assert out.dual_objective_trace[0] == pytest.approx(ref.value,
-                                                            abs=1e-7)
+    # column generation must reproduce the optimum of the full LP, also on
+    # non-unit codes, whose crash bases need unit columns
+    codes = [random_regular_code(n=12, m=6, row_degree=3, q=4,
+                                 rng=np.random.default_rng(9)),
+             random_regular_code(n=6, m=3, row_degree=3, q=4,
+                                 rng=np.random.default_rng(3),
+                                 unit_entries=False),
+             random_regular_code(n=6, m=3, row_degree=3, q=6,
+                                 rng=np.random.default_rng(7),
+                                 unit_entries=False)]
+    for code in codes:
+        rng = np.random.default_rng(55)
+        for _ in range(10):
+            lam = rng.normal(size=(code.n, code.q - 1)) * 1.5
+            out = lp_decode_exact(code, lam)
+            ref = simplex_solve(build_decoding_lp(code, lam),
+                                pivot_rule="dantzig_bland")
+            assert ref.status is SolveStatus.OPTIMAL
+            assert out.dual_objective_trace[0] == pytest.approx(ref.value,
+                                                                abs=1e-7)
 
 
 def test_simplex_matches_highs():
