@@ -14,28 +14,25 @@ convex-weight vector per variable over the q constant words.  Conversions in
 both directions preserve the cost exactly, and each form has a constraint
 checker that reports the worst violation per constraint family.
 
-The simplex core is a two-phase revised method that keeps only the basis
-inverse; phase 1 runs the same loop on artificial columns.  Columns are
-held sparse, as padded (row ids, values) pairs: a decoding-LP column has at
-most max(d+1, d_v) nonzeros.  Pricing, the entering column's B^-1 a and the
-product-form update (on the rows where B^-1 a is nonzero) are gathers and
-ufunc sums, and the periodic refactorization replays product-form updates
-from the identity, so no BLAS or LAPACK routine runs and the pivot path
-does not depend on the thread count.  Column generation only appends the
-columns of priced-in words to its master, so one basis inverse is carried
-from round to round; the crash basis it starts from is inverted once per
-code.  Bland's rule is the default of simplex_solve (termination
-guaranteed); the exact decoder always uses the Dantzig rule that falls back
-to Bland after a degenerate stall, which is much faster on the decoding
-LPs.  Columns that only complete a starting basis (simplex_solve's
-artificials, the unit columns of a crash basis whose check's codebook
-columns cannot fill its block) are fixed at zero, so every code decodes by
-column generation from the zero codeword.
+The simplex core is a revised method that keeps only the basis inverse.
+Columns are held sparse, as padded (row ids, values) pairs: a decoding-LP
+column has at most max(d+1, d_v) nonzeros.  Pricing, the entering column's
+B^-1 a and the product-form update (on the rows where B^-1 a is nonzero)
+are gathers and ufunc sums, and the periodic refactorization replays
+product-form updates from the identity, so no BLAS or LAPACK routine runs
+and the pivot path does not depend on the thread count.  Column generation
+only appends the columns of priced-in words to its master, so one basis
+inverse is carried from round to round; the crash basis it starts from is
+inverted once per code.  Pivoting uses the Dantzig rule and falls back to
+Bland's after a degenerate stall: pure Dantzig can cycle on the degenerate
+decoding polytope, and pure Bland is far slower there.  The unit columns
+that complete a crash basis whose check's codebook columns cannot fill its
+block are fixed at zero, so every code decodes by column generation from
+the zero codeword.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,18 +44,15 @@ from .decoder import ERASED, DecodeOutcome, Status, validate_llr
 
 # reduced-cost and pivot-element threshold for the simplex core
 _SIMPLEX_TOL = 1e-9
-# phase-1 objective above this declares the program infeasible
+# the perturbed optimal basis stays optimal for the true rhs when its basic
+# values there are at least -_FEAS_TOL (fixed columns at most _FEAS_TOL)
 _FEAS_TOL = 1e-7
 # LP outputs within this of {0, 1} count as integral
 _INTEGRALITY_TOL = 1e-6
 # conversion inputs may violate their polytope by at most this much
 _INPUT_TOL = 1e-8
 
-_PIVOT_RULES = ("bland", "dantzig", "dantzig_bland")
-# lp_decode_exact's rule: pure Dantzig can cycle on the degenerate decoding
-# polytope, and pure Bland is far slower there
-_EXACT_PIVOT_RULE = "dantzig_bland"
-# consecutive degenerate pivots before dantzig_bland falls back to Bland
+# consecutive degenerate pivots before Dantzig pricing falls back to Bland
 _REVISED_STALL_LIMIT = 200
 # basis-inverse refactorization cadence for the revised loop
 _REFACTOR_EVERY = 128
@@ -74,70 +68,6 @@ class InfeasibleInput(ValueError):
 
 class CycleGuardTripped(RuntimeError):
     """The simplex pivot budget was exhausted."""
-
-
-class SolveStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-
-
-# ---- linear programs ----
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """min c @ x subject to A @ x = b and x >= 0."""
-
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    names: tuple
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=np.float64)
-        A = np.asarray(self.A, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
-        if A.ndim != 2 or c.shape != (A.shape[1],) or b.shape != (A.shape[0],):
-            raise ValueError(
-                f"inconsistent shapes: c {c.shape}, A {A.shape}, b {b.shape}"
-            )
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))
-                and np.all(np.isfinite(c))):
-            raise ValueError("LP data must be finite")
-        names = tuple(self.names)
-        if len(names) != A.shape[1] or len(set(names)) != len(names):
-            raise ValueError("names must be unique and match the column count")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "names", names)
-
-
-@dataclass
-class SimplexResult:
-    status: SolveStatus
-    value: float
-    x: np.ndarray
-    pivots: int
-    basis: list
-
-
-def _column_store(A):
-    """Padded sparse columns (rows, vals) of a dense matrix, one line per
-    column.
-
-    Each column's nonzero entries come first, in row order.  The remaining
-    slots point at row len(A), the zero dual slot that _duals appends, with
-    value 0, so pricing gathers need no mask.
-    """
-    m = A.shape[0]
-    nz = A.T != 0
-    width = max(int(nz.sum(axis=1).max(initial=0)), 1)
-    order = np.argsort(~nz, axis=1, kind="stable")[:, :width]
-    vals = np.take_along_axis(A.T, order, axis=1)
-    rows = np.where(np.take_along_axis(nz, order, axis=1), order, m)
-    return rows, vals
 
 
 def _dense(rows, vals, m):
@@ -209,35 +139,38 @@ def _invert(cols, basis, m):
     return binv[order]
 
 
-def _revised_phase2(cols, b, c, basis, binv, rule, tol, max_pivots, fixed,
-                    spent=0):
+def _revised_phase2(cols, b, c, basis, binv, max_pivots, fixed, spent=0):
     """Simplex pivots from a feasible basis, keeping only the basis inverse.
 
-    The constraint matrix is a padded column store (see _column_store), and
-    no step calls BLAS or LAPACK, so the pivot path is the same whatever
-    the thread count.  Each pivot prices every column with one gather-sum
-    over the duals (themselves a sum of the basis-inverse rows of nonzero
-    basic cost), forms the entering column's d as a signed sum of as many
-    columns of binv as it has nonzeros, and updates binv on the rows where
-    d is nonzero.  Every _REFACTOR_EVERY-th pivot, counted from spent,
-    rebuilds binv with _invert, so a caller that carries binv from one call
-    to the next keeps one cadence.  binv is updated in place.  A column of
-    the boolean mask fixed stays at zero: it is never priced in, and while
-    basic it blocks the ratio test at ratio 0 wherever |d| > tol.  Both
-    phases of simplex_solve and every column-generation master run here.
-    spent counts pivots the caller made before this call; CycleGuardTripped
-    fires once spent plus this call's pivots exceed max_pivots.  Returns
-    (status, x, pivots, basis, binv), pivots counting this call only; x is
-    the last basic solution, also when the program is unbounded.
+    The constraint matrix is a padded column store: one line of (row ids,
+    values) per column, its nonzero entries first and the remaining slots
+    pointing at row len(b), the zero dual slot that _duals appends, with
+    value 0.  No step calls BLAS or LAPACK, so the pivot path is the same
+    whatever the thread count.  Each pivot prices every column with one
+    gather-sum over the duals (themselves a sum of the basis-inverse rows of
+    nonzero basic cost), forms the entering column's d as a signed sum of as
+    many columns of binv as it has nonzeros, and updates binv on the rows
+    where d is nonzero.  The entering column is the most negative reduced
+    cost until more than _REVISED_STALL_LIMIT consecutive degenerate pivots,
+    then the first negative one (Bland), below -_SIMPLEX_TOL either way.
+    Every _REFACTOR_EVERY-th pivot, counted from spent, rebuilds binv with
+    _invert, so a caller that carries binv from one call to the next keeps
+    one cadence.  binv is updated in place.  A column of the boolean mask
+    fixed stays at zero: it is never priced in, and while basic it blocks
+    the ratio test at ratio 0 wherever |d| > _SIMPLEX_TOL.  spent counts
+    pivots the caller made before this call; CycleGuardTripped fires once
+    spent plus this call's pivots exceed max_pivots, and an entering column
+    with no blocking row (an unbounded ray) raises RuntimeError.  Returns
+    (x, pivots, basis, binv), pivots counting this call only.
     """
+    tol = _SIMPLEX_TOL
     rows, vals = cols
     m = len(b)
     basis = np.array(basis, dtype=np.intp)
     xb = np.clip(_matvec(binv, b), 0.0, None)
     pivots = 0
-    bland = rule == "bland"
+    bland = False
     stall = 0
-    status = SolveStatus.OPTIMAL
     while True:
         z = c - _price(_duals(c[basis], binv), cols)
         z[fixed] = 0.0
@@ -254,8 +187,7 @@ def _revised_phase2(cols, b, c, basis, binv, rule, tol, max_pivots, fixed,
         held = fixed[basis]
         candidates = np.flatnonzero((d > tol) | (held & (d < -tol)))
         if candidates.size == 0:
-            status = SolveStatus.UNBOUNDED
-            break
+            raise RuntimeError(f"column {s} enters along an unbounded ray")
         ratios = np.where(held[candidates], 0.0,
                           xb[candidates] / d[candidates])
         best = ratios.min()
@@ -264,8 +196,7 @@ def _revised_phase2(cols, b, c, basis, binv, rule, tol, max_pivots, fixed,
         r = int(ties[np.argmin(basis[ties])])
         if best <= tol:
             stall += 1
-            if rule == "dantzig_bland" and stall > _REVISED_STALL_LIMIT:
-                bland = True
+            bland = bland or stall > _REVISED_STALL_LIMIT
         else:
             stall = 0
         step = 0.0 if held[r] else xb[r] / d[r]
@@ -282,70 +213,7 @@ def _revised_phase2(cols, b, c, basis, binv, rule, tol, max_pivots, fixed,
             raise CycleGuardTripped(f"exceeded {max_pivots} pivots")
     x = np.zeros(len(c))
     x[basis] = xb
-    return status, x, pivots, basis.tolist(), binv
-
-
-def simplex_solve(
-    lp: LinearProgram,
-    pivot_rule: str = "bland",
-    initial_basis=None,
-    max_pivots: int = 200_000,
-    tol: float = _SIMPLEX_TOL,
-) -> SimplexResult:
-    """Two-phase revised simplex for min c @ x, A @ x = b, x >= 0.
-
-    With initial_basis (m columns of A whose basic solution is feasible)
-    phase 1 is skipped.  Otherwise phase 1 runs on [A | I] from the
-    artificial basis, and phase 2 continues on the same basis and inverse
-    with the artificials fixed at zero.  The result's basis lists its
-    structural columns only: it has fewer than m entries when an artificial
-    stays basic, as on a redundant row.  pivot_rule is one of 'bland'
-    (default, termination guaranteed), 'dantzig', or 'dantzig_bland'
-    (most-negative entering column until a degenerate stall, then Bland).
-    """
-    if pivot_rule not in _PIVOT_RULES:
-        raise ValueError(f"pivot_rule must be one of {_PIVOT_RULES}")
-    A = lp.A.copy()
-    b = lp.b.copy()
-    m, n = A.shape
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    cols = _column_store(np.hstack([A, np.eye(m)]))
-    artificial = np.arange(n + m) >= n
-    pivots = 0
-
-    if initial_basis is not None:
-        basis = [int(k) for k in initial_basis]
-        if len(basis) != m or len(set(basis) & set(range(n))) != m:
-            raise ValueError(f"initial basis must hold {m} distinct columns")
-        try:
-            binv = _invert(cols, basis, m)
-        except ValueError:
-            raise ValueError("initial basis is singular") from None
-        if _matvec(binv, b).min() < -_FEAS_TOL:
-            raise ValueError("initial basis is not primal feasible")
-    else:
-        # phase 1 from the artificial basis; it cannot be unbounded, since
-        # its objective is bounded below by 0
-        _, x1, pivots, basis, binv = _revised_phase2(
-            cols, b, artificial * 1.0, range(n, n + m), np.eye(m),
-            pivot_rule, tol, max_pivots, np.zeros(n + m, dtype=bool),
-        )
-        if x1[n:].sum() > _FEAS_TOL:
-            return SimplexResult(SolveStatus.INFEASIBLE, math.nan,
-                                 np.full(n, math.nan), pivots,
-                                 [k for k in basis if k < n])
-
-    status, x, phase2_pivots, basis, _ = _revised_phase2(
-        cols, b, np.concatenate([lp.c, np.zeros(m)]), basis, binv,
-        pivot_rule, tol, max_pivots, artificial, spent=pivots,
-    )
-    pivots += phase2_pivots
-    x = x[:n]
-    value = (float((lp.c * x).sum()) if status is SolveStatus.OPTIMAL
-             else math.nan)
-    return SimplexResult(status, value, x, pivots, [k for k in basis if k < n])
+    return x, pivots, basis.tolist(), binv
 
 
 # ---- the decoding LP ----
@@ -437,10 +305,11 @@ class _ExactSetup:
     Rows are the indicator/weight coupling equalities (check-major, then
     position, then symbol) followed by one normalization row per check;
     columns are the n * (q-1) indicators, then local-word weights.  Columns
-    are kept as a padded store (see _column_store) of row ids and signs,
+    are kept as a padded store (see _revised_phase2) of row ids and signs,
     width slots each; padding points at row n_rows.  crash_store holds the
     indicators, every check's crash words, then the unit columns (see
-    _crash_words), which crash_fixed marks.
+    _crash_words), which crash_fixed marks.  uncovered lists the variables
+    that no check covers, whose indicator columns touch no row.
     """
 
     def __init__(self, code: TannerCode, budget: int):
@@ -455,6 +324,7 @@ class _ExactSetup:
             self.coup_starts.append(start)
             start += len(row) * (q - 1)
         self.norm_rows = [self.n_coupling + j for j in range(code.m)]
+        self.uncovered = np.flatnonzero([not js for js in code.columns])
         self.b = np.zeros(self.n_rows)
         self.b[self.n_coupling:] = 1.0
         # indicator columns: +1 on every coupling row of the matching symbol
@@ -531,37 +401,10 @@ class _ExactSetup:
         ]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
-    def columns(self, word_ids) -> np.ndarray:
-        """The dense columns of store(word_ids)."""
-        return _dense(*self.store(word_ids), self.n_rows)
-
 
 @lru_cache(maxsize=4)
 def _exact_setup(code: TannerCode, budget: int) -> _ExactSetup:
     return _ExactSetup(code, budget)
-
-
-def build_decoding_lp(code: TannerCode, llr,
-                      codebook_budget: int = 4096) -> LinearProgram:
-    """The decoding LP: indicator variables costed by llr, then check weights.
-
-    Rows are the indicator/weight coupling equalities (check-major, then
-    position, then symbol) followed by one normalization row per check.
-    """
-    lam = validate_llr(code, llr)
-    setup = _exact_setup(code, codebook_budget)
-    A = setup.columns([range(len(book)) for book in setup.books])
-    c = np.zeros(A.shape[1])
-    c[:setup.n_ind] = lam.ravel()
-    names = [f"ind_{i}_{alpha}" for i in range(code.n)
-             for alpha in range(1, code.q)]
-    for j, book in enumerate(setup.books):
-        names.extend(
-            f"w_{j}_" + ".".join(str(int(s)) for s in word)
-            for word in book.words
-        )
-    # a copy, so that the LP never aliases the cached right-hand side
-    return LinearProgram(c=c, A=A, b=setup.b.copy(), names=tuple(names))
 
 
 # column-generation safety valves for the exact decoder
@@ -580,7 +423,8 @@ def _column_generation(setup: _ExactSetup, c_ind, max_pivots):
     master, so every earlier column keeps its place and the basis and its
     inverse carry over to the next round unchanged.  A round with none
     certifies the restricted optimum as the optimum of the full LP (the
-    crash basis's unit columns stay in the master, fixed at zero).  Returns (indicator part of x, value, total pivots).
+    crash basis's unit columns stay in the master, fixed at zero).  Returns
+    (indicator part of x, value, total pivots).
     """
     q = setup.q
     rows, signs = setup.crash_store
@@ -594,15 +438,11 @@ def _column_generation(setup: _ExactSetup, c_ind, max_pivots):
     b = setup.b_pert
     total_pivots = 0
     for _ in range(_MAX_CG_ROUNDS):
-        status, x, pivots, basis, binv = _revised_phase2(
-            (rows, signs), b, c, basis, binv, _EXACT_PIVOT_RULE,
-            _SIMPLEX_TOL, max_pivots, fixed, spent=total_pivots,
+        x, pivots, basis, binv = _revised_phase2(
+            (rows, signs), b, c, basis, binv, max_pivots, fixed,
+            spent=total_pivots,
         )
         total_pivots += pivots
-        if status is not SolveStatus.OPTIMAL:
-            raise RuntimeError(
-                f"restricted decoding LP should be bounded, got {status}"
-            )
         y = _duals(c[basis], binv)
         added = []
         for j, book in enumerate(setup.books):
@@ -657,21 +497,34 @@ def lp_decode_exact(
 ) -> DecodeOutcome:
     """Solve the decoding LP exactly and read off the optimum.
 
-    Pivoting uses the dantzig_bland rule.  A check whose codebook bound
-    q^(d-1) exceeds codebook_budget raises BudgetExceeded, and more than
-    max_pivots simplex pivots in all raise CycleGuardTripped.  An integral
-    optimum (every indicator within 1e-6 of 0 or 1, row sums at most 1)
-    decodes to a codeword with CODEWORD_FOUND.  A fractional optimum is a
-    decoding failure: fractional positions are ERASED and the status is
-    MAX_ITERATIONS.  iterations_used reports simplex pivots and the
-    objective trace holds the optimal value.  LLRs of the wrong shape or
-    with a non-finite entry are refused (see validate_llr).
+    A check whose codebook bound q^(d-1) exceeds codebook_budget raises
+    BudgetExceeded, and more than max_pivots simplex pivots in all raise
+    CycleGuardTripped.  An integral optimum (every indicator within 1e-6 of
+    0 or 1, row sums at most 1) decodes to a codeword with CODEWORD_FOUND.
+    A fractional optimum is a decoding failure: fractional positions are
+    ERASED and the status is MAX_ITERATIONS.  iterations_used reports
+    simplex pivots and the objective trace holds the optimal value.  A
+    variable that no check covers takes its cheapest symbol, 0 when no llr
+    of it is negative.  LLRs of the wrong shape or with a non-finite entry
+    are refused (see validate_llr).
     """
     lam = validate_llr(code, llr)
-    f_flat, value, pivots = _column_generation(
-        _exact_setup(code, codebook_budget), lam.ravel(), max_pivots,
-    )
+    setup = _exact_setup(code, codebook_budget)
+    # an uncovered variable's indicators touch no row, so a negative llr
+    # would price them in along an unbounded ray; alone they form the
+    # simplex {f >= 0, sum f <= 1}, whose optimum is decided here, and the
+    # master sees them at zero cost
+    free = setup.uncovered
+    cost = lam.copy()
+    cost[free] = 0.0
+    f_flat, value, pivots = _column_generation(setup, cost.ravel(), max_pivots)
     f = f_flat.reshape(code.n, code.q - 1)
+    if free.size:
+        best = lam[free].argmin(axis=1)
+        low = lam[free, best]
+        take = low < 0.0
+        f[free[take], best[take]] = 1.0
+        value += float(low[take].sum())
     near = np.minimum(np.abs(f), np.abs(f - 1.0))
     integral_rows = (
         (near.max(axis=1) <= _INTEGRALITY_TOL)

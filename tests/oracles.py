@@ -369,3 +369,40 @@ def decoding_lp_columns(code):
             col[starts[-1] + j] = 1.0
             cols.append(col)
     return np.array(cols).T
+
+
+def decoding_lp(code, llr, A=None):
+    """(c, A, b) of the full decoding LP min c@x, A@x = b, x >= 0.
+
+    A is decoding_lp_columns(code); pass the A of an earlier call on the
+    same code to skip rebuilding it, since only c depends on llr.  c holds
+    llr on the indicator columns and 0 on the local words; b is 0 on the
+    coupling rows and 1 on the normalization rows.
+    """
+    if A is None:
+        A = decoding_lp_columns(code)
+    lam = np.asarray(llr, dtype=np.float64).ravel()
+    c = np.zeros(A.shape[1])
+    c[:lam.size] = lam
+    b = np.zeros(A.shape[0])
+    b[A.shape[0] - code.m:] = 1.0
+    return c, A, b
+
+
+def padded_store(A):
+    """A dense matrix as the simplex engine's padded column store.
+
+    Column k becomes one line of (row ids, values): its nonzero entries in
+    row order, then padding up to the widest column with row len(A) (the
+    zero dual slot) and value 0.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    m, n = A.shape
+    hits = [np.flatnonzero(A[:, k]) for k in range(n)]
+    width = max([1] + [len(h) for h in hits])
+    rows = np.full((n, width), m)
+    vals = np.zeros((n, width))
+    for k, h in enumerate(hits):
+        rows[k, :len(h)] = h
+        vals[k, :len(h)] = A[h, k]
+    return rows, vals

@@ -9,8 +9,10 @@ import qarylp.lp
 from oracles import (
     codewords_bruteforce,
     crash_words_rank_greedy,
+    decoding_lp,
     decoding_lp_columns,
     lp_vertex_enumeration,
+    padded_store,
     update_inverse_dense,
 )
 from qarylp.channel import awgn_sample, compute_llr, ebno_to_sigma, modulate, psk
@@ -29,11 +31,8 @@ from qarylp.lp import (
     CycleGuardTripped,
     FactorPoint,
     InfeasibleInput,
-    LinearProgram,
     MarginalPoint,
-    SolveStatus,
     TooLarge,
-    build_decoding_lp,
     check_factor,
     check_marginal,
     codeword_vertex,
@@ -42,7 +41,6 @@ from qarylp.lp import (
     lp_decode_exact,
     marginal_to_factor,
     ml_bruteforce,
-    simplex_solve,
 )
 
 
@@ -72,163 +70,135 @@ def word_cost(llr, word):
     return float(lam[nz, w[nz] - 1].sum())
 
 
-# ---- LinearProgram validation ----
+def full_columns(setup):
+    """The dense constraint matrix of every local word of an _ExactSetup."""
+    return qarylp.lp._dense(
+        *setup.store([range(len(book)) for book in setup.books]), setup.n_rows)
 
 
-def test_linear_program_shape_mismatch():
-    with pytest.raises(ValueError):
-        LinearProgram(c=[1.0], A=[[1.0, 2.0]], b=[1.0], names=("a", "b"))
-    with pytest.raises(ValueError):
-        LinearProgram(c=[1.0, 2.0], A=[[1.0, 2.0]], b=[1.0, 2.0],
-                      names=("a", "b"))
+def run_engine(c, A, b, basis, max_pivots=10_000, fixed=()):
+    """_revised_phase2 on a dense program from a feasible basis, with the
+    columns listed in fixed held at zero."""
+    c = np.asarray(c, dtype=np.float64)
+    A = np.asarray(A, dtype=np.float64)
+    mask = np.zeros(len(c), dtype=bool)
+    mask[list(fixed)] = True
+    return qarylp.lp._revised_phase2(
+        padded_store(A), np.asarray(b, dtype=np.float64), c, basis,
+        np.linalg.inv(A[:, basis]), max_pivots, mask)
 
 
-def test_linear_program_duplicate_names():
-    with pytest.raises(ValueError):
-        LinearProgram(c=[1.0, 2.0], A=[[1.0, 2.0]], b=[1.0], names=("a", "a"))
+# the textbook program max 3x + 2y s.t. x + y <= 4, x <= 2, with slacks
+TEXTBOOK = (
+    [-3.0, -2.0, 0.0, 0.0],
+    [[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]],
+    [4.0, 2.0],
+)
 
 
-def test_linear_program_nonfinite():
-    with pytest.raises(ValueError):
-        LinearProgram(c=[math.inf, 2.0], A=[[1.0, 2.0]], b=[1.0],
-                      names=("a", "b"))
-
-
-# ---- simplex core ----
+# ---- the simplex engine on small programs ----
 
 
 def test_simplex_textbook_optimum():
-    # max 3x + 2y s.t. x + y <= 4, x <= 2 with slacks; optimum (2, 2)
-    lp = LinearProgram(
-        c=[-3.0, -2.0, 0.0, 0.0],
-        A=[[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]],
-        b=[4.0, 2.0],
-        names=("x", "y", "s1", "s2"),
-    )
-    res = simplex_solve(lp)
-    assert res.status is SolveStatus.OPTIMAL
-    assert res.value == pytest.approx(-10.0, abs=1e-9)
-    assert res.x[:2] == pytest.approx([2.0, 2.0], abs=1e-9)
-
-
-def test_simplex_infeasible():
-    lp = LinearProgram(c=[1.0], A=[[1.0]], b=[-1.0], names=("x",))
-    res = simplex_solve(lp)
-    assert res.status is SolveStatus.INFEASIBLE
-    assert math.isnan(res.value)
-
-
-def test_simplex_unbounded():
-    lp = LinearProgram(c=[-1.0, 0.0], A=[[1.0, -1.0]], b=[0.0],
-                       names=("x", "y"))
-    res = simplex_solve(lp)
-    assert res.status is SolveStatus.UNBOUNDED
-
-
-def test_simplex_degenerate_terminates():
-    # Beale's degenerate program; Bland and the hybrid rule must both finish
-    lp = LinearProgram(
-        c=[0.0, 0.0, 0.0, -0.75, 150.0, -0.02, 6.0],
-        A=[
-            [1.0, 0.0, 0.0, 0.25, -60.0, -1.0 / 25.0, 9.0],
-            [0.0, 1.0, 0.0, 0.5, -90.0, -1.0 / 50.0, 3.0],
-            [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
-        ],
-        b=[0.0, 0.0, 1.0],
-        names=tuple(f"x{k}" for k in range(7)),
-    )
-    expected, _ = lp_vertex_enumeration(lp.c, lp.A, lp.b)
-    for rule in ("bland", "dantzig_bland"):
-        res = simplex_solve(lp, pivot_rule=rule)
-        assert res.status is SolveStatus.OPTIMAL
-        assert res.value == pytest.approx(expected, abs=1e-9)
-
-
-def test_simplex_matches_vertex_enumeration():
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        n = int(rng.integers(3, 9))
-        k = int(rng.integers(1, min(3, n - 1) + 1))
-        A1 = rng.normal(size=(k, n))
-        x0 = rng.uniform(0.0, 2.0, size=n)
-        # appending a fixed coordinate sum keeps the feasible set bounded
-        A = np.vstack([A1, np.ones(n)])
-        b = np.concatenate([A1 @ x0, [x0.sum()]])
-        c = rng.normal(size=n)
-        expected, _ = lp_vertex_enumeration(c, A, b)
-        lp = LinearProgram(c=c, A=A, b=b,
-                           names=tuple(f"x{t}" for t in range(n)))
-        res = simplex_solve(lp)
-        assert res.status is SolveStatus.OPTIMAL
-        assert res.value == pytest.approx(expected, abs=1e-7)
-        assert np.max(np.abs(A @ res.x - b)) < 1e-7
-        assert res.x.min() > -1e-9
+    c, A, b = TEXTBOOK
+    x, pivots, basis, _ = run_engine(c, A, b, [2, 3])
+    assert pivots > 0
+    assert np.dot(c, x) == pytest.approx(-10.0, abs=1e-9)
+    assert x[:2] == pytest.approx([2.0, 2.0], abs=1e-9)
+    assert sorted(basis) == [0, 1]
 
 
 def test_simplex_warm_start_reuses_basis():
-    lp = LinearProgram(
-        c=[-3.0, -2.0, 0.0, 0.0],
-        A=[[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]],
-        b=[4.0, 2.0],
-        names=("x", "y", "s1", "s2"),
-    )
-    cold = simplex_solve(lp)
-    warm = simplex_solve(lp, initial_basis=cold.basis)
-    assert warm.status is SolveStatus.OPTIMAL
-    assert warm.value == pytest.approx(cold.value, abs=1e-12)
-    assert warm.pivots == 0
+    # column generation carries the basis and its inverse from one master
+    # to the next: started at an optimal basis, the engine makes no pivot
+    c, A, b = TEXTBOOK
+    x, _, basis, binv = run_engine(c, A, b, [2, 3])
+    again, pivots, warm, _ = qarylp.lp._revised_phase2(
+        padded_store(A), np.asarray(b), np.asarray(c), basis, binv.copy(),
+        10_000, np.zeros(4, dtype=bool))
+    assert pivots == 0
+    assert warm == basis
+    assert np.array_equal(again, x)
 
 
-def test_simplex_warm_start_rejects_bad_basis():
-    lp = LinearProgram(
-        c=[0.0, 0.0, 1.0],
-        A=[[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]],
-        b=[1.0, 2.0],
-        names=("x", "y", "z"),
-    )
-    with pytest.raises(ValueError):
-        simplex_solve(lp, initial_basis=[0, 1])  # singular block
-    with pytest.raises(ValueError):
-        simplex_solve(lp, initial_basis=[0])  # wrong size
-    for basis in ([0, 3], [-3, 2]):  # not columns of A
-        with pytest.raises(ValueError, match="distinct columns"):
-            simplex_solve(lp, initial_basis=basis)
+def test_simplex_unbounded():
+    # min -x s.t. x - y = 0: x enters along the ray x = y -> inf
+    with pytest.raises(RuntimeError, match="unbounded"):
+        run_engine([-1.0, 0.0], [[1.0, -1.0]], [0.0], [0])
+
+
+def test_simplex_degenerate_terminates():
+    # Beale's degenerate program: pure Dantzig pricing cycles on it, so the
+    # engine must fall back to Bland after _REVISED_STALL_LIMIT degenerate
+    # pivots and end at the optimum
+    c = [0.0, 0.0, 0.0, -0.75, 150.0, -0.02, 6.0]
+    A = [
+        [1.0, 0.0, 0.0, 0.25, -60.0, -1.0 / 25.0, 9.0],
+        [0.0, 1.0, 0.0, 0.5, -90.0, -1.0 / 50.0, 3.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+    ]
+    b = [0.0, 0.0, 1.0]
+    expected, _ = lp_vertex_enumeration(c, A, b)
+    x, pivots, _, _ = run_engine(c, A, b, [0, 1, 2])
+    assert pivots > qarylp.lp._REVISED_STALL_LIMIT
+    assert np.dot(c, x) == pytest.approx(expected, abs=1e-9)
+    assert np.abs(np.dot(A, x) - b).max() < 1e-9
+
+
+def test_simplex_matches_vertex_enumeration():
+    # random bounded programs in slack form [A1 | I] x = b with b > 0, so
+    # the slack basis is a feasible start; the last row of A1 sums the
+    # structural coordinates, which keeps the feasible set bounded
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        k = int(rng.integers(2, 4))
+        A1 = np.vstack([rng.normal(size=(k - 1, n)), np.ones(n)])
+        A = np.hstack([A1, np.eye(k)])
+        b = rng.uniform(0.5, 2.0, size=k)
+        c = rng.normal(size=n + k)
+        expected, _ = lp_vertex_enumeration(c, A, b)
+        x, _, _, _ = run_engine(c, A, b, list(range(n, n + k)))
+        assert np.dot(c, x) == pytest.approx(expected, abs=1e-7)
+        assert np.max(np.abs(A @ x - b)) < 1e-7
+        assert x.min() >= 0.0
+
+
+def test_simplex_matches_highs():
+    # random slack-form programs too large for vertex enumeration
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        n = int(rng.integers(10, 30))
+        k = int(rng.integers(3, 10))
+        A1 = np.vstack([rng.normal(size=(k - 1, n)), np.ones(n)])
+        A = np.hstack([A1, np.eye(k)])
+        b = rng.uniform(0.5, 2.0, size=k)
+        c = rng.normal(size=n + k)
+        ref = optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None),
+                               method="highs")
+        assert ref.status == 0
+        x, _, _, _ = run_engine(c, A, b, list(range(n, n + k)))
+        assert np.dot(c, x) == pytest.approx(ref.fun, abs=1e-7)
 
 
 def test_simplex_drops_redundant_rows():
-    lp = LinearProgram(
-        c=[1.0, 0.0],
-        A=[[1.0, 1.0], [1.0, 1.0]],
-        b=[1.0, 1.0],
-        names=("x", "y"),
-    )
-    res = simplex_solve(lp)
-    assert res.status is SolveStatus.OPTIMAL
-    assert res.value == pytest.approx(0.0, abs=1e-12)
-    assert res.x == pytest.approx([0.0, 1.0], abs=1e-9)
-    # the basis lists structural columns only: the redundant row keeps its
-    # artificial, so the basis warm-starts the program without that row
-    assert res.basis == [1]
-    with pytest.raises(ValueError, match="2 distinct columns"):
-        simplex_solve(lp, initial_basis=res.basis)
-    reduced = LinearProgram(c=lp.c, A=lp.A[:1], b=lp.b[:1], names=lp.names)
-    warm = simplex_solve(reduced, initial_basis=res.basis)
-    assert warm.status is SolveStatus.OPTIMAL
-    assert warm.pivots == 0
-    assert warm.value == pytest.approx(res.value, abs=1e-12)
-
-
-def test_simplex_rejects_unknown_rule():
-    lp = LinearProgram(c=[1.0], A=[[1.0]], b=[1.0], names=("x",))
-    with pytest.raises(ValueError):
-        simplex_solve(lp, pivot_rule="steepest")
+    # a repeated row leaves the structural columns one short of a basis; a
+    # unit column fixed at zero completes it, as in a crash basis, and stays
+    # basic at zero while the other columns reach the optimum
+    A = [[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 1.0]]
+    b = [1.0, 1.0]
+    for c, want in (([1.0, 0.0, 0.0, 0.0], [0.0, 1.0]),
+                    ([0.0, 1.0, 0.0, 0.0], [1.0, 0.0])):
+        x, _, basis, _ = run_engine(c, A, b, [1, 3], fixed=[2, 3])
+        assert x[:2] == pytest.approx(want, abs=1e-12)
+        assert x[2:].tolist() == [0.0, 0.0]
+        assert 3 in basis
 
 
 def test_simplex_cycle_guard():
-    lp = LinearProgram(c=[1.0, 1.0], A=[[1.0, 2.0]], b=[3.0],
-                       names=("x", "y"))
-    with pytest.raises(CycleGuardTripped):
-        simplex_solve(lp, max_pivots=0)
+    with pytest.raises(CycleGuardTripped, match=r"^exceeded 0 pivots$"):
+        run_engine([1.0, 1.0], [[1.0, 2.0]], [3.0], [0], max_pivots=0)
 
 
 # ---- the sparse simplex engine ----
@@ -255,7 +225,7 @@ def test_update_inverse_matches_dense_form(monkeypatch):
 
 def test_invert_matches_linalg_inv():
     setup = qarylp.lp._ExactSetup(ldpc80_z4(), 4096)
-    B0 = setup.columns(setup.crash_words)[:, setup.n_ind:]
+    B0 = qarylp.lp._dense(*setup.crash_store, setup.n_rows)[:, setup.n_ind:]
     assert np.abs(setup.crash_binv - np.linalg.inv(B0)).max() < 1e-12
     rng = np.random.default_rng(5)
     for m in (5, 30, 80):
@@ -271,10 +241,10 @@ def test_invert_matches_linalg_inv():
         A[:, basis] = M[:, rng.permutation(m)]
         spare = np.setdiff1d(np.arange(n), basis)
         A[:, spare] = rng.normal(size=(m, len(spare)))
-        binv = qarylp.lp._invert(qarylp.lp._column_store(A), basis, m)
+        binv = qarylp.lp._invert(padded_store(A), basis, m)
         assert np.abs(binv - np.linalg.inv(A[:, basis])).max() < 1e-12
     singular = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1.0, 2.0, 1.0]])
-    cols = qarylp.lp._column_store(singular)
+    cols = padded_store(singular)
     for basis in ([0, 1, 2], [0, 2, 1]):
         with pytest.raises(ValueError, match="singular"):
             qarylp.lp._invert(cols, basis, 3)
@@ -317,9 +287,10 @@ def test_gather_pricing_matches_dense(monkeypatch):
 def test_exact_decode_matches_highs_on_ldpc80():
     optimize = pytest.importorskip("scipy.optimize")
     code = ldpc80_z4()
+    A = None
     for lam in ldpc80_frames(8, seed=8):
-        lp = build_decoding_lp(code, lam)
-        ref = optimize.linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None),
+        c, A, b = decoding_lp(code, lam, A)
+        ref = optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None),
                                method="highs")
         assert ref.status == 0
         out = lp_decode_exact(code, lam)
@@ -330,45 +301,49 @@ def test_exact_decode_matches_highs_on_ldpc80():
 
 
 def test_decoding_lp_single_check_counts():
-    code = single_check_code()
-    lp = build_decoding_lp(code, np.zeros((2, 3)))
+    setup = qarylp.lp._ExactSetup(single_check_code(), 4096)
+    A = full_columns(setup)
     # 6 indicator columns + 4 local words; 6 coupling rows + 1 normalization
-    assert lp.A.shape == (7, 10)
-    assert lp.names[:6] == (
-        "ind_0_1", "ind_0_2", "ind_0_3", "ind_1_1", "ind_1_2", "ind_1_3",
-    )
-    assert all(name.startswith("w_0_") for name in lp.names[6:])
+    assert A.shape == (7, 10)
+    assert setup.n_ind == 6
     # each coupling row ties one indicator (+1) to exactly one local word
     for r in range(6):
-        row = lp.A[r]
+        row = A[r]
         assert row[r] == 1.0
         assert np.count_nonzero(row[6:]) == 1
-        assert lp.b[r] == 0.0
-    assert np.all(lp.A[6, 6:] == 1.0) and lp.b[6] == 1.0
+        assert setup.b[r] == 0.0
+    assert np.all(A[6, 6:] == 1.0) and setup.b[6] == 1.0
 
 
 def test_decoding_lp_ldpc80_counts():
-    lp = build_decoding_lp(ldpc80_z4(), np.zeros((80, 3)))
-    assert lp.A.shape == (512, 8432)
+    setup = qarylp.lp._ExactSetup(ldpc80_z4(), 4096)
+    assert full_columns(setup).shape == (512, 8432)
 
 
-def test_decoding_lp_cost_layout():
+def test_decoding_lp_cost_layout(monkeypatch):
+    # every master costs the indicators by llr, position-major then symbol,
+    # and the local words at zero
     code = single_check_code()
     lam = np.arange(6, dtype=np.float64).reshape(2, 3) - 2.5
-    lp = build_decoding_lp(code, lam)
-    assert np.array_equal(lp.c[:6], lam.ravel())
-    assert np.all(lp.c[6:] == 0.0)
+    costs = []
+    engine = qarylp.lp._revised_phase2
+
+    def capture(cols, b, c, *args, **kwargs):
+        costs.append(c.copy())
+        return engine(cols, b, c, *args, **kwargs)
+
+    monkeypatch.setattr(qarylp.lp, "_revised_phase2", capture)
+    lp_decode_exact(code, lam)
+    assert costs
+    for c in costs:
+        assert np.array_equal(c[:6], lam.ravel())
+        assert np.all(c[6:] == 0.0)
 
 
 def test_decoding_lp_budget():
-    code = single_check_code()
     with pytest.raises(BudgetExceeded):
-        build_decoding_lp(code, np.zeros((2, 3)), codebook_budget=3)
-
-
-def test_decoding_lp_llr_shape():
-    with pytest.raises(ValueError):
-        build_decoding_lp(single_check_code(), np.zeros((2, 4)))
+        lp_decode_exact(single_check_code(), np.zeros((2, 3)),
+                        codebook_budget=3)
 
 
 def test_decoding_lp_matches_entrywise_build():
@@ -377,8 +352,8 @@ def test_decoding_lp_matches_entrywise_build():
                                  rng=np.random.default_rng(4),
                                  unit_entries=False)]
     for code in codes:
-        lp = build_decoding_lp(code, np.ones((code.n, code.q - 1)))
-        assert np.array_equal(lp.A, decoding_lp_columns(code))
+        setup = qarylp.lp._ExactSetup(code, 4096)
+        assert np.array_equal(full_columns(setup), decoding_lp_columns(code))
 
 
 def test_crash_words_match_rank_greedy():
@@ -486,6 +461,62 @@ def test_exact_decode_cycle_guard_names_callers_budget():
         lp_decode_exact(ldpc80_z4(), lam, max_pivots=150)
 
 
+def test_exact_decode_uncovered_variables_match_ml():
+    # a variable that no check covers is decided by its cheapest symbol
+    # outside the master, where its negative llr would be an unbounded ray
+    codes = [TannerCode(q=4, n=3, rows=(((0, 1), (1, 1)),)),
+             TannerCode(q=4, n=6, rows=(((0, 1), (1, 2), (3, 1)),
+                                        ((1, 1), (3, 3), (4, 1))))]
+    lam = np.ones((3, 3))
+    lam[2] = [-1.0, 2.0, 1.0]
+    out = lp_decode_exact(codes[0], lam)
+    assert out.status is Status.CODEWORD_FOUND
+    assert np.array_equal(out.symbols, [0, 0, 1])
+    assert out.dual_objective_trace[0] == -1.0
+    rng = np.random.default_rng(17)
+    for code in codes:
+        uncovered = qarylp.lp._ExactSetup(code, 4096).uncovered
+        assert uncovered.size > 0
+        integral = 0
+        for _ in range(30):
+            lam = rng.normal(size=(code.n, code.q - 1))
+            out = lp_decode_exact(code, lam)
+            best = ml_bruteforce(code, lam)
+            assert np.array_equal(out.symbols[uncovered], best[uncovered])
+            if out.status is Status.CODEWORD_FOUND:
+                integral += 1
+                assert np.array_equal(out.symbols, best)
+                assert out.dual_objective_trace[0] == pytest.approx(
+                    word_cost(lam, best), abs=1e-8)
+            else:
+                assert out.dual_objective_trace[0] < word_cost(lam, best) + 1e-9
+        assert integral > 0
+
+
+def test_exact_decode_unperturbed_rerun(monkeypatch):
+    # when the perturbed optimal basis is infeasible for the true rhs,
+    # column generation re-runs unperturbed from the crash vertex; forcing
+    # that branch must not move the optimum or the symbols
+    code = ldpc80_z4()
+    frames = ldpc80_frames(3, seed=8)
+    want = [lp_decode_exact(code, lam) for lam in frames]
+    monkeypatch.setattr(qarylp.lp, "_FEAS_TOL", -1.0)
+    for lam, base in zip(frames, want):
+        out = lp_decode_exact(code, lam)
+        assert out.iterations_used > base.iterations_used
+        assert out.dual_objective_trace[0] == pytest.approx(
+            base.dual_objective_trace[0], abs=1e-9)
+        assert np.array_equal(out.symbols, base.symbols)
+        assert out.status is base.status
+
+
+def test_exact_decode_round_guard(monkeypatch):
+    monkeypatch.setattr(qarylp.lp, "_MAX_CG_ROUNDS", 1)
+    with pytest.raises(CycleGuardTripped,
+                       match="did not settle in 1 rounds"):
+        lp_decode_exact(ldpc80_z4(), ldpc80_frames(1, seed=8)[0])
+
+
 def test_exact_decode_codeword_translation_symmetry():
     # under PSK the decoding LP is symmetric in the transmitted codeword:
     # rotating the received noise onto codeword c translates the decision
@@ -524,8 +555,8 @@ def test_exact_decode_non_unit_z8_matches_highs():
     lam = np.random.default_rng(1).normal(size=(8, 7)) * 1.5
     assert any(qarylp.lp._ExactSetup(code, 4096).crash_units)
     out = lp_decode_exact(code, lam, max_pivots=20_000)
-    lp = build_decoding_lp(code, lam)
-    ref = optimize.linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None),
+    c, A, b = decoding_lp(code, lam)
+    ref = optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None),
                            method="highs")
     assert ref.status == 0
     assert out.dual_objective_trace[0] == pytest.approx(ref.fun, abs=1e-7)
@@ -568,8 +599,9 @@ def test_exact_decode_permutation_equivariance():
 
 
 def test_exact_decode_llr_shape():
-    with pytest.raises(ValueError):
-        lp_decode_exact(single_check_code(), np.zeros((3, 3)))
+    for shape in ((3, 3), (2, 4)):
+        with pytest.raises(ValueError):
+            lp_decode_exact(single_check_code(), np.zeros(shape))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -580,8 +612,6 @@ def test_lp_paths_refuse_non_finite_llr(bad):
     start = time.perf_counter()
     with pytest.raises(NonFiniteLLR, match=r"llr\[5, 1\]"):
         lp_decode_exact(code, llr)
-    with pytest.raises(NonFiniteLLR):
-        build_decoding_lp(code, llr)
     tiny = np.array([[1.0, bad, 3.0], [0.5, 0.5, 0.5]])
     with pytest.raises(NonFiniteLLR):
         ml_bruteforce(single_check_code(), tiny)
@@ -712,6 +742,7 @@ def test_ml_bruteforce_too_large():
 def test_exact_decode_agrees_with_reference_solver():
     # column generation must reproduce the optimum of the full LP, also on
     # non-unit codes, whose crash bases need unit columns
+    optimize = pytest.importorskip("scipy.optimize")
     codes = [random_regular_code(n=12, m=6, row_degree=3, q=4,
                                  rng=np.random.default_rng(9)),
              random_regular_code(n=6, m=3, row_degree=3, q=4,
@@ -722,45 +753,16 @@ def test_exact_decode_agrees_with_reference_solver():
                                  unit_entries=False)]
     for code in codes:
         rng = np.random.default_rng(55)
+        A = None
         for _ in range(10):
             lam = rng.normal(size=(code.n, code.q - 1)) * 1.5
             out = lp_decode_exact(code, lam)
-            ref = simplex_solve(build_decoding_lp(code, lam),
-                                pivot_rule="dantzig_bland")
-            assert ref.status is SolveStatus.OPTIMAL
-            assert out.dual_objective_trace[0] == pytest.approx(ref.value,
+            c, A, b = decoding_lp(code, lam, A)
+            ref = optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None),
+                                   method="highs")
+            assert ref.status == 0
+            assert out.dual_objective_trace[0] == pytest.approx(ref.fun,
                                                                 abs=1e-7)
-
-
-def test_simplex_matches_highs():
-    optimize = pytest.importorskip("scipy.optimize")
-    rng = np.random.default_rng(31)
-    lps = []
-    for _ in range(20):
-        n = int(rng.integers(4, 10))
-        k = int(rng.integers(1, min(3, n - 1) + 1))
-        A1 = rng.normal(size=(k, n))
-        x0 = rng.uniform(0.0, 2.0, size=n)
-        b1 = A1 @ x0
-        # a coordinate-sum row bounds the set; the last row repeats the first
-        A = np.vstack([A1, np.ones(n), A1[:1]])
-        b = np.concatenate([b1, [x0.sum()], b1[:1]])
-        lps.append(LinearProgram(c=rng.normal(size=n), A=A, b=b,
-                                 names=tuple(f"x{t}" for t in range(n))))
-    for unit in (True, False):
-        code = random_regular_code(n=8, m=4, row_degree=3, q=4,
-                                   rng=np.random.default_rng(13),
-                                   unit_entries=unit)
-        lps.extend(build_decoding_lp(code, rng.normal(size=(8, 3)))
-                   for _ in range(3))
-    for lp in lps:
-        ref = optimize.linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None),
-                               method="highs")
-        assert ref.status == 0
-        for rule in ("bland", "dantzig_bland"):
-            res = simplex_solve(lp, pivot_rule=rule)
-            assert res.status is SolveStatus.OPTIMAL
-            assert res.value == pytest.approx(ref.fun, abs=1e-7)
 
 
 # ---- weak duality against the iterative decoder ----
@@ -772,14 +774,14 @@ def test_weak_duality_bounds_lp_value():
                                rng=np.random.default_rng(9))
     for kappa in (1.0, 100.0):
         lam = rng.normal(size=(12, 3)) * 2.0
-        lp = build_decoding_lp(code, lam)
-        res = simplex_solve(lp, pivot_rule="dantzig_bland")
-        assert res.status is SolveStatus.OPTIMAL
+        # the same code's optimum is pinned to HiGHS in
+        # test_exact_decode_agrees_with_reference_solver
+        value = lp_decode_exact(code, lam).dual_objective_trace[0]
         config = DecoderConfig(kappa=kappa)
         state = init_state(code, lam, config)
-        assert dual_objective(state) <= res.value + 1e-6
+        assert dual_objective(state) <= value + 1e-6
         for _ in range(3):
             for i, j in code.edges:
                 update_edge_soft(state, i, j)
-                assert dual_objective(state) <= res.value + 1e-6
+                assert dual_objective(state) <= value + 1e-6
 
