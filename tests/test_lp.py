@@ -340,6 +340,11 @@ def test_decoding_lp_cost_layout(monkeypatch):
         assert np.all(c[6:] == 0.0)
 
 
+def test_decoding_lp_llr_shape():
+    with pytest.raises(ValueError):
+        lp_decode_exact(single_check_code(), np.zeros((2, 4)))
+
+
 def test_decoding_lp_budget():
     with pytest.raises(BudgetExceeded):
         lp_decode_exact(single_check_code(), np.zeros((2, 3)),
@@ -599,9 +604,8 @@ def test_exact_decode_permutation_equivariance():
 
 
 def test_exact_decode_llr_shape():
-    for shape in ((3, 3), (2, 4)):
-        with pytest.raises(ValueError):
-            lp_decode_exact(single_check_code(), np.zeros(shape))
+    with pytest.raises(ValueError):
+        lp_decode_exact(single_check_code(), np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
