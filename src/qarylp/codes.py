@@ -145,8 +145,9 @@ class TannerCode:
     """A parity-check matrix over Z_q as a Tanner graph.
 
     rows[j] lists the (column, value) pairs of check j, columns 0-based and
-    sorted ascending, values in 1..q-1.  Every check must touch at least two
-    columns: a degree-1 check pins a single symbol and is rejected.
+    sorted ascending, values in 1..q-1.  There must be at least one check,
+    and every check must touch at least two columns: a degree-1 check pins
+    a single symbol and is rejected.
     """
 
     q: int
@@ -164,6 +165,8 @@ class TannerCode:
             raise ValueError(f"q must be >= 2, got {self.q}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if not self.rows:
+            raise ValueError("m must be >= 1, got 0")
         norm = []
         for j, row in enumerate(self.rows):
             pairs = sorted((int(i), int(v)) for i, v in row)

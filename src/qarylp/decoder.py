@@ -15,11 +15,11 @@ update with hard minima: still locally maximal, but without the monotone
 guarantee.  decode() tightens every potential once per sweep, after the
 last edge update: phi_i depends only on its variable's node_sum and theta_j
 only on its check's messages, so this equals tightening them after every
-edge, which the public per-edge functions still do.  Decisions score each
-variable's constant words by the channel cost minus the sum of edge
-messages and pick the strictly cheapest word, the zero word costing 0; ties
-at the minimum erase the symbol (or, strictly below zero, surface
-MalformedDecision).  No local codebook is enumerated: each check is a
+edge, which the per-edge path update_edge_soft/update_edge_hard still
+does.  Decisions score each variable's constant words by the channel cost
+minus the sum of edge messages and pick the strictly cheapest word, the
+zero word costing 0; ties at the minimum erase the symbol (or, strictly
+below zero, surface MalformedDecision).  No local codebook is enumerated: each check is a
 trellis over its q partial syndromes (see _CodeCache), and theta_j and an
 edge's bucket soft minima come from prefix and suffix soft minima, O(d q^2)
 terms per degree-d check for theta and O(q^3) per edge update.  A symbol
@@ -35,8 +35,8 @@ check's own visit) and the node_sum rows of its own variables; a
 variable's checks lie in strictly increasing levels, so those rows have
 received exactly the writes, in the same order, that check-major order
 would have made.  Every kernel operation is elementwise or row by row,
-so the level sweep is bit-identical to the edge-by-edge public path,
-which runs the same kernel on one check.
+so the level sweep is bit-identical to the edge-by-edge path of
+update_edge_soft/update_edge_hard, which runs the same kernel on one check.
 """
 
 from __future__ import annotations
@@ -345,9 +345,10 @@ class DualState:
     chan[i] = -llr[i] is the fixed channel slot of variable i.  node_sum
     caches chan[i] plus the sum of messages on the variable's edges, kept
     up to date by every message write.  Nothing is cached per check: its
-    values are trellis soft minima of its current messages.  phi and theta
-    are tightened after each call of set_message or a public edge update,
-    and by decode() once per sweep.
+    values are trellis soft minima of its current messages.  phi_i and
+    theta_j are tightened after each update_edge_soft/update_edge_hard
+    call on edge (i, j), and every phi and theta by decode() once per
+    sweep.
     """
 
     code: TannerCode
@@ -424,15 +425,6 @@ def _edge_potentials(state: DualState, i: int, j: int):
             _suffix_arrays(state, [j])[0, 0, 0])
 
 
-def set_message(state: DualState, i: int, j: int, values) -> None:
-    """Assign the message on edge (i, j), keeping all caches consistent."""
-    e = state.cache.edge_index[(i, j)]
-    new = np.asarray(values, dtype=np.float64)
-    state.node_sum[i] += new - state.messages[e]
-    state.messages[e] = new
-    update_phi_theta(state, i, j)
-
-
 def _message_sums(state: DualState) -> np.ndarray:
     # per-variable sums of edge messages, shape (n, q-1), added in edge
     # order; padding slots read a row of -0.0, which changes no sum
@@ -491,54 +483,6 @@ def _slot_ext(state: DualState, j: int, t: int) -> np.ndarray:
     return _visit_checks(state, plan, _suffix_arrays(state, [j]), stop=t)[0]
 
 
-# ---- instrumentation terms ----
-
-
-def compute_v_terms(state: DualState, i: int, j: int, alpha: int):
-    """Variable-side exclusion scores for edge (i, j) and symbol alpha.
-
-    V_bar negates the soft minimum over constant local words whose slot for
-    check j differs from alpha (full scores, channel slot included); V_eq
-    negates the score of the constant-alpha word with the check-j slot left
-    out.  Returns (V_bar, V_eq).
-    """
-    e = state.cache.edge_index[(i, j)]
-    scores = np.concatenate(([0.0], -state.node_sum[i]))
-    keep = np.arange(state.code.q) != alpha
-    v_bar = -soft_min(scores[keep], state.kappa)
-    v_eq = state.node_sum[i, alpha - 1] - state.messages[e, alpha - 1]
-    return v_bar, v_eq
-
-
-def compute_c_terms(state: DualState, j: int, i: int, alpha: int):
-    """Check-side exclusion scores for edge (i, j) and symbol alpha.
-
-    C_bar negates the soft minimum over local codewords of check j whose
-    slot for variable i differs from alpha; C_eq negates the soft minimum
-    over words with that slot equal to alpha, scored with variable i's
-    position excluded.  Returns (C_bar, C_eq).
-    """
-    e = state.cache.edge_index[(i, j)]
-    ext = _slot_ext(state, j, int(state.cache.edge_slot[e]))
-    # bucket(b) = w(b) + ext(b) covers the words with b in variable i's slot
-    bucket = np.concatenate(([0.0], state.messages[e])) + ext
-    c_bar = -soft_min(bucket[np.arange(state.code.q) != alpha], state.kappa)
-    # C_eq = w(alpha) - bucket(alpha): the alpha bucket without that slot
-    return c_bar, -ext[alpha]
-
-
-def local_function(state: DualState, i: int, j: int) -> float:
-    """Edge-local part of the dual objective: both potentials recomputed."""
-    phi, theta = _edge_potentials(state, i, j)
-    return float(phi + theta)
-
-
-def update_phi_theta(state: DualState, i: int, j: int) -> DualState:
-    """Tighten phi_i and theta_j to their current soft-minimum bounds."""
-    state.phi[i], state.theta[j] = _edge_potentials(state, i, j)
-    return state
-
-
 def dual_objective(state: DualState) -> float:
     """sum_i phi_i + sum_j theta_j."""
     return float(state.phi.sum() + state.theta.sum())
@@ -573,7 +517,7 @@ def _update_edge(state: DualState, i: int, j: int) -> None:
     e = state.cache.edge_index[(i, j)]
     ext = _slot_ext(state, j, int(state.cache.edge_slot[e]))
     _maximize_edges(state, [e], [i], ext[None])
-    update_phi_theta(state, i, j)
+    state.phi[i], state.theta[j] = _edge_potentials(state, i, j)
 
 
 def update_edge_soft(state: DualState, i: int, j: int) -> DualState:
@@ -622,24 +566,6 @@ def _decide_symbols(state: DualState) -> np.ndarray:
             f"decision (scores {scores[i].tolist()})"
         )
     return np.where(tie, ERASED, order[:, 0])
-
-
-def decide(state: DualState) -> DecodeOutcome:
-    """Read the current decision: cheapest repetition word per variable.
-
-    A variable's slot scores are llr minus the sums of its edge messages,
-    so the channel slot participates alongside the check slots, and the
-    score of the constant word repeating alpha is exactly the term whose
-    minimum over words defines phi_i.  The strictly cheapest word (the
-    zero word costs 0) selects the symbol.  A tie within
-    _DECISION_ZERO_TOL at a nonnegative minimum erases the symbol; a tie
-    strictly below zero means several nonzero symbols claim the variable
-    at once and raises MalformedDecision.
-    """
-    symbols = _decide_symbols(state)
-    found = not np.any(symbols == ERASED) and state.code.is_codeword(symbols)
-    status = Status.CODEWORD_FOUND if found else Status.MAX_ITERATIONS
-    return DecodeOutcome(symbols, status, 0, (dual_objective(state),))
 
 
 def decode(code: TannerCode, llr, config: DecoderConfig) -> DecodeOutcome:

@@ -251,16 +251,6 @@ def _codebooks(code: TannerCode) -> tuple:
     return tuple(enumerate_spc(code, j) for j in range(code.m))
 
 
-def _books(code: TannerCode, budget: int) -> tuple:
-    for j, row in enumerate(code.rows):
-        size = code.q ** (len(row) - 1)
-        if size > budget:
-            raise BudgetExceeded(
-                f"check {j}: codebook bound {size} exceeds budget {budget}"
-            )
-    return _codebooks(code)
-
-
 def _crash_words(setup):
     """Per-check words and unit columns that form a feasible zero-vertex basis.
 
@@ -309,11 +299,18 @@ class _ExactSetup:
     width slots each; padding points at row n_rows.  crash_store holds the
     indicators, every check's crash words, then the unit columns (see
     _crash_words), which crash_fixed marks.  uncovered lists the variables
-    that no check covers, whose indicator columns touch no row.
+    that no check covers, whose indicator columns touch no row.  A check
+    whose codebook bound q^(d-1) exceeds _CODEBOOK_BUDGET words raises
+    BudgetExceeded.
     """
 
-    def __init__(self, code: TannerCode, budget: int):
-        self.books = _books(code, budget)
+    def __init__(self, code: TannerCode):
+        for j, row in enumerate(code.rows):
+            size = code.q ** (len(row) - 1)
+            if size > _CODEBOOK_BUDGET:
+                raise BudgetExceeded(f"check {j}: codebook bound {size} "
+                                     f"exceeds budget {_CODEBOOK_BUDGET}")
+        self.books = _codebooks(code)
         q = self.q = code.q
         self.n_ind = code.n * (q - 1)
         self.n_coupling = sum(len(row) * (q - 1) for row in code.rows)
@@ -403,17 +400,22 @@ class _ExactSetup:
 
 
 @lru_cache(maxsize=4)
-def _exact_setup(code: TannerCode, budget: int) -> _ExactSetup:
-    return _ExactSetup(code, budget)
+def _exact_setup(code: TannerCode) -> _ExactSetup:
+    return _ExactSetup(code)
 
 
-# column-generation safety valves for the exact decoder
+# safety valves of the exact decoder, read when used rather than bound as
+# defaults: no check may have more local words than _CODEBOOK_BUDGET, no
+# decode may take more than _MAX_PIVOTS pivots, and column generation
+# stops after _MAX_CG_ROUNDS rounds
+_CODEBOOK_BUDGET = 4096
+_MAX_PIVOTS = 200_000
 _MAX_CG_ROUNDS = 400
 _CG_ADDS_PER_CHECK = 25
 _PRICING_TOL = 1e-9
 
 
-def _column_generation(setup: _ExactSetup, c_ind, max_pivots):
+def _column_generation(setup: _ExactSetup, c_ind):
     """Exact LP optimum via restricted masters over growing word sets.
 
     Each round solves the decoding LP restricted to the working local words,
@@ -423,7 +425,8 @@ def _column_generation(setup: _ExactSetup, c_ind, max_pivots):
     master, so every earlier column keeps its place and the basis and its
     inverse carry over to the next round unchanged.  A round with none
     certifies the restricted optimum as the optimum of the full LP (the
-    crash basis's unit columns stay in the master, fixed at zero).  Returns
+    crash basis's unit columns stay in the master, fixed at zero).  More
+    than _MAX_PIVOTS pivots in all raise CycleGuardTripped.  Returns
     (indicator part of x, value, total pivots).
     """
     q = setup.q
@@ -439,7 +442,7 @@ def _column_generation(setup: _ExactSetup, c_ind, max_pivots):
     total_pivots = 0
     for _ in range(_MAX_CG_ROUNDS):
         x, pivots, basis, binv = _revised_phase2(
-            (rows, signs), b, c, basis, binv, max_pivots, fixed,
+            (rows, signs), b, c, basis, binv, _MAX_PIVOTS, fixed,
             spent=total_pivots,
         )
         total_pivots += pivots
@@ -489,27 +492,23 @@ def _column_generation(setup: _ExactSetup, c_ind, max_pivots):
     )
 
 
-def lp_decode_exact(
-    code: TannerCode,
-    llr,
-    codebook_budget: int = 4096,
-    max_pivots: int = 200_000,
-) -> DecodeOutcome:
+def lp_decode_exact(code: TannerCode, llr) -> DecodeOutcome:
     """Solve the decoding LP exactly and read off the optimum.
 
-    A check whose codebook bound q^(d-1) exceeds codebook_budget raises
-    BudgetExceeded, and more than max_pivots simplex pivots in all raise
-    CycleGuardTripped.  An integral optimum (every indicator within 1e-6 of
-    0 or 1, row sums at most 1) decodes to a codeword with CODEWORD_FOUND.
-    A fractional optimum is a decoding failure: fractional positions are
-    ERASED and the status is MAX_ITERATIONS.  iterations_used reports
-    simplex pivots and the objective trace holds the optimal value.  A
-    variable that no check covers takes its cheapest symbol, 0 when no llr
-    of it is negative.  LLRs of the wrong shape or with a non-finite entry
-    are refused (see validate_llr).
+    A check whose codebook bound q^(d-1) exceeds _CODEBOOK_BUDGET (4096)
+    words raises BudgetExceeded, and more than _MAX_PIVOTS (200 000)
+    simplex pivots in all raise CycleGuardTripped.  An integral optimum
+    (every indicator within 1e-6 of 0 or 1, row sums at most 1) decodes to
+    a codeword with CODEWORD_FOUND.  A fractional optimum is a decoding
+    failure: fractional positions are ERASED and the status is
+    MAX_ITERATIONS.  iterations_used reports simplex pivots and the
+    objective trace holds the optimal value.  A variable that no check
+    covers takes its cheapest symbol, 0 when no llr of it is negative.
+    LLRs of the wrong shape or with a non-finite entry are refused (see
+    validate_llr).
     """
     lam = validate_llr(code, llr)
-    setup = _exact_setup(code, codebook_budget)
+    setup = _exact_setup(code)
     # an uncovered variable's indicators touch no row, so a negative llr
     # would price them in along an unbounded ray; alone they form the
     # simplex {f >= 0, sum f <= 1}, whose optimum is decided here, and the
@@ -517,7 +516,7 @@ def lp_decode_exact(
     free = setup.uncovered
     cost = lam.copy()
     cost[free] = 0.0
-    f_flat, value, pivots = _column_generation(setup, cost.ravel(), max_pivots)
+    f_flat, value, pivots = _column_generation(setup, cost.ravel())
     f = f_flat.reshape(code.n, code.q - 1)
     if free.size:
         best = lam[free].argmin(axis=1)

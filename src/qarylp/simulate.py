@@ -146,7 +146,8 @@ class _FrameContext:
     decoder_config: DecoderConfig = field(init=False)
 
     def __post_init__(self):
-        kappa = math.inf if self.decoder == "hard" else self.kappa
+        # only the soft decoder smooths; SimConfig checks kappa for it alone
+        kappa = self.kappa if self.decoder == "soft" else math.inf
         self.decoder_config = DecoderConfig(
             max_iterations=self.max_iterations, kappa=kappa,
         )

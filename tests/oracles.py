@@ -2,7 +2,10 @@
 
 Everything here trades speed for obviousness: exhaustive enumeration,
 Smith normal forms, finite differences, scalar golden-section search, and
-edge-by-edge and loop forms of the decoder's sweep and bookkeeping.
+edge-by-edge and loop forms of the decoder's sweep and bookkeeping.  The
+per-edge instrumentation (set_message, update_phi_theta, the exclusion
+terms, local_function and decide) runs the decoder's own kernel on one
+edge or one state, so the tests that use it still exercise that kernel.
 Production modules must never import from this file.
 """
 
@@ -191,6 +194,78 @@ def codewords_vectorized(code, chunk=1 << 20):
     return np.concatenate(out)
 
 
+def set_message(state: D.DualState, i: int, j: int, values) -> None:
+    """Assign the message on edge (i, j), keeping all caches consistent."""
+    e = state.cache.edge_index[(i, j)]
+    new = np.asarray(values, dtype=np.float64)
+    state.node_sum[i] += new - state.messages[e]
+    state.messages[e] = new
+    update_phi_theta(state, i, j)
+
+
+def compute_v_terms(state: D.DualState, i: int, j: int, alpha: int):
+    """Variable-side exclusion scores for edge (i, j) and symbol alpha.
+
+    V_bar negates the soft minimum over constant local words whose slot for
+    check j differs from alpha (full scores, channel slot included); V_eq
+    negates the score of the constant-alpha word with the check-j slot left
+    out.  Returns (V_bar, V_eq).
+    """
+    e = state.cache.edge_index[(i, j)]
+    scores = np.concatenate(([0.0], -state.node_sum[i]))
+    keep = np.arange(state.code.q) != alpha
+    v_bar = -D.soft_min(scores[keep], state.kappa)
+    v_eq = state.node_sum[i, alpha - 1] - state.messages[e, alpha - 1]
+    return v_bar, v_eq
+
+
+def compute_c_terms(state: D.DualState, j: int, i: int, alpha: int):
+    """Check-side exclusion scores for edge (i, j) and symbol alpha.
+
+    C_bar negates the soft minimum over local codewords of check j whose
+    slot for variable i differs from alpha; C_eq negates the soft minimum
+    over words with that slot equal to alpha, scored with variable i's
+    position excluded.  Returns (C_bar, C_eq).
+    """
+    e = state.cache.edge_index[(i, j)]
+    ext = D._slot_ext(state, j, int(state.cache.edge_slot[e]))
+    # bucket(b) = w(b) + ext(b) covers the words with b in variable i's slot
+    bucket = np.concatenate(([0.0], state.messages[e])) + ext
+    c_bar = -D.soft_min(bucket[np.arange(state.code.q) != alpha], state.kappa)
+    # C_eq = w(alpha) - bucket(alpha): the alpha bucket without that slot
+    return c_bar, -ext[alpha]
+
+
+def local_function(state: D.DualState, i: int, j: int) -> float:
+    """Edge-local part of the dual objective: both potentials recomputed."""
+    phi, theta = D._edge_potentials(state, i, j)
+    return float(phi + theta)
+
+
+def update_phi_theta(state: D.DualState, i: int, j: int) -> D.DualState:
+    """Tighten phi_i and theta_j to their current soft-minimum bounds."""
+    state.phi[i], state.theta[j] = D._edge_potentials(state, i, j)
+    return state
+
+
+def decide(state: D.DualState) -> D.DecodeOutcome:
+    """Read the current decision: cheapest repetition word per variable.
+
+    A variable's slot scores are llr minus the sums of its edge messages,
+    so the channel slot participates alongside the check slots, and the
+    score of the constant word repeating alpha is exactly the term whose
+    minimum over words defines phi_i.  The strictly cheapest word (the
+    zero word costs 0) selects the symbol.  A tie within
+    _DECISION_ZERO_TOL at a nonnegative minimum erases the symbol; a tie
+    strictly below zero means several nonzero symbols claim the variable
+    at once and raises MalformedDecision.
+    """
+    symbols = D._decide_symbols(state)
+    found = not np.any(symbols == D.ERASED) and state.code.is_codeword(symbols)
+    status = D.Status.CODEWORD_FOUND if found else D.Status.MAX_ITERATIONS
+    return D.DecodeOutcome(symbols, status, 0, (D.dual_objective(state),))
+
+
 def decode_reference(code, llr, config):
     """decode() spelled out through the public per-edge path.
 
@@ -210,7 +285,7 @@ def decode_reference(code, llr, config):
             update(state, i, j)
         trace.append(D.dual_objective(state))
         try:
-            outcome = D.decide(state)
+            outcome = decide(state)
         except D.MalformedDecision:
             malformed += 1
             outcome = None
@@ -219,7 +294,7 @@ def decode_reference(code, llr, config):
             return D.DecodeOutcome(outcome.symbols, outcome.status, iteration,
                                    tuple(trace), malformed)
     if outcome is None:
-        D.decide(state)
+        decide(state)
     return D.DecodeOutcome(outcome.symbols, D.Status.MAX_ITERATIONS,
                            config.max_iterations, tuple(trace), malformed)
 

@@ -48,8 +48,6 @@ from qarylp.codes import TannerCode
 from qarylp.decoder import (
     dual_objective,
     init_state,
-    local_function,
-    set_message,
     update_edge_soft,
 )
 
@@ -57,6 +55,8 @@ from oracles import (
     central_difference_gradient,
     codewords_vectorized,
     coordinate_grid_max,
+    local_function,
+    set_message,
     spc_words_bruteforce,
 )
 

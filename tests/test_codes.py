@@ -125,6 +125,8 @@ def test_tanner_code_rejects_bad_rows():
         TannerCode(q=4, n=3, rows=(((0, 1), (1, 0)),))
     with pytest.raises(ValueError, match="column"):
         TannerCode(q=4, n=3, rows=(((0, 1), (3, 1)),))
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        TannerCode(q=4, n=3, rows=())
 
 
 # ---- local codebook enumeration ----

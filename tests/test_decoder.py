@@ -23,31 +23,31 @@ from qarylp.decoder import (
     MalformedDecision,
     NonFiniteLLR,
     Status,
-    compute_c_terms,
-    compute_v_terms,
-    decide,
     decode,
     dual_objective,
     init_state,
-    local_function,
-    set_message,
     soft_min,
     update_edge_hard,
     update_edge_soft,
-    update_phi_theta,
 )
 
 from oracles import (
     central_difference_gradient,
     check_edges,
+    compute_c_terms,
+    compute_v_terms,
     coordinate_grid_max,
+    decide,
     decide_symbols_loop,
     decode_reference,
+    local_function,
     local_word_scores,
     node_sum_loop,
+    set_message,
     slot_buckets_bruteforce,
     softmin_bruteforce,
     softmin_rows_loop,
+    update_phi_theta,
     variable_edges,
 )
 
@@ -924,10 +924,21 @@ def test_decode_matches_public_per_edge_path(kappa):
     assert any(math.gcd(int(h), 6) > 1 for h in np.concatenate(z6.row_vals))
     cases += [(z6, rng.normal(0.3, 1.5, size=(z6.n, z6.q - 1)))
               for _ in range(2)]
+    # no check covers variable 4, so its var_edges row is all padding and
+    # its decision is its cheapest symbol
+    uncovered = TannerCode(q=4, n=5, rows=(((0, 1), (1, 3), (2, 1)),
+                                           ((1, 1), (2, 1), (3, 3))))
+    assert not uncovered.columns[4]
+    for _ in range(3):
+        llr = rng.normal(0.3, 1.5, size=(uncovered.n, uncovered.q - 1))
+        llr[4] = -np.abs(llr[4])
+        cases.append((uncovered, llr))
     config = DecoderConfig(max_iterations=15, kappa=kappa)
     for code, llr in cases:
         got = decode(code, llr, config)
         want = decode_reference(code, llr, config)
+        if code is uncovered:
+            assert got.symbols[4] == np.argmin(llr[4]) + 1
         assert np.array_equal(got.symbols, want.symbols)
         assert got.status == want.status
         assert got.iterations_used == want.iterations_used

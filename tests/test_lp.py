@@ -224,7 +224,7 @@ def test_update_inverse_matches_dense_form(monkeypatch):
 
 
 def test_invert_matches_linalg_inv():
-    setup = qarylp.lp._ExactSetup(ldpc80_z4(), 4096)
+    setup = qarylp.lp._ExactSetup(ldpc80_z4())
     B0 = qarylp.lp._dense(*setup.crash_store, setup.n_rows)[:, setup.n_ind:]
     assert np.abs(setup.crash_binv - np.linalg.inv(B0)).max() < 1e-12
     rng = np.random.default_rng(5)
@@ -301,7 +301,7 @@ def test_exact_decode_matches_highs_on_ldpc80():
 
 
 def test_decoding_lp_single_check_counts():
-    setup = qarylp.lp._ExactSetup(single_check_code(), 4096)
+    setup = qarylp.lp._ExactSetup(single_check_code())
     A = full_columns(setup)
     # 6 indicator columns + 4 local words; 6 coupling rows + 1 normalization
     assert A.shape == (7, 10)
@@ -316,7 +316,7 @@ def test_decoding_lp_single_check_counts():
 
 
 def test_decoding_lp_ldpc80_counts():
-    setup = qarylp.lp._ExactSetup(ldpc80_z4(), 4096)
+    setup = qarylp.lp._ExactSetup(ldpc80_z4())
     assert full_columns(setup).shape == (512, 8432)
 
 
@@ -346,9 +346,11 @@ def test_decoding_lp_llr_shape():
 
 
 def test_decoding_lp_budget():
-    with pytest.raises(BudgetExceeded):
-        lp_decode_exact(single_check_code(), np.zeros((2, 3)),
-                        codebook_budget=3)
+    # one degree-8 check over Z_4 has 4^7 = 16 384 local words, above the
+    # 4096 the exact decoder enumerates
+    code = TannerCode(q=4, n=8, rows=(tuple((i, 1) for i in range(8)),))
+    with pytest.raises(BudgetExceeded, match="16384 exceeds budget 4096"):
+        lp_decode_exact(code, np.zeros((8, 3)))
 
 
 def test_decoding_lp_matches_entrywise_build():
@@ -357,7 +359,7 @@ def test_decoding_lp_matches_entrywise_build():
                                  rng=np.random.default_rng(4),
                                  unit_entries=False)]
     for code in codes:
-        setup = qarylp.lp._ExactSetup(code, 4096)
+        setup = qarylp.lp._ExactSetup(code)
         assert np.array_equal(full_columns(setup), decoding_lp_columns(code))
 
 
@@ -384,7 +386,7 @@ def test_crash_words_match_rank_greedy():
     filled = 0
     for code in codes:
         words, units = crash_words_rank_greedy(code)
-        setup = qarylp.lp._ExactSetup(code, 4096)
+        setup = qarylp.lp._ExactSetup(code)
         assert setup.crash_words == words
         assert setup.crash_units == units
         assert setup.crash_fixed.sum() == sum(map(len, units))
@@ -457,13 +459,14 @@ def test_exact_decode_noiseless_ldpc80():
     assert out.dual_objective_trace[0] == pytest.approx(0.0, abs=1e-9)
 
 
-def test_exact_decode_cycle_guard_names_callers_budget():
+def test_exact_decode_cycle_guard_names_callers_budget(monkeypatch):
     # column generation spends one budget over several masters; the guard
     # must name that budget, not what was left of it in the last round
+    monkeypatch.setattr(qarylp.lp, "_MAX_PIVOTS", 150)
     rng = np.random.default_rng(1)
     lam = np.tile([2.0, 4.0, 2.0], (80, 1)) + rng.normal(0.0, 2.5, size=(80, 3))
     with pytest.raises(CycleGuardTripped, match=r"^exceeded 150 pivots$"):
-        lp_decode_exact(ldpc80_z4(), lam, max_pivots=150)
+        lp_decode_exact(ldpc80_z4(), lam)
 
 
 def test_exact_decode_uncovered_variables_match_ml():
@@ -480,7 +483,7 @@ def test_exact_decode_uncovered_variables_match_ml():
     assert out.dual_objective_trace[0] == -1.0
     rng = np.random.default_rng(17)
     for code in codes:
-        uncovered = qarylp.lp._ExactSetup(code, 4096).uncovered
+        uncovered = qarylp.lp._ExactSetup(code).uncovered
         assert uncovered.size > 0
         integral = 0
         for _ in range(30):
@@ -549,7 +552,7 @@ def test_exact_decode_codeword_translation_symmetry():
     check()
 
 
-def test_exact_decode_non_unit_z8_matches_highs():
+def test_exact_decode_non_unit_z8_matches_highs(monkeypatch):
     # a degenerate non-unit Z_8 frame: the unperturbed full LP stalls past
     # 20 000 pivots on it, column generation from a crash basis with unit
     # columns needs about 1 300
@@ -558,8 +561,9 @@ def test_exact_decode_non_unit_z8_matches_highs():
                                rng=np.random.default_rng(301),
                                unit_entries=False)
     lam = np.random.default_rng(1).normal(size=(8, 7)) * 1.5
-    assert any(qarylp.lp._ExactSetup(code, 4096).crash_units)
-    out = lp_decode_exact(code, lam, max_pivots=20_000)
+    assert any(qarylp.lp._ExactSetup(code).crash_units)
+    monkeypatch.setattr(qarylp.lp, "_MAX_PIVOTS", 20_000)
+    out = lp_decode_exact(code, lam)
     c, A, b = decoding_lp(code, lam)
     ref = optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None),
                            method="highs")

@@ -1,6 +1,11 @@
 """The package's public surface: what `from qarylp import *` promises."""
 
+import ast
+from pathlib import Path
+
 import qarylp
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qarylp"
 
 
 def test_all_names_resolve_and_are_listed_once():
@@ -9,3 +14,24 @@ def test_all_names_resolve_and_are_listed_once():
         {n for n in names if names.count(n) > 1})
     missing = [n for n in names if not hasattr(qarylp, n)]
     assert not missing, missing
+
+
+def test_package_never_imports_the_tests():
+    # the per-edge reference path lives in tests/oracles.py; the package
+    # must decode without it
+    banned = {"oracles", "tests"}
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    offenders = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # "from . import oracles" names the module in its aliases
+                modules = [node.module or ""] + [a.name for a in node.names]
+            else:
+                continue
+            if any(set(m.split(".")) & banned for m in modules):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders

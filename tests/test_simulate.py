@@ -68,9 +68,14 @@ def test_config_coerces_ebno_to_floats():
     assert all(isinstance(e, float) for e in cfg.ebno_list)
 
 
-def test_config_hard_decoder_ignores_kappa():
+def test_config_hard_decoder_ignores_kappa(small_code_file):
     cfg = SimConfig(ebno_list=(1.0,), decoder="hard", kappa=-5.0)
     assert cfg.decoder == "hard"
+    # neither the hard nor the lp decoder builds a kappa-smoothed config
+    for decoder in ("hard", "lp"):
+        cfg = SimConfig(code=small_code_file, ebno_list=(3.0,),
+                        decoder=decoder, kappa=-5.0, max_frames=1)
+        assert run_point(cfg, 3.0).frames_run == 1
 
 
 # ---- code and codeword sources ----
