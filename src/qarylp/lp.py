@@ -17,16 +17,20 @@ checker that reports the worst violation per constraint family.
 The simplex core is a revised method that keeps only the basis inverse.
 Columns are held sparse, as padded (row ids, values) pairs: a decoding-LP
 column has at most max(d+1, d_v) nonzeros.  Pricing, the entering column's
-B^-1 a and the product-form update (on the rows where B^-1 a is nonzero)
-are gathers and ufunc sums, and the periodic refactorization replays
-product-form updates from the identity, so no BLAS or LAPACK routine runs
-and the pivot path does not depend on the thread count.  Column generation
-only appends the columns of priced-in words to its master, so one basis
-inverse is carried from round to round; the crash basis it starts from is
-inverted once per code.  Pivoting uses the Dantzig rule and falls back to
-Bland's after a degenerate stall: pure Dantzig can cycle on the degenerate
-decoding polytope, and pure Bland is far slower there.  The unit columns
-that complete a crash basis whose check's codebook columns cannot fill its
+B^-1 a, the product-form update (on the rows where B^-1 a is nonzero) and
+the update of the running duals are gathers and ufunc sums, and the
+periodic refactorization replays product-form updates from the crash
+basis's inverse, so no BLAS or LAPACK routine runs and the pivot path does
+not depend on the thread count.  Column generation only appends the
+columns of priced-in words to its master, so one basis inverse is carried
+from round to round.  The crash basis it starts from, inverted once per
+code, is the zero codeword with every covered indicator already basic:
+the indicators would otherwise cost one pivot each to bring in, and a
+refactorization replays only the basis columns the crash does not hold.
+Pivoting uses the Dantzig rule and falls back to Bland's after a
+degenerate stall: pure Dantzig can cycle on the degenerate decoding
+polytope, and pure Bland is far slower there.  The unit columns that
+complete a crash basis whose check's codebook columns cannot fill its
 block are fixed at zero, so every code decodes by column generation from
 the zero codeword.
 """
@@ -115,19 +119,26 @@ def _update_inverse(binv, d, r):
     binv[r] = row
 
 
-def _invert(cols, basis, m):
-    """Inverse of the basis columns, by product-form updates from I.
+def _invert(cols, basis, m, start=None):
+    """Inverse of the basis columns, by product-form updates.
 
-    Each basis column enters, through _update_inverse, at the row not yet
-    taken where its d is largest in magnitude (partial pivoting); the rows
-    are then put back in basis order.  Raises ValueError when a column has
-    no nonzero entry left on the free rows, that is, the basis is singular.
+    The updates run from I, or from start = (held, inverse): a basis, held[r]
+    the column of row r, and its inverse.  A basis column that start holds
+    keeps its row; every other one enters, through _update_inverse, at the
+    row not yet taken where its d is largest in magnitude (partial
+    pivoting); a column listed twice enters the second time.  The rows are
+    then put back in basis order.  Raises ValueError when a column has no
+    nonzero entry left on the free rows, that is, the basis is singular.
     """
     rows, vals = cols
-    binv = np.eye(m)
+    held, inverse = start or ((), None)
+    binv = np.eye(m) if inverse is None else inverse.copy()
+    at = {s: r for r, s in enumerate(held)}
+    order = np.array([at.pop(s, -1) for s in basis], dtype=np.intp)
     free = np.ones(m, dtype=bool)
-    order = np.empty(m, dtype=np.intp)
-    for k, s in enumerate(basis):
+    free[order[order >= 0]] = False
+    for k in np.flatnonzero(order < 0):
+        s = basis[k]
         d = _ftran(binv, rows[s], vals[s])
         mag = np.where(free, np.abs(d), -1.0)
         r = int(np.argmax(mag))
@@ -139,7 +150,8 @@ def _invert(cols, basis, m):
     return binv[order]
 
 
-def _revised_phase2(cols, b, c, basis, binv, max_pivots, fixed, spent=0):
+def _revised_phase2(cols, b, c, basis, binv, max_pivots, fixed, spent=0,
+                    start=None):
     """Simplex pivots from a feasible basis, keeping only the basis inverse.
 
     The constraint matrix is a padded column store: one line of (row ids,
@@ -147,42 +159,55 @@ def _revised_phase2(cols, b, c, basis, binv, max_pivots, fixed, spent=0):
     pointing at row len(b), the zero dual slot that _duals appends, with
     value 0.  No step calls BLAS or LAPACK, so the pivot path is the same
     whatever the thread count.  Each pivot prices every column with one
-    gather-sum over the duals (themselves a sum of the basis-inverse rows of
-    nonzero basic cost), forms the entering column's d as a signed sum of as
-    many columns of binv as it has nonzeros, and updates binv on the rows
-    where d is nonzero.  The entering column is the most negative reduced
-    cost until more than _REVISED_STALL_LIMIT consecutive degenerate pivots,
-    then the first negative one (Bland), below -_SIMPLEX_TOL either way.
-    Every _REFACTOR_EVERY-th pivot, counted from spent, rebuilds binv with
-    _invert, so a caller that carries binv from one call to the next keeps
-    one cadence.  binv is updated in place.  A column of the boolean mask
-    fixed stays at zero: it is never priced in, and while basic it blocks
-    the ratio test at ratio 0 wherever |d| > _SIMPLEX_TOL.  spent counts
-    pivots the caller made before this call; CycleGuardTripped fires once
-    spent plus this call's pivots exceed max_pivots, and an entering column
-    with no blocking row (an unbounded ray) raises RuntimeError.  Returns
-    (x, pivots, basis, binv), pivots counting this call only.
+    gather-sum over the duals, forms the entering column's d as a signed sum
+    of as many columns of binv as it has nonzeros, and updates binv on the
+    rows where d is nonzero.  The duals are running ones: _duals computes
+    them at the start and after each refactorization, and a pivot that
+    enters s at row r adds z[s] times the new row r of binv.  When they
+    price no column in, they are computed afresh and every column is priced
+    again, so drift in the running duals cannot end a call early.  The
+    entering column is the most negative reduced cost until more than
+    _REVISED_STALL_LIMIT consecutive degenerate pivots, then the first
+    negative one (Bland), below -_SIMPLEX_TOL either way.  Every
+    _REFACTOR_EVERY-th pivot, counted from spent, rebuilds binv with
+    _invert from start (see _invert; None starts from I), so a caller that
+    carries binv from one call to the next keeps one cadence.  binv is
+    updated in place.  A column of the boolean mask fixed stays at zero: it
+    is never priced in, and while basic it blocks the ratio test at ratio 0
+    wherever |d| > _SIMPLEX_TOL.  spent counts pivots the caller made
+    before this call; CycleGuardTripped fires once spent plus this call's
+    pivots exceed max_pivots, and an entering column with no blocking row
+    (an unbounded ray) raises RuntimeError.  Returns (x, pivots, basis,
+    binv), pivots counting this call only.
     """
     tol = _SIMPLEX_TOL
     rows, vals = cols
     m = len(b)
     basis = np.array(basis, dtype=np.intp)
     xb = np.clip(_matvec(binv, b), 0.0, None)
+    y = _duals(c[basis], binv)
+    # set when the running duals priced no column in and y was recomputed
+    confirmed = False
     pivots = 0
     bland = False
     stall = 0
     while True:
-        z = c - _price(_duals(c[basis], binv), cols)
+        z = c - _price(y, cols)
         z[fixed] = 0.0
         if bland:
             negative = np.flatnonzero(z < -tol)
-            if negative.size == 0:
-                break
-            s = int(negative[0])
+            s = int(negative[0]) if negative.size else -1
         else:
             s = int(np.argmin(z))
             if z[s] >= -tol:
+                s = -1
+        if s < 0:
+            if confirmed:
                 break
+            y = _duals(c[basis], binv)
+            confirmed = True
+            continue
+        confirmed = False
         d = _ftran(binv, rows[s], vals[s])
         held = fixed[basis]
         candidates = np.flatnonzero((d > tol) | (held & (d < -tol)))
@@ -204,11 +229,13 @@ def _revised_phase2(cols, b, c, basis, binv, max_pivots, fixed, spent=0):
         xb[r] = step
         np.clip(xb, 0.0, None, out=xb)
         _update_inverse(binv, d, r)
+        y[:-1] += z[s] * binv[r]
         basis[r] = s
         pivots += 1
         if (spent + pivots) % _REFACTOR_EVERY == 0:
-            binv = _invert(cols, basis, m)
+            binv = _invert(cols, basis, m, start)
             xb = np.clip(_matvec(binv, b), 0.0, None)
+            y = _duals(c[basis], binv)
         if spent + pivots > max_pivots:
             raise CycleGuardTripped(f"exceeded {max_pivots} pivots")
     x = np.zeros(len(c))
@@ -289,6 +316,37 @@ def _crash_words(setup):
     return chosen_words, chosen_units
 
 
+def _crash_basis(setup):
+    """The crash basis, as the column basic at each row, and its inverse.
+
+    The crash words and unit columns (see _crash_words) form a
+    block-diagonal basis, inverted first.  Every covered indicator then
+    enters, in column order, at the row of the latest-ordered crash column
+    still basic whose |d| exceeds _SIMPLEX_TOL, never at a zero word's row.
+    Such a row exists: covered indicators touch disjoint coupling rows and
+    zero words only normalization rows, so no indicator lies in the span
+    of the other indicators and the zero words.  Exchanging out the latest
+    column of each fundamental circuit gives the rank-greedy basis over the
+    indicators, then the crash words check by check, then the unit columns.
+    The zero words stay basic, so the basic solution is still the zero
+    codeword.
+    """
+    rows, signs = setup.crash_store
+    basis = np.arange(setup.n_ind, setup.n_ind + setup.n_rows)
+    binv = _invert(setup.crash_store, basis, setup.n_rows)
+    zero_words = np.cumsum([0] + [len(ws) for ws in setup.crash_words[:-1]])
+    open_rows = np.ones(setup.n_rows, dtype=bool)
+    open_rows[zero_words] = False
+    for k in np.flatnonzero(setup.ind_rows[:, 0] < setup.n_rows):
+        d = _ftran(binv, rows[k], signs[k])
+        hit = np.flatnonzero(open_rows & (np.abs(d) > _SIMPLEX_TOL))
+        r = int(hit[np.argmax(basis[hit])])
+        _update_inverse(binv, d, r)
+        basis[r] = k
+        open_rows[r] = False
+    return basis.tolist(), binv
+
+
 class _ExactSetup:
     """Per-code constraint system, reused across frames (only costs change).
 
@@ -298,10 +356,13 @@ class _ExactSetup:
     are kept as a padded store (see _revised_phase2) of row ids and signs,
     width slots each; padding points at row n_rows.  crash_store holds the
     indicators, every check's crash words, then the unit columns (see
-    _crash_words), which crash_fixed marks.  uncovered lists the variables
-    that no check covers, whose indicator columns touch no row.  A check
-    whose codebook bound q^(d-1) exceeds _CODEBOOK_BUDGET words raises
-    BudgetExceeded.
+    _crash_words), which crash_fixed marks.  crash_basis lists the crash
+    store column basic at each row, every covered indicator among them (see
+    _crash_basis), and crash_binv is its inverse; b_pert is the rhs b
+    perturbed so that the crash solution stays feasible.  uncovered lists
+    the variables that no check covers, whose indicator columns touch no
+    row.  A check whose codebook bound q^(d-1) exceeds _CODEBOOK_BUDGET
+    words raises BudgetExceeded.
     """
 
     def __init__(self, code: TannerCode):
@@ -348,19 +409,16 @@ class _ExactSetup:
         ))
         n_crash = self.n_ind + self.n_rows
         self.crash_fixed = np.arange(n_crash) >= n_crash - len(units)
-        # the crash columns follow the indicators, and they form a
-        # block-diagonal basis, inverted once here for every frame
-        self.crash_basis = range(self.n_ind, n_crash)
-        self.crash_binv = _invert(self.crash_store, self.crash_basis,
-                                  self.n_rows)
+        self.crash_basis, self.crash_binv = _crash_basis(self)
         # fixed rhs perturbation: breaks the heavy degeneracy of the
         # decoding polytope so the masters pivot without stalling, while
         # keeping every decode a deterministic function of the input
         u = np.random.default_rng(2_718_281).uniform(1e-7, 2e-7, self.n_rows)
-        # perturbing by B0·u keeps the crash solution feasible: its basic
-        # values move by exactly +u, and by 0 on the fixed unit columns
-        u[self.crash_fixed[self.n_ind:]] = 0.0
-        rows, signs = (a[self.n_ind:] for a in self.crash_store)
+        # perturbing by B0·u, B0 the crash basis, keeps the crash solution
+        # feasible: its basic values move by exactly +u, and by 0 on the
+        # fixed unit columns
+        u[self.crash_fixed[self.crash_basis]] = 0.0
+        rows, signs = (a[self.crash_basis] for a in self.crash_store)
         self.b_pert = self.b + np.bincount(
             rows.ravel(), (signs * u[:, None]).ravel(),
             minlength=self.n_rows + 1,
@@ -435,7 +493,9 @@ def _column_generation(setup: _ExactSetup, c_ind):
     c = np.zeros(len(rows))
     c[:setup.n_ind] = c_ind
     members = [set(ws) for ws in setup.crash_words]
-    # start at the zero-codeword vertex provided by the crash selection
+    # start at the zero-codeword vertex provided by the crash selection,
+    # and refactor from it
+    start = (setup.crash_basis, setup.crash_binv)
     basis = setup.crash_basis
     binv = setup.crash_binv.copy()
     b = setup.b_pert
@@ -443,7 +503,7 @@ def _column_generation(setup: _ExactSetup, c_ind):
     for _ in range(_MAX_CG_ROUNDS):
         x, pivots, basis, binv = _revised_phase2(
             (rows, signs), b, c, basis, binv, _MAX_PIVOTS, fixed,
-            spent=total_pivots,
+            spent=total_pivots, start=start,
         )
         total_pivots += pivots
         y = _duals(c[basis], binv)

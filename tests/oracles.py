@@ -378,6 +378,61 @@ def crash_words_rank_greedy(code):
     return words_out, units_out
 
 
+def crash_basis_rank_greedy(code):
+    """The exact LP's crash basis by a rank greedy over its columns.
+
+    Candidates, in order: the covered indicator columns, then the crash
+    words of crash_words_rank_greedy check by check, then its unit vectors,
+    each built entry by entry in the row layout of decoding_lp_columns.  A
+    candidate is taken when it raises the rank of those taken before,
+    tested by its residual after projection onto an orthonormal basis of
+    them (two Gram-Schmidt passes; one matrix_rank per candidate is far too
+    slow at a thousand rows).  Returns the taken ids in the layout of
+    _ExactSetup.crash_store: indicators, crash words, then unit columns.
+    """
+    q = code.q
+    starts = np.cumsum([0] + [len(row) * (q - 1) for row in code.rows])
+    m = int(starts[-1]) + code.m
+    words, units = crash_words_rank_greedy(code)
+    candidates = []
+    for i in range(code.n):
+        for alpha in range(1, q):
+            col = np.zeros(m)
+            for j, row in enumerate(code.rows):
+                for t, (v, _) in enumerate(row):
+                    if v == i:
+                        col[starts[j] + t * (q - 1) + alpha - 1] = 1.0
+            candidates.append(col)
+    for j, ws in enumerate(words):
+        book = enumerate_spc(code, j).words
+        for w in ws:
+            col = np.zeros(m)
+            for t, b in enumerate(book[w]):
+                if b:
+                    col[starts[j] + t * (q - 1) + b - 1] = -1.0
+            col[starts[-1] + j] = 1.0
+            candidates.append(col)
+    for j, us in enumerate(units):
+        block = list(range(starts[j], starts[j + 1])) + [int(starts[-1]) + j]
+        for u in us:
+            col = np.zeros(m)
+            col[block[u]] = 1.0
+            candidates.append(col)
+    basis = np.zeros((m, m))
+    taken = []
+    for k, col in enumerate(candidates):
+        # an uncovered indicator is the zero column and never raises the rank
+        residual = col.copy()
+        for _ in range(2):
+            span = basis[:, :len(taken)]
+            residual -= span @ (span.T @ residual)
+        norm = np.linalg.norm(residual)
+        if norm > 1e-8:
+            basis[:, len(taken)] = residual / norm
+            taken.append(k)
+    return taken
+
+
 def decide_symbols_loop(state):
     """Per-variable decisions by sorting each variable's word scores alone."""
     n = state.code.n

@@ -8,6 +8,7 @@ import pytest
 import qarylp.lp
 from oracles import (
     codewords_bruteforce,
+    crash_basis_rank_greedy,
     crash_words_rank_greedy,
     decoding_lp,
     decoding_lp_columns,
@@ -42,6 +43,7 @@ from qarylp.lp import (
     marginal_to_factor,
     ml_bruteforce,
 )
+from qarylp.simulate import SimConfig, run_point
 
 
 def single_check_code():
@@ -53,10 +55,10 @@ def four_cycle_code():
     return TannerCode(q=4, n=2, rows=(((0, 1), (1, 1)), ((0, 1), (1, 3))))
 
 
-def ldpc80_frames(count, seed):
-    """LLRs of all-zero ldpc80_z4 frames at 3 dB Eb/N0 (design rate 0.6)."""
+def ldpc80_frames(count, seed, ebno=3.0):
+    """LLRs of all-zero ldpc80_z4 frames at ebno dB Eb/N0 (design rate 0.6)."""
     cmap = psk(4)
-    sigma = ebno_to_sigma(3.0, 0.6, 2.0)
+    sigma = ebno_to_sigma(ebno, 0.6, 2.0)
     rng = np.random.default_rng(seed)
     tx = modulate(np.zeros(80, dtype=np.int64), cmap)
     return [compute_llr(awgn_sample(tx, sigma, rng), cmap, sigma)
@@ -205,8 +207,10 @@ def test_simplex_cycle_guard():
 
 
 def test_update_inverse_matches_dense_form(monkeypatch):
-    # every inverse update of two 3 dB ldpc80_z4 decodes (pivots and
-    # refactorizations) gives the values of the dense rank-one form
+    # every inverse update of five 3 dB ldpc80_z4 decodes (pivots and
+    # refactorizations, the per-code set-up excluded) gives the values of
+    # the dense rank-one form
+    qarylp.lp._exact_setup(ldpc80_z4())
     calls = []
     sparse = qarylp.lp._update_inverse
 
@@ -217,7 +221,7 @@ def test_update_inverse_matches_dense_form(monkeypatch):
         calls.append(np.array_equal(binv, want))
 
     monkeypatch.setattr(qarylp.lp, "_update_inverse", both)
-    for lam in ldpc80_frames(2, seed=21):
+    for lam in ldpc80_frames(5, seed=21):
         lp_decode_exact(ldpc80_z4(), lam)
     assert len(calls) > 1000
     assert all(calls)
@@ -225,7 +229,8 @@ def test_update_inverse_matches_dense_form(monkeypatch):
 
 def test_invert_matches_linalg_inv():
     setup = qarylp.lp._ExactSetup(ldpc80_z4())
-    B0 = qarylp.lp._dense(*setup.crash_store, setup.n_rows)[:, setup.n_ind:]
+    A = qarylp.lp._dense(*setup.crash_store, setup.n_rows)
+    B0 = A[:, setup.crash_basis]
     assert np.abs(setup.crash_binv - np.linalg.inv(B0)).max() < 1e-12
     rng = np.random.default_rng(5)
     for m in (5, 30, 80):
@@ -248,6 +253,135 @@ def test_invert_matches_linalg_inv():
     for basis in ([0, 1, 2], [0, 2, 1]):
         with pytest.raises(ValueError, match="singular"):
             qarylp.lp._invert(cols, basis, 3)
+
+
+def test_invert_from_crash_start_matches_identity(monkeypatch):
+    # a refactorization from the crash inverse, replaying only the basis
+    # columns the crash does not hold, gives the inverse that a replay of
+    # every column from I gives; bases captured mid-decode
+    captured = []
+    invert = qarylp.lp._invert
+
+    def capture(cols, basis, m, start=None):
+        if start is not None:
+            captured.append((cols, np.array(basis), m, start))
+        return invert(cols, basis, m, start)
+
+    monkeypatch.setattr(qarylp.lp, "_invert", capture)
+    for lam in ldpc80_frames(2, seed=21):
+        lp_decode_exact(ldpc80_z4(), lam)
+    assert len(captured) >= 2
+    for cols, basis, m, start in captured:
+        held = set(start[0])
+        replayed = sum(int(s) not in held for s in basis)
+        assert 0 < replayed < m // 2
+        got = invert(cols, basis, m, start)
+        assert np.abs(got - invert(cols, basis, m)).max() < 1e-12
+    cols, basis, m, start = captured[0]
+    held = set(start[0])
+    kept = next(k for k, s in enumerate(basis) if int(s) in held)
+    entering = next(k for k, s in enumerate(basis) if int(s) not in held)
+    # a column listed twice makes the basis singular, whether the start
+    # holds it or it enters
+    for k in (kept, entering):
+        singular = basis.copy()
+        singular[0 if k else 1] = basis[k]
+        with pytest.raises(ValueError, match="singular"):
+            invert(cols, singular, m, start)
+
+
+def test_running_duals_match_fresh_duals(monkeypatch):
+    # the duals the pivot loop updates in place still match freshly
+    # computed ones when they declare a master optimal; the engine then
+    # prices once more with the fresh ones, which must agree and, on these
+    # frames, never resume pivoting: _duals runs at the start, after each
+    # refactorization and once at the end, and no more
+    priced, calls = [], {"_duals": 0, "_invert": 0}
+    price, duals = qarylp.lp._price, qarylp.lp._duals
+
+    def record(y, cols):
+        priced.append(y.copy())
+        return price(y, cols)
+
+    def counted(name):
+        inner = getattr(qarylp.lp, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    engine = qarylp.lp._revised_phase2
+    returns = []
+
+    def check(cols, b, c, *args, **kwargs):
+        priced.clear()
+        calls.update(_duals=0, _invert=0)
+        x, pivots, basis, binv = engine(cols, b, c, *args, **kwargs)
+        fresh = duals(c[basis], binv)
+        running, last = priced[-2:]
+        assert np.array_equal(last, fresh)
+        assert np.abs(running - fresh).max() <= 1e-9 * (1.0 + np.abs(c).max())
+        assert calls["_duals"] == 2 + calls["_invert"]
+        returns.append(pivots)
+        return x, pivots, basis, binv
+
+    monkeypatch.setattr(qarylp.lp, "_price", record)
+    for name in calls:
+        monkeypatch.setattr(qarylp.lp, name, counted(name))
+    monkeypatch.setattr(qarylp.lp, "_revised_phase2", check)
+    for ebno in (3.0, 2.0):
+        for lam in ldpc80_frames(2, seed=23, ebno=ebno):
+            lp_decode_exact(ldpc80_z4(), lam)
+    assert len(returns) > 4
+    assert sum(returns) > 2 * qarylp.lp._REFACTOR_EVERY
+
+
+def test_fresh_duals_resume_pivoting(monkeypatch):
+    # duals that price every column out end a master only once fresh duals
+    # agree: here the duals a call starts from are corrupted that way, and
+    # pivoting must resume from the fresh ones and reach the same optimum
+    duals = qarylp.lp._duals
+    corrupt = []
+
+    def first_corrupted(cb, binv):
+        y = duals(cb, binv)
+        if corrupt:
+            corrupt.pop()(y)
+        return y
+
+    def price_out_textbook(y):
+        # reduced costs c - yA become 17, 8, 10 and 10
+        y[:-1] = -10.0
+
+    monkeypatch.setattr(qarylp.lp, "_duals", first_corrupted)
+    c, A, b = TEXTBOOK
+    corrupt.append(price_out_textbook)
+    x, pivots, basis, _ = run_engine(c, A, b, [2, 3])
+    assert not corrupt
+    assert pivots > 0
+    assert np.dot(c, x) == pytest.approx(-10.0, abs=1e-9)
+    assert sorted(basis) == [0, 1]
+
+    code = ldpc80_z4()
+    setup = qarylp.lp._exact_setup(code)
+    degree = max(len(row) for row in code.rows)
+
+    def price_out_decoding_lp(y):
+        # indicators price at llr + 100 per edge, words at 100 per zero
+        # symbol, plus 100: nothing enters at these duals
+        y[:setup.n_coupling] = -100.0
+        y[setup.n_coupling:-1] = -100.0 * (degree + 1)
+
+    for lam in ldpc80_frames(2, seed=8):
+        want = lp_decode_exact(code, lam)
+        corrupt.append(price_out_decoding_lp)
+        out = lp_decode_exact(code, lam)
+        assert not corrupt
+        assert out.dual_objective_trace[0] == pytest.approx(
+            want.dual_objective_trace[0], abs=1e-9)
+        assert np.array_equal(out.symbols, want.symbols)
+        assert out.status is want.status
 
 
 def test_gather_pricing_matches_dense(monkeypatch):
@@ -363,11 +497,8 @@ def test_decoding_lp_matches_entrywise_build():
         assert np.array_equal(full_columns(setup), decoding_lp_columns(code))
 
 
-def test_crash_words_match_rank_greedy():
-    # the crash basis takes, per check, the first codebook columns that
-    # raise the rank of those taken before, then the first unit vectors of
-    # the block that fill it; the elimination must pick the same words and
-    # unit rows as matrix_rank does, on every code these tests build
+def crash_codes():
+    """ldpc80_z4, the Z_8 benchmark code and small unit and non-unit codes."""
     z8 = Path(__file__).resolve().parents[1] / "perfbench" / "codes" / "ldpc80_z8.txt"
     codes = [ldpc80_z4(), read_check_matrix(z8), single_check_code(),
              four_cycle_code(),
@@ -383,8 +514,16 @@ def test_crash_words_match_rank_greedy():
                                          rng=np.random.default_rng(seed)))
         codes.append(random_regular_code(n=6, m=3, row_degree=3, q=8,
                                          rng=np.random.default_rng(seed)))
+    return codes
+
+
+def test_crash_words_match_rank_greedy():
+    # the crash basis takes, per check, the first codebook columns that
+    # raise the rank of those taken before, then the first unit vectors of
+    # the block that fill it; the elimination must pick the same words and
+    # unit rows as matrix_rank does, on every code these tests build
     filled = 0
-    for code in codes:
+    for code in crash_codes():
         words, units = crash_words_rank_greedy(code)
         setup = qarylp.lp._ExactSetup(code)
         assert setup.crash_words == words
@@ -392,6 +531,28 @@ def test_crash_words_match_rank_greedy():
         assert setup.crash_fixed.sum() == sum(map(len, units))
         filled += not any(units)
     assert filled == 11
+
+
+def test_crash_basis_matches_rank_greedy():
+    # with the indicators exchanged in, the crash basis is the rank greedy
+    # over the covered indicators, the crash words and the unit columns; it
+    # keeps every zero word basic, so its basic solution is the zero
+    # codeword and the perturbed rhs stays feasible
+    for code in crash_codes():
+        setup = qarylp.lp._ExactSetup(code)
+        assert set(setup.crash_basis) == set(crash_basis_rank_greedy(code))
+        zero_words = setup.n_ind + np.cumsum(
+            [0] + [len(ws) for ws in setup.crash_words[:-1]])
+        assert set(zero_words) <= set(setup.crash_basis)
+        x = np.zeros(len(setup.crash_fixed))
+        x[setup.crash_basis] = setup.crash_binv @ setup.b
+        vertex = np.zeros_like(x)
+        vertex[zero_words] = 1.0
+        assert np.abs(x - vertex).max() < 1e-12
+        perturbed = setup.crash_binv @ setup.b_pert
+        assert perturbed.min() > -1e-12
+        fixed = setup.crash_fixed[setup.crash_basis]
+        assert np.abs(perturbed[fixed]).max(initial=0.0) < 1e-12
 
 
 # ---- exact decoding ----
@@ -523,6 +684,16 @@ def test_exact_decode_round_guard(monkeypatch):
     with pytest.raises(CycleGuardTripped,
                        match="did not settle in 1 rounds"):
         lp_decode_exact(ldpc80_z4(), ldpc80_frames(1, seed=8)[0])
+
+
+def test_exact_decode_pivot_count_guard():
+    # simulate's seed 1, point 0, frames 0-5 at 3 dB take 2590 pivots in all
+    # from the zero-codeword crash with no indicator basic, and 1187 from
+    # the crash with every covered indicator basic
+    config = SimConfig(decoder="lp", ebno_list=(3.0,), max_frames=6, seed=1)
+    point = run_point(config, 3.0)
+    assert point.frames_run == 6
+    assert round(point.mean_iterations * point.frames_run) < 2590
 
 
 def test_exact_decode_codeword_translation_symmetry():
