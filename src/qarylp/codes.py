@@ -261,8 +261,10 @@ def enumerate_spc(code: TannerCode, j: int) -> SpcCodebook:
     symbols and completes the last one; a non-unit last coefficient can admit
     zero or several completions per prefix, all of which are emitted.
     A check with q^(d_j - 1) > _MAX_LOCAL_WORDS raises BudgetExceeded before
-    anything is allocated.
+    anything is allocated, and j outside 0..m-1 raises ValueError.
     """
+    if not 0 <= j < code.m:
+        raise ValueError(f"check index {j} is outside 0..{code.m - 1}")
     vals = code.row_vals[j]
     q, d = code.q, len(vals)
     if q ** (d - 1) > _MAX_LOCAL_WORDS:

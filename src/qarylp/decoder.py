@@ -21,9 +21,11 @@ minus the sum of edge messages and pick the strictly cheapest word, the
 zero word costing 0; ties at the minimum erase the symbol (or, strictly
 below zero, surface MalformedDecision).  No local codebook is enumerated: each check is a
 trellis over its q partial syndromes (see _CodeCache), and theta_j and an
-edge's bucket soft minima come from prefix and suffix soft minima, O(d q^2)
-terms per degree-d check for theta and O(q^3) per edge update.  A symbol
-that no local word reaches gets message -_MESSAGE_CLAMP.
+edge's bucket soft minima come from prefix and suffix soft minima: O(d q^2)
+terms per degree-d check for theta and O(q^2) per edge update, whose
+prefix step and extrinsic row are one (q, q) soft minimum each (the trellis
+check-node processing of Punekar & Flanagan, ISIT 2011).  A symbol that no
+local word reaches gets message -_MESSAGE_CLAMP.
 
 A sweep updates the edges in check-major order, but decode() visits the
 checks by levels: sets of checks that share no variable, where a check's
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -94,6 +97,10 @@ class DecoderConfig:
     kappa: float = 100.0
 
     def __post_init__(self):
+        if not isinstance(self.max_iterations, numbers.Integral):
+            raise ValueError(
+                f"max_iterations must be an integer, got {self.max_iterations!r}"
+            )
         if self.max_iterations < 1:
             raise ValueError(
                 f"max_iterations must be >= 1, got {self.max_iterations}"
@@ -148,25 +155,6 @@ def _groups(keys: np.ndarray, n_groups: int, width: int, fill: int) -> np.ndarra
     return out
 
 
-def _kernel_table(q: int, h_prev: int, h: int) -> np.ndarray:
-    # gather table of the trellis step into slot t.  Entry k = s q + b of
-    # the grid F(s) + w(b) (prefix F and row w of slot t - 1, coefficient
-    # h_prev) takes from g = [B(0), ..., B(q-1), 0, +inf] (suffix B after
-    # slot t, coefficient h): in row s' a 0 if it lands on prefix syndrome
-    # s', else +inf; in row q + c the B that closes a word with c at slot t
-    s, b = np.divmod(np.arange(q * q), q)
-    syndrome = (s + h_prev * b) % q
-    symbols = np.arange(q)[:, None]
-    return np.concatenate([np.where(syndrome == symbols, q, q + 1),
-                           (-syndrome - h * symbols) % q])
-
-
-# the most float terms (512 KiB) one step of _visit_checks stacks, unless
-# a single check needs more (2 q^3 per check); larger steps made large-q
-# sweeps slower than visiting their checks one at a time
-_STEP_TERMS = 1 << 16
-
-
 def _levels(code: TannerCode, degree: np.ndarray) -> list:
     # check j's level is one more than the highest level of an earlier
     # check sharing a variable with it; each level lists its checks by
@@ -185,28 +173,26 @@ def _levels(code: TannerCode, degree: np.ndarray) -> list:
 
 
 class _CodeCache:
-    """Edge indexing, trellis tables and the level schedule of one code.
+    """Edge indexing, trellis offsets and the level schedule of one code.
 
     check_edges[j, t] is the edge id of slot t of check j; short checks
     are padded with edge n_edges, whose message row [0, +inf, ...] makes a
     padding slot (coefficient 0) an exact identity section.  Check j's
-    _suffix_arrays block is row j of a (count, width + 1, q + 2) array, and
+    _suffix_arrays block is row j of a (count, width + 1, q) array, and
     suffix_index[j, t, r q + b] is the flat offset, inside that block, of
-    B_{t+1} at the suffix syndrome after slot t when the slots from t on
-    sum to r and slot t holds b.  tables stacks the (2q, q^2) _kernel_table
-    of every coefficient pair (h_{t-1}, h_t) of the code.
+    B_{t+1}(r - h_t b): the suffix syndrome after slot t when the slots
+    from t on sum to r and slot t holds b.
 
     levels splits the checks into sets that share no variable, each
     variable's checks in strictly increasing levels in their original
     order (see _levels; the module docstring says why a level visit is
-    bit-identical to check-major order).  A level whose step would stack
-    more than _STEP_TERMS terms is cut into runs of consecutive checks,
-    which keep both properties.  plans holds each level's kernel steps
-    (see plan).  No size here grows with the local codebook.
+    bit-identical to check-major order).  plans holds each level's kernel
+    steps (see plan).  Every array here holds O(q^2) entries per edge;
+    none grows with the local codebook.
     """
 
     def __init__(self, code: TannerCode):
-        q = code.q
+        q = self.q = code.q
         # edge ids are check-major: code.edges lists each check's row in turn
         self.edge_index = {edge: e for e, edge in enumerate(code.edges)}
         self.n_edges = len(code.edges)
@@ -222,31 +208,12 @@ class _CodeCache:
         self.check_vars = np.append(edge_vars, -1)[self.check_edges]
         self.degree = np.array([len(row) for row in code.rows])
         coefs = np.append(np.concatenate(code.row_vals), 0)[self.check_edges]
-        # a check's suffix block is block_rows rows of stride entries
-        self.block_rows, self.stride = width + 1, q + 2
+        # a check's suffix block is block_rows rows of q entries
+        self.block_rows = width + 1
         r, b = np.divmod(np.arange(q * q), q)
         self.suffix_index = ((r - coefs[:, :, None] * b) % q
-                             + self.stride * np.arange(1, width + 1)[:, None])
-        # slot 0 gathers its extrinsic row from B_1 at syndrome -h_0 b,
-        # the r = 0 offsets of slot 0
-        self.first_index = self.suffix_index[:, 0, :q]
-        # the prefix before slot 0, shared by every check: syndrome 0 at
-        # cost 0
-        self.empty_prefix = np.full((1, q), math.inf)
-        self.empty_prefix[0, 0] = 0.0
-        vals = [h.tolist() for h in code.row_vals]
-        pairs = sorted({p for h in vals for p in zip(h, h[1:])})
-        self.tables = np.empty((len(pairs), 2 * q, q * q), dtype=np.int64)
-        for k, p in enumerate(pairs):
-            self.tables[k] = _kernel_table(q, *p)
-        ids = {p: k for k, p in enumerate(pairs)}
-        self.table_ids = np.zeros((code.m, width), dtype=np.int64)
-        for j, h in enumerate(vals):
-            self.table_ids[j, 1:len(h)] = [ids[p] for p in zip(h, h[1:])]
-        # a level step stacks 2 q^3 terms per check
-        size = max(1, _STEP_TERMS // (2 * q ** 3))
-        self.levels = [level[s:s + size] for level in _levels(code, self.degree)
-                       for s in range(0, len(level), size)]
+                             + q * np.arange(1, width + 1)[:, None])
+        self.levels = _levels(code, self.degree)
         self.plans = tuple(self.plan(checks, checks) for checks in self.levels)
 
     def plan(self, checks: np.ndarray, rows: np.ndarray) -> tuple:
@@ -255,28 +222,33 @@ class _CodeCache:
         checks are sorted by descending degree and their suffix blocks sit
         at rows of the suffix array the kernel is given.  Step t holds, for
         the first k checks, those of degree above t: the edge ids and
-        variables of slot t, the gather source and the gather runs.  At
-        slot 0 the source is the (k, q) array of flat suffix offsets and
-        there are no runs; after it, the source is the (k,) index of each
-        check's suffix row t + 1 (rows of q + 2 entries), and each run
-        (table id, a, b) gathers checks a..b-1 through one kernel table.
+        variables of slot t and two arrays of flat gather offsets, both the
+        suffix_index offsets reordered and shifted.  ext[i, c, s] is the
+        offset of B_{t+1}(-s - h_t c) of the i-th check in the suffix
+        array (at slot 0, ext[i, c] that of B_1(-h_0 c)).  For t >= 1,
+        prefix[i, s, b] is the offset of F_{t-2}(s - h_{t-1} b) in the
+        (k', q) prefix array of the previous step, k' >= k, which holds
+        the i-th check in row i; at slot 0 it is None.
         """
+        q = self.q
+        negate = -np.arange(q) % q
         steps = []
         for t in range(self.degree[checks[0]]):
             k = np.count_nonzero(self.degree[checks] > t)
-            # c: the checks still active; base: their blocks' first rows
-            c, base = checks[:k], rows[:k] * self.block_rows
+            c = checks[:k]
+            # check i's B_{t+1}(r - h_t b) sits at suffix_index[c_i, t, r q + b]
+            # plus the offset of its block
+            base = q * self.block_rows * rows[:k]
             if t == 0:
-                source = self.first_index[c] + self.stride * base[:, None]
-                runs = None
+                ext, prefix = self.suffix_index[c, 0, :q] + base[:, None], None
             else:
-                ids = self.table_ids[c, t].tolist()
-                cuts = [a for a in range(1, k) if ids[a] != ids[a - 1]]
-                source = base + t + 1
-                runs = tuple((ids[a], a, b)
-                             for a, b in zip([0] + cuts, cuts + [k]))
+                suffix = self.suffix_index[c, t].reshape(k, q, q)[:, negate]
+                ext = np.ascontiguousarray(suffix.transpose(0, 2, 1)
+                                           + base[:, None, None])
+                prefix = (self.suffix_index[c, t - 1].reshape(k, q, q)
+                          - q * t + q * np.arange(k)[:, None, None])
             steps.append((self.check_edges[c, t], self.check_vars[c, t],
-                          source, runs))
+                          ext, prefix))
         return tuple(steps)
 
 
@@ -377,9 +349,8 @@ def init_state(code: TannerCode, llr, config: DecoderConfig) -> DualState:
 def _suffix_arrays(state: DualState, checks=slice(None)) -> np.ndarray:
     # out[k, t, r] = B_t(r) of the k-th given check: the soft minimum of the
     # message sums of slots t, t+1, ... over their symbols of syndrome r;
-    # theta is B_0(0).  Columns q, q + 1 hold 0, +inf for _visit_checks.
-    # Each step works elementwise or row by row, so no check's rows depend
-    # on the other checks passed.
+    # theta is B_0(0).  Each step works elementwise or row by row, so no
+    # check's rows depend on the other checks passed.
     cache = state.cache
     q = state.code.q
     rows = np.zeros((cache.n_edges + 1, q))
@@ -387,17 +358,16 @@ def _suffix_arrays(state: DualState, checks=slice(None)) -> np.ndarray:
     rows[-1, 1:] = math.inf
     w = rows[cache.check_edges[checks]]
     count, width = w.shape[:2]
-    out = np.zeros((count, width + 1, q + 2))
-    out[:, :, q + 1] = math.inf
-    out[:, width, 1:q] = math.inf
+    out = np.zeros((count, width + 1, q))
+    out[:, width, 1:] = math.inf
     flat = out.reshape(-1)
     index = (cache.suffix_index[checks]
-             + cache.block_rows * cache.stride * np.arange(count)[:, None, None])
+             + cache.block_rows * q * np.arange(count)[:, None, None])
     for t in range(width - 1, -1, -1):
         # B_t(r) = softmin_b [w_t(b) + B_{t+1}(r - h_t b)]
         terms = (flat[index[:, t]].reshape(count, q, q) + w[:, t, None])
-        out[:, t, :q] = _softmin_rows(terms.reshape(-1, q),
-                                      state.kappa).reshape(count, q)
+        out[:, t] = _softmin_rows(terms.reshape(-1, q),
+                                  state.kappa).reshape(count, q)
     return out
 
 
@@ -444,32 +414,34 @@ def _visit_checks(state: DualState, plan: tuple, suffix: np.ndarray,
                   stop=None):
     # the kernel: visit conflict-free checks together, slot by slot, as
     # planned by _CodeCache.plan against suffix (their _suffix_arrays
-    # blocks, which hold until this visit writes the checks).  ext[k, b] is
-    # the soft minimum over check k's words with b in slot t of their
-    # message sums outside slot t.  stop=None (the sweep) updates every
-    # slot's message from ext; else nothing is written and slot stop's ext
-    # is returned.  Every operation is elementwise or row by row, so each
+    # blocks, which hold until this visit writes the checks).  ext[k, c] is
+    # the soft minimum over check k's words with c in slot t of their
+    # message sums outside slot t: each step first carries the prefix F
+    # over slot t - 1, then meets it with the suffix B_{t+1}, two (q, q)
+    # soft minima per check.  stop=None (the sweep) updates every slot's
+    # message from ext; else nothing is written and slot stop's ext is
+    # returned.  Every operation is elementwise or row by row, so each
     # check gets the bits of a visit on its own.
     q = state.code.q
     flat = suffix.reshape(-1)
-    suffix_rows = flat.reshape(-1, q + 2)
-    tables = state.cache.tables
-    for t, (edges, variables, source, runs) in enumerate(plan):
+    for t, (edges, variables, ext_index, prefix_index) in enumerate(plan):
         k = len(edges)
         if t:
-            # step the prefix F over slot t - 1 (rows 0..q-1 of the
-            # minima) and close words with slot t (rows q..2q-1)
-            g = suffix_rows[source]
-            terms = np.empty((k, 2 * q, q * q))
-            for table, a, b in runs:
-                g[a:b].take(tables[table], axis=1, out=terms[a:b], mode="clip")
-            terms += (prefix[:k, :, None] + row[:k, None, :]).reshape(k, 1, -1)
-            minima = _softmin_rows(terms.reshape(k * 2 * q, q * q),
-                                   state.kappa).reshape(k, 2 * q)
-            prefix, ext = minima[:, :q], minima[:, q:]
+            # F_{t-1}(s) = softmin_b [F_{t-2}(s - h_{t-1} b) + w_{t-1}(b)]
+            terms = prefix.reshape(-1)[prefix_index]
+            terms += row[:k, None, :]
+            prefix = _softmin_rows(terms.reshape(-1, q),
+                                   state.kappa).reshape(k, q)
+            # ext_t(c) = softmin_s [B_{t+1}(-s - h_t c) + F_{t-1}(s)]
+            terms = flat[ext_index]
+            terms += prefix[:, None, :]
+            ext = _softmin_rows(terms.reshape(-1, q),
+                                state.kappa).reshape(k, q)
         else:
-            ext = flat[source]
-            prefix = state.cache.empty_prefix
+            ext = flat[ext_index]
+            # the prefix before slot 0: syndrome 0 at cost 0
+            prefix = np.full((k, q), math.inf)
+            prefix[:, 0] = 0.0
         if t == stop:
             return ext
         row = np.zeros((k, q))  # [0, message] of slot t

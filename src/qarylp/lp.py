@@ -177,8 +177,9 @@ def _revised_phase2(cols, b, c, basis, binv, max_pivots, fixed, spent=0,
     wherever |d| > _SIMPLEX_TOL.  spent counts pivots the caller made
     before this call; CycleGuardTripped fires once spent plus this call's
     pivots exceed max_pivots, and an entering column with no blocking row
-    (an unbounded ray) raises RuntimeError.  Returns (x, pivots, basis,
-    binv), pivots counting this call only.
+    (an unbounded ray) raises RuntimeError.  Returns (x, y, pivots, basis,
+    binv): y the fresh duals that confirmed optimality, pivots counting
+    this call only.
     """
     tol = _SIMPLEX_TOL
     rows, vals = cols
@@ -240,7 +241,7 @@ def _revised_phase2(cols, b, c, basis, binv, max_pivots, fixed, spent=0,
             raise CycleGuardTripped(f"exceeded {max_pivots} pivots")
     x = np.zeros(len(c))
     x[basis] = xb
-    return x, pivots, basis.tolist(), binv
+    return x, y, pivots, basis.tolist(), binv
 
 
 # ---- the decoding LP ----
@@ -501,12 +502,11 @@ def _column_generation(setup: _ExactSetup, c_ind):
     b = setup.b_pert
     total_pivots = 0
     for _ in range(_MAX_CG_ROUNDS):
-        x, pivots, basis, binv = _revised_phase2(
+        x, y, pivots, basis, binv = _revised_phase2(
             (rows, signs), b, c, basis, binv, _MAX_PIVOTS, fixed,
             spent=total_pivots, start=start,
         )
         total_pivots += pivots
-        y = _duals(c[basis], binv)
         added = []
         for j, book in enumerate(setup.books):
             d = book.words.shape[1]

@@ -14,6 +14,7 @@ requested, keeping output bytes reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -68,6 +69,10 @@ class SimConfig:
             )
         if self.max_frames < 1:
             raise ValueError(f"max_frames must be >= 1, got {self.max_frames}")
+        if not isinstance(self.max_iterations, numbers.Integral):
+            raise ValueError(
+                f"max_iterations must be an integer, got {self.max_iterations!r}"
+            )
         if self.max_iterations < 1:
             raise ValueError(
                 f"max_iterations must be >= 1, got {self.max_iterations}"

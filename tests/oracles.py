@@ -1,8 +1,9 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here trades speed for obviousness: exhaustive enumeration,
-Smith normal forms, finite differences, scalar golden-section search, and
-edge-by-edge and loop forms of the decoder's sweep and bookkeeping.  The
+Smith normal forms, finite differences, scalar golden-section search,
+edge-by-edge and loop forms of the decoder's sweep and bookkeeping, and the
+merged O(q^3) trellis step that the decoder's O(q^2) kernel regroups.  The
 per-edge instrumentation (set_message, update_phi_theta, the exclusion
 terms, local_function and decide) runs the decoder's own kernel on one
 edge or one state, so the tests that use it still exercise that kernel.
@@ -339,6 +340,49 @@ def slot_buckets_bruteforce(state, j, t):
         if np.any(words[:, t] == b) else math.inf
         for b in range(state.code.q)
     ])
+
+
+def merged_kernel_table(q, h_prev, h):
+    """Gather table of the merged trellis step into slot t.
+
+    Entry k = s q + b of the grid F(s) + w(b) (prefix F and row w of slot
+    t - 1, coefficient h_prev) takes from g = [B(0), ..., B(q-1), 0, +inf]
+    (suffix B after slot t, coefficient h): in row s' a 0 if it lands on
+    prefix syndrome s', else +inf; in row q + c the B that closes a word
+    with c at slot t.
+    """
+    s, b = np.divmod(np.arange(q * q), q)
+    syndrome = (s + h_prev * b) % q
+    symbols = np.arange(q)[:, None]
+    return np.concatenate([np.where(syndrome == symbols, q, q + 1),
+                           (-syndrome - h * symbols) % q])
+
+
+def merged_slot_ext(state, j, stop):
+    """Slot stop's extrinsic row of check j by the merged trellis step.
+
+    Each slot t >= 1 takes one (2q, q^2) soft minimum over every (s, b) of
+    the previous prefix and slot: rows 0..q-1 give the new prefix, rows
+    q..2q-1 close the words with slot t.  O(q^3) per slot, where the
+    decoder's kernel groups the same terms by syndrome in O(q^2).
+    """
+    q = state.code.q
+    vals = state.code.row_vals[j]
+    edges = check_edges(state.code, j)
+    suffix = D._suffix_arrays(state, [j])[0]
+    # each suffix row B_t followed by the 0 and +inf the tables point at
+    g = np.column_stack([suffix, np.zeros(len(suffix)),
+                         np.full(len(suffix), math.inf)])
+    ext = g[1, (-vals[0] * np.arange(q)) % q]
+    prefix = np.full(q, math.inf)
+    prefix[0] = 0.0
+    for t in range(1, stop + 1):
+        row = np.concatenate(([0.0], state.messages[edges[t - 1]]))
+        terms = g[t + 1][merged_kernel_table(q, vals[t - 1], vals[t])]
+        terms += (prefix[:, None] + row[None, :]).reshape(1, -1)
+        minima = D._softmin_rows(terms, state.kappa)
+        prefix, ext = minima[:q], minima[q:]
+    return ext
 
 
 def crash_words_rank_greedy(code):

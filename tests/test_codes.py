@@ -175,6 +175,13 @@ def test_enumerate_spc_ldpc80_row():
     assert as_tuples == sorted(set(as_tuples))
 
 
+@pytest.mark.parametrize("j", [32, 40, -1])
+def test_enumerate_spc_refuses_check_out_of_range(j):
+    # ldpc80_z4 has checks 0..31; -1 would otherwise wrap to check 31
+    with pytest.raises(ValueError, match=r"outside 0\.\.31"):
+        enumerate_spc(ldpc80_z4(), j)
+
+
 def test_enumerate_spc_refuses_oversized_check():
     # 8^11 local words would need gigabytes of prefixes: refused at once
     code = TannerCode(q=8, n=12, rows=(tuple((i, 1) for i in range(12)),))

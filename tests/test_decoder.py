@@ -42,6 +42,7 @@ from oracles import (
     decode_reference,
     local_function,
     local_word_scores,
+    merged_slot_ext,
     node_sum_loop,
     set_message,
     slot_buckets_bruteforce,
@@ -222,6 +223,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DecoderConfig(kappa=-1.0)
     DecoderConfig(kappa=math.inf)  # allowed
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3"])
+def test_config_refuses_non_integer_max_iterations(bad):
+    with pytest.raises(ValueError, match="max_iterations must be an integer"):
+        DecoderConfig(max_iterations=bad)
 
 
 # ---- init_state ----
@@ -743,7 +750,10 @@ def test_slot_bucket_rows_match_per_bucket_softmin():
     # the enumerate_spc word scores, with messages spread over 13 decades;
     # a bucket no word reaches is +inf
     rng = np.random.default_rng(40)
-    codes = (ldpc80_z4(), random_regular_code(12, 4, 3, 8, rng), ragged_code())
+    z32 = random_regular_code(12, 4, 3, 32, rng, unit_entries=False)
+    assert any(math.gcd(int(h), 32) > 1 for h in np.concatenate(z32.row_vals))
+    codes = (ldpc80_z4(), random_regular_code(12, 4, 3, 8, rng), ragged_code(),
+             random_regular_code(12, 4, 3, 16, rng), z32)
     for code in codes:
         for kappa in (1.0, 100.0, math.inf):
             state = init_state(code, np.zeros((code.n, code.q - 1)),
@@ -760,6 +770,63 @@ def test_slot_bucket_rows_match_per_bucket_softmin():
                         trellis_buckets(state, j, t),
                         slot_buckets_bruteforce(state, j, t),
                         rtol=1e-12, atol=1e-15 * scale)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 100.0, math.inf])
+def test_slot_ext_matches_merged_step(kappa):
+    # every slot's extrinsic row against the merged (2q, q^2) step, which
+    # takes each soft minimum over every (prefix syndrome, symbol) pair at
+    # once: the same terms grouped by syndrome, so the same bits under
+    # hard minima and the last bits otherwise
+    rng = np.random.default_rng(50)
+    z8 = random_regular_code(16, 6, 4, 8, rng, unit_entries=False)
+    assert any(math.gcd(int(h), 8) > 1 for h in np.concatenate(z8.row_vals))
+    codes = (ldpc80_z4(), read_check_matrix(Z8_CODE), *zero_divisor_codes(), z8)
+    for code in codes:
+        state = init_state(code, rng.normal(0.3, 1.5, size=(code.n, code.q - 1)),
+                           DecoderConfig(kappa=kappa))
+        state.messages[:] = rng.normal(0.0, 2.0, size=state.messages.shape)
+        for j in range(code.m):
+            for t in range(len(code.rows[j])):
+                got = D._slot_ext(state, j, t)
+                want = merged_slot_ext(state, j, t)
+                if math.isinf(kappa):
+                    assert np.array_equal(got, want)
+                else:
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def cache_nbytes(value):
+    """Bytes of the arrays in value, searched through lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, (list, tuple)):
+        return sum(map(cache_nbytes, value))
+    return 0
+
+
+def test_code_cache_is_quadratic_in_q():
+    # a kernel step gathers O(q^2) offsets per edge: at q = 64 the
+    # decoder's per-code arrays, level plans included, stay under 4 MiB
+    code = random_regular_code(24, 6, 4, 64, np.random.default_rng(1))
+    cache = D._code_cache(code)
+    total = sum(map(cache_nbytes, vars(cache).values()))
+    assert 0 < total < 4 << 20
+
+
+@pytest.mark.parametrize("q", [16, 32])
+@pytest.mark.parametrize("unit_entries", [True, False])
+def test_large_ring_sweeps_ascend(q, unit_entries):
+    # 20 full sweeps at kappa = 100 never lower the smoothed dual; every
+    # variable sits in three checks, so no sweep reaches a codeword
+    rng = np.random.default_rng(51 + q)
+    code = random_regular_code(16, 12, 4, q, rng, unit_entries=unit_entries)
+    llr = rng.normal(0.0, 1.0, size=(code.n, q - 1))
+    out = decode(code, llr, DecoderConfig(max_iterations=20, kappa=100.0))
+    assert out.status is Status.MAX_ITERATIONS
+    assert out.iterations_used == 20
+    trace = np.array(out.dual_objective_trace)
+    assert np.all(np.diff(trace) >= -1e-9 * max(1.0, np.abs(trace).max()))
 
 
 def test_vectorized_bookkeeping_matches_loops():
@@ -810,10 +877,12 @@ def test_level_plan_is_a_conflict_free_check_major_schedule():
               for n, m, d, q in ((12, 6, 3, 4), (24, 8, 6, 6), (10, 9, 4, 8),
                                  (30, 10, 5, 4), (8, 12, 2, 3), (12, 4, 3, 32))]
     for code in codes:
-        levels = D._code_cache(code).levels
-        # a level step stacks at most _STEP_TERMS terms, unless one check
-        # alone needs more
-        assert max(map(len, levels)) <= max(1, D._STEP_TERMS // (2 * code.q ** 3))
+        cache = D._code_cache(code)
+        levels = cache.levels
+        # the levels are _levels' own, uncut whatever q is
+        want = D._levels(code, cache.degree)
+        assert len(levels) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(levels, want))
         order = np.concatenate(levels)
         assert sorted(order.tolist()) == list(range(code.m))
         level_of = np.empty(code.m, dtype=np.int64)

@@ -80,7 +80,7 @@ def full_columns(setup):
 
 def run_engine(c, A, b, basis, max_pivots=10_000, fixed=()):
     """_revised_phase2 on a dense program from a feasible basis, with the
-    columns listed in fixed held at zero."""
+    columns listed in fixed held at zero: (x, y, pivots, basis, binv)."""
     c = np.asarray(c, dtype=np.float64)
     A = np.asarray(A, dtype=np.float64)
     mask = np.zeros(len(c), dtype=bool)
@@ -103,19 +103,21 @@ TEXTBOOK = (
 
 def test_simplex_textbook_optimum():
     c, A, b = TEXTBOOK
-    x, pivots, basis, _ = run_engine(c, A, b, [2, 3])
+    x, y, pivots, basis, _ = run_engine(c, A, b, [2, 3])
     assert pivots > 0
     assert np.dot(c, x) == pytest.approx(-10.0, abs=1e-9)
     assert x[:2] == pytest.approx([2.0, 2.0], abs=1e-9)
     assert sorted(basis) == [0, 1]
+    # the duals of the optimal basis, then the zero slot of the padding row
+    assert y == pytest.approx([-2.0, -1.0, 0.0], abs=1e-12)
 
 
 def test_simplex_warm_start_reuses_basis():
     # column generation carries the basis and its inverse from one master
     # to the next: started at an optimal basis, the engine makes no pivot
     c, A, b = TEXTBOOK
-    x, _, basis, binv = run_engine(c, A, b, [2, 3])
-    again, pivots, warm, _ = qarylp.lp._revised_phase2(
+    x, _, _, basis, binv = run_engine(c, A, b, [2, 3])
+    again, _, pivots, warm, _ = qarylp.lp._revised_phase2(
         padded_store(A), np.asarray(b), np.asarray(c), basis, binv.copy(),
         10_000, np.zeros(4, dtype=bool))
     assert pivots == 0
@@ -141,7 +143,7 @@ def test_simplex_degenerate_terminates():
     ]
     b = [0.0, 0.0, 1.0]
     expected, _ = lp_vertex_enumeration(c, A, b)
-    x, pivots, _, _ = run_engine(c, A, b, [0, 1, 2])
+    x, _, pivots, _, _ = run_engine(c, A, b, [0, 1, 2])
     assert pivots > qarylp.lp._REVISED_STALL_LIMIT
     assert np.dot(c, x) == pytest.approx(expected, abs=1e-9)
     assert np.abs(np.dot(A, x) - b).max() < 1e-9
@@ -160,7 +162,7 @@ def test_simplex_matches_vertex_enumeration():
         b = rng.uniform(0.5, 2.0, size=k)
         c = rng.normal(size=n + k)
         expected, _ = lp_vertex_enumeration(c, A, b)
-        x, _, _, _ = run_engine(c, A, b, list(range(n, n + k)))
+        x, _, _, _, _ = run_engine(c, A, b, list(range(n, n + k)))
         assert np.dot(c, x) == pytest.approx(expected, abs=1e-7)
         assert np.max(np.abs(A @ x - b)) < 1e-7
         assert x.min() >= 0.0
@@ -180,7 +182,7 @@ def test_simplex_matches_highs():
         ref = optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None),
                                method="highs")
         assert ref.status == 0
-        x, _, _, _ = run_engine(c, A, b, list(range(n, n + k)))
+        x, _, _, _, _ = run_engine(c, A, b, list(range(n, n + k)))
         assert np.dot(c, x) == pytest.approx(ref.fun, abs=1e-7)
 
 
@@ -192,7 +194,7 @@ def test_simplex_drops_redundant_rows():
     b = [1.0, 1.0]
     for c, want in (([1.0, 0.0, 0.0, 0.0], [0.0, 1.0]),
                     ([0.0, 1.0, 0.0, 0.0], [1.0, 0.0])):
-        x, _, basis, _ = run_engine(c, A, b, [1, 3], fixed=[2, 3])
+        x, _, _, basis, _ = run_engine(c, A, b, [1, 3], fixed=[2, 3])
         assert x[:2] == pytest.approx(want, abs=1e-12)
         assert x[2:].tolist() == [0.0, 0.0]
         assert 3 in basis
@@ -317,14 +319,16 @@ def test_running_duals_match_fresh_duals(monkeypatch):
     def check(cols, b, c, *args, **kwargs):
         priced.clear()
         calls.update(_duals=0, _invert=0)
-        x, pivots, basis, binv = engine(cols, b, c, *args, **kwargs)
+        x, y, pivots, basis, binv = engine(cols, b, c, *args, **kwargs)
         fresh = duals(c[basis], binv)
         running, last = priced[-2:]
         assert np.array_equal(last, fresh)
+        # the engine returns those fresh duals for column generation
+        assert np.array_equal(y, fresh)
         assert np.abs(running - fresh).max() <= 1e-9 * (1.0 + np.abs(c).max())
         assert calls["_duals"] == 2 + calls["_invert"]
         returns.append(pivots)
-        return x, pivots, basis, binv
+        return x, y, pivots, basis, binv
 
     monkeypatch.setattr(qarylp.lp, "_price", record)
     for name in calls:
@@ -357,7 +361,7 @@ def test_fresh_duals_resume_pivoting(monkeypatch):
     monkeypatch.setattr(qarylp.lp, "_duals", first_corrupted)
     c, A, b = TEXTBOOK
     corrupt.append(price_out_textbook)
-    x, pivots, basis, _ = run_engine(c, A, b, [2, 3])
+    x, _, pivots, basis, _ = run_engine(c, A, b, [2, 3])
     assert not corrupt
     assert pivots > 0
     assert np.dot(c, x) == pytest.approx(-10.0, abs=1e-9)

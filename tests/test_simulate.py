@@ -56,6 +56,12 @@ def test_config_validation():
         SimConfig(ebno_list=(1.0,), workers=0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3"])
+def test_config_refuses_non_integer_max_iterations(bad):
+    with pytest.raises(ValueError, match="max_iterations must be an integer"):
+        SimConfig(ebno_list=(1.0,), max_iterations=bad)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_config_refuses_non_finite_ebno(bad):
     with pytest.raises(ValueError, match="ebno_list entries must be finite"):
