@@ -6,7 +6,11 @@ symbol, cost llr[i]) plus one convex-weight vector per check over that
 check's local codebook.  Equality rows tie every f_i slot to the matching
 codebook marginal and normalize each weight vector to sum 1.  An integral
 optimum is a certified ML codeword; a fractional optimum is a decoding
-failure and the fractional positions are erased.
+failure and the fractional positions are erased.  The coupling rows are
+indexed by the coordinate-ascent decoder's edge ids: symbol a of edge e,
+which joins variable i to check j, has row e(q-1) + a - 1.  The duals of
+those rows are therefore edge messages, the form of the decoder's
+primal-dual pair, and the exact solver builds no second row layout.
 
 Two equivalent polytope descriptions are provided: the marginal form above
 (f plus per-check weights) and a factor form that additionally carries one
@@ -44,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import BudgetExceeded, TannerCode, enumerate_spc
-from .decoder import ERASED, DecodeOutcome, Status, validate_llr
+from .decoder import ERASED, DecodeOutcome, Status, _code_cache, validate_llr
 
 # reduced-cost and pivot-element threshold for the simplex core
 _SIMPLEX_TOL = 1e-9
@@ -72,13 +76,6 @@ class InfeasibleInput(ValueError):
 
 class CycleGuardTripped(RuntimeError):
     """The simplex pivot budget was exhausted."""
-
-
-def _dense(rows, vals, m):
-    """The dense (m, len(rows)) matrix of a padded column store."""
-    A = np.zeros((m + 1, len(rows)))
-    A[rows, np.arange(len(rows))[:, None]] = vals
-    return A[:m]
 
 
 def _duals(cb, binv):
@@ -279,31 +276,41 @@ def _codebooks(code: TannerCode) -> tuple:
     return tuple(enumerate_spc(code, j) for j in range(code.m))
 
 
-def _crash_words(setup):
+def _crash_words(code: TannerCode, books) -> tuple:
     """Per-check words and unit columns that form a feasible zero-vertex basis.
 
     Weight columns only touch their own check's rows, so selecting per check
     an independent set of codebook columns (the zero word first) yields a
     block-diagonal basis whose basic solution puts weight 1 on each zero
-    word.  Columns are taken greedily in codebook order whenever they are
-    independent of those already taken: one Gaussian elimination per check
-    block reduces every later column against each accepted one, and a
-    column is accepted when its residual exceeds _SIMPLEX_TOL somewhere.
-    Where the words cannot fill a block (non-unit coefficients), the pass
-    goes on over the block's unit vectors in row order; those it takes are
-    unit columns, fixed at zero.  Returns (words, units): per check the
-    word ids and the block rows (see block_rows) of the unit columns.
+    word.  Check j's block holds rows t(q-1) + b - 1 for symbol b at slot t,
+    then its normalization row: a word's column is -1 on the row of each
+    nonzero symbol and +1 on the last.  Columns are taken greedily in
+    codebook order whenever they are independent of those already taken:
+    one Gaussian elimination per block reduces every later column against
+    each accepted one, and a column is accepted when its residual exceeds
+    _SIMPLEX_TOL somewhere.  Where the words cannot fill a block (non-unit
+    coefficients), the pass goes on over the block's unit vectors in row
+    order; those it takes are unit columns, fixed at zero.  The block and
+    codebook depend only on the check's coefficient row, so each distinct
+    row is solved once.  Returns (words, units): per check the word ids and
+    the block rows of the unit columns.
     """
-    chosen_words, chosen_units = [], []
-    for j, book in enumerate(setup.books):
-        rows = setup.block_rows(j)
-        residual = np.hstack([
-            _dense(*setup.word_store(j, book.words), setup.n_rows)[rows],
-            np.eye(len(rows)),
-        ])
+    q = code.q
+    keys = [tuple(vals.tolist()) for vals in code.row_vals]
+    solved = {}
+    for key, book in zip(keys, books):
+        if key in solved:
+            continue
+        count, d = book.words.shape
+        size = d * (q - 1) + 1
+        block = np.zeros((size, count))
+        block[-1] = 1.0
+        w, t = np.nonzero(book.words)
+        block[t * (q - 1) + book.words[w, t] - 1, w] = -1.0
+        residual = np.hstack([block, np.eye(size)])
         chosen = []
         col = 0
-        while len(chosen) < len(rows):
+        while len(chosen) < size:
             free = np.abs(residual[:, col:]).max(axis=0) > _SIMPLEX_TOL
             col += int(np.argmax(free))
             chosen.append(col)
@@ -312,9 +319,9 @@ def _crash_words(setup):
             # zero row p in every later column; the accepted ones stay zero
             residual[:, col:] -= np.outer(pivot / pivot[p], residual[p, col:])
             col += 1
-        chosen_words.append([k for k in chosen if k < len(book)])
-        chosen_units.append([k - len(book) for k in chosen if k >= len(book)])
-    return chosen_words, chosen_units
+        solved[key] = ([k for k in chosen if k < count],
+                       [k - count for k in chosen if k >= count])
+    return [solved[key][0] for key in keys], [solved[key][1] for key in keys]
 
 
 def _crash_basis(setup):
@@ -351,9 +358,11 @@ def _crash_basis(setup):
 class _ExactSetup:
     """Per-code constraint system, reused across frames (only costs change).
 
-    Rows are the indicator/weight coupling equalities (check-major, then
-    position, then symbol) followed by one normalization row per check;
-    columns are the n * (q-1) indicators, then local-word weights.  Columns
+    Rows follow the decoder's edge tables (see decoder._CodeCache): edge e,
+    check-major, has the coupling rows e(q-1) + a - 1 for symbols a = 1..q-1,
+    and check j's normalization row is n_coupling + j, after all of them.
+    So y[:n_coupling].reshape(n_edges, q-1) is an array of edge messages.
+    Columns are the n * (q-1) indicators, then local-word weights.  Columns
     are kept as a padded store (see _revised_phase2) of row ids and signs,
     width slots each; padding points at row n_rows.  crash_store holds the
     indicators, every check's crash words, then the unit columns (see
@@ -373,37 +382,32 @@ class _ExactSetup:
                 raise BudgetExceeded(f"check {j}: codebook bound {size} "
                                      f"exceeds budget {_CODEBOOK_BUDGET}")
         self.books = _codebooks(code)
+        cache = _code_cache(code)
+        self.check_edges = cache.check_edges
         q = self.q = code.q
         self.n_ind = code.n * (q - 1)
-        self.n_coupling = sum(len(row) * (q - 1) for row in code.rows)
+        self.n_coupling = cache.n_edges * (q - 1)
         self.n_rows = self.n_coupling + code.m
-        self.coup_starts = []
-        start = 0
-        for row in code.rows:
-            self.coup_starts.append(start)
-            start += len(row) * (q - 1)
-        self.norm_rows = [self.n_coupling + j for j in range(code.m)]
         self.uncovered = np.flatnonzero([not js for js in code.columns])
         self.b = np.zeros(self.n_rows)
         self.b[self.n_coupling:] = 1.0
-        # indicator columns: +1 on every coupling row of the matching symbol
-        ind = [[] for _ in range(self.n_ind)]
-        for j, row in enumerate(code.rows):
-            for t, (i, _) in enumerate(row):
-                for alpha in range(1, q):
-                    ind[i * (q - 1) + alpha - 1].append(
-                        self.coup_starts[j] + t * (q - 1) + alpha - 1
-                    )
-        self.width = max(max(map(len, ind)),
-                         max(len(row) for row in code.rows) + 1)
+        self.width = max(cache.var_edges.shape[1], self.check_edges.shape[1] + 1)
+        # indicator columns: +1 on the coupling row of the matching symbol at
+        # every edge of the variable, in edge order; var_edges pads with
+        # n_edges
+        var_edges = cache.var_edges[:, None, :]
         self.ind_rows = np.full((self.n_ind, self.width), self.n_rows)
-        for k, rows in enumerate(ind):
-            self.ind_rows[k, :len(rows)] = rows
+        self.ind_rows[:, :var_edges.shape[2]] = np.where(
+            var_edges < cache.n_edges,
+            var_edges * (q - 1) + np.arange(q - 1)[:, None], self.n_rows,
+        ).reshape(self.n_ind, -1)
         self.ind_signs = (self.ind_rows < self.n_rows).astype(np.float64)
-        self.crash_words, self.crash_units = _crash_words(self)
+        self.crash_words, self.crash_units = _crash_words(code, self.books)
+        # a unit column's block row k is slot k // (q-1), symbol k % (q-1) + 1;
+        # none is a normalization row, which the zero word's column is
         units = np.full((sum(map(len, self.crash_units)), self.width),
                         self.n_rows)
-        units[:, 0] = [self.block_rows(j)[k]
+        units[:, 0] = [self.check_edges[j, k // (q - 1)] * (q - 1) + k % (q - 1)
                        for j, ks in enumerate(self.crash_units) for k in ks]
         self.crash_store = tuple(np.concatenate(arrays) for arrays in zip(
             self.store(self.crash_words), (units, (units < self.n_rows) * 1.0)
@@ -425,13 +429,6 @@ class _ExactSetup:
             minlength=self.n_rows + 1,
         )[:-1]
 
-    def block_rows(self, j: int) -> list:
-        """Rows of check j's block: its coupling rows (position-major, then
-        symbol), then its normalization row."""
-        start = self.coup_starts[j]
-        size = self.books[j].words.shape[1] * (self.q - 1)
-        return list(range(start, start + size)) + [self.norm_rows[j]]
-
     def word_store(self, j: int, words):
         """Stored columns of local words of check j: -1 on the coupling row
         of each nonzero symbol, +1 on the check's normalization row."""
@@ -440,12 +437,10 @@ class _ExactSetup:
         signs = np.zeros((count, self.width))
         hit = words != 0
         rows[:, :d] = np.where(
-            hit,
-            self.coup_starts[j] + np.arange(d) * (self.q - 1) + words - 1,
-            self.n_rows,
+            hit, self.check_edges[j, :d] * (self.q - 1) + words - 1, self.n_rows,
         )
         signs[:, :d] = np.where(hit, -1.0, 0.0)
-        rows[:, d] = self.norm_rows[j]
+        rows[:, d] = self.n_coupling + j
         signs[:, d] = 1.0
         return rows, signs
 
@@ -478,9 +473,11 @@ def _column_generation(setup: _ExactSetup, c_ind):
     """Exact LP optimum via restricted masters over growing word sets.
 
     Each round solves the decoding LP restricted to the working local words,
-    then prices every excluded word against the restricted duals (one cheap
-    gather per check).  Words with negative reduced cost join the working
-    set: their columns are built from their symbols and appended to the
+    then prices every excluded word against the restricted duals: the
+    coupling duals, read as edge messages, are gathered through each
+    check's edge ids.  Of each check's words that price below
+    -_PRICING_TOL, the _CG_ADDS_PER_CHECK most negative (ties in codebook
+    order) join the working set: their columns are built from their symbols and appended to the
     master, so every earlier column keeps its place and the basis and its
     inverse carry over to the next round unchanged.  A round with none
     certifies the restricted optimum as the optimum of the full LP (the
@@ -493,7 +490,10 @@ def _column_generation(setup: _ExactSetup, c_ind):
     fixed = setup.crash_fixed
     c = np.zeros(len(rows))
     c[:setup.n_ind] = c_ind
-    members = [set(ws) for ws in setup.crash_words]
+    # per check, which of its local words the master already holds
+    master = [np.zeros(len(book), dtype=bool) for book in setup.books]
+    for held, words in zip(master, setup.crash_words):
+        held[words] = True
     # start at the zero-codeword vertex provided by the crash selection,
     # and refactor from it
     start = (setup.crash_basis, setup.crash_binv)
@@ -507,23 +507,19 @@ def _column_generation(setup: _ExactSetup, c_ind):
             spent=total_pivots, start=start,
         )
         total_pivots += pivots
+        # the coupling duals as edge messages, symbol 0 priced at zero
+        edge_duals = y[:setup.n_coupling].reshape(-1, q - 1)
+        edge_duals = np.hstack([np.zeros((len(edge_duals), 1)), edge_duals])
         added = []
         for j, book in enumerate(setup.books):
-            d = book.words.shape[1]
-            slot_duals = y[
-                setup.coup_starts[j]:setup.coup_starts[j] + d * (q - 1)
-            ].reshape(d, q - 1)
-            padded = np.column_stack([np.zeros(d), slot_duals])
-            scores = (
-                padded[np.arange(d)[None, :], book.words].sum(axis=1)
-                - y[setup.norm_rows[j]]
-            )
-            candidates = np.flatnonzero(scores < -_PRICING_TOL)
-            candidates = [int(k) for k in candidates if int(k) not in members[j]]
-            candidates.sort(key=lambda k: scores[k])
-            picked = candidates[:_CG_ADDS_PER_CHECK]
-            if picked:
-                members[j].update(picked)
+            edges = setup.check_edges[j, :book.words.shape[1]]
+            scores = (edge_duals[edges, book.words].sum(axis=1)
+                      - y[setup.n_coupling + j])
+            fresh = np.flatnonzero((scores < -_PRICING_TOL) & ~master[j])
+            order = np.argsort(scores[fresh], kind="stable")
+            picked = fresh[order[:_CG_ADDS_PER_CHECK]]
+            if picked.size:
+                master[j][picked] = True
                 added.append(setup.word_store(j, book.words[picked]))
         if not added:
             if b is setup.b:

@@ -63,24 +63,15 @@ class SimConfig:
         if not all(math.isfinite(e) for e in ebno):
             raise ValueError(f"ebno_list entries must be finite, got {ebno}")
         object.__setattr__(self, "ebno_list", ebno)
-        if self.target_frame_errors < 1:
-            raise ValueError(
-                f"target_frame_errors must be >= 1, got {self.target_frame_errors}"
-            )
-        if self.max_frames < 1:
-            raise ValueError(f"max_frames must be >= 1, got {self.max_frames}")
-        if not isinstance(self.max_iterations, numbers.Integral):
-            raise ValueError(
-                f"max_iterations must be an integer, got {self.max_iterations!r}"
-            )
-        if self.max_iterations < 1:
-            raise ValueError(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
-            )
+        for name in ("target_frame_errors", "max_frames", "max_iterations",
+                     "workers"):
+            count = getattr(self, name)
+            if not isinstance(count, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1, got {count}")
         if self.decoder == "soft" and not self.kappa > 0.0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)

@@ -563,6 +563,14 @@ def decoding_lp(code, llr, A=None):
     return c, A, b
 
 
+def dense_store(rows, vals, m):
+    """The dense (m, len(rows)) matrix of a padded column store; the
+    inverse of padded_store."""
+    A = np.zeros((m + 1, len(rows)))
+    A[rows, np.arange(len(rows))[:, None]] = vals
+    return A[:m]
+
+
 def padded_store(A):
     """A dense matrix as the simplex engine's padded column store.
 

@@ -62,6 +62,14 @@ def test_config_refuses_non_integer_max_iterations(bad):
         SimConfig(ebno_list=(1.0,), max_iterations=bad)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3"])
+@pytest.mark.parametrize("name", ["max_frames", "target_frame_errors",
+                                  "workers"])
+def test_config_refuses_non_integer_counts(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        SimConfig(ebno_list=(1.0,), **{name: bad})
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_config_refuses_non_finite_ebno(bad):
     with pytest.raises(ValueError, match="ebno_list entries must be finite"):
