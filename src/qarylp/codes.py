@@ -157,6 +157,10 @@ class TannerCode:
     # derived structure, not part of equality
     row_cols: tuple = field(default=None, compare=False, repr=False)
     row_vals: tuple = field(default=None, compare=False, repr=False)
+    # (m, width) column and value table of the checks, padded with column
+    # n and value 0
+    padded_cols: np.ndarray = field(default=None, compare=False, repr=False)
+    padded_vals: np.ndarray = field(default=None, compare=False, repr=False)
     columns: tuple = field(default=None, compare=False, repr=False)
     edges: tuple = field(default=None, compare=False, repr=False)
 
@@ -192,6 +196,14 @@ class TannerCode:
             self, "row_vals",
             tuple(np.array([v for _, v in row], dtype=np.int64) for row in self.rows),
         )
+        width = max(map(len, self.rows))
+        padded_cols = np.full((self.m, width), self.n, dtype=np.int64)
+        padded_vals = np.zeros((self.m, width), dtype=np.int64)
+        for j, row in enumerate(self.rows):
+            padded_cols[j, :len(row)] = self.row_cols[j]
+            padded_vals[j, :len(row)] = self.row_vals[j]
+        object.__setattr__(self, "padded_cols", padded_cols)
+        object.__setattr__(self, "padded_vals", padded_vals)
         cols: list[list[int]] = [[] for _ in range(self.n)]
         edges = []
         for j, row in enumerate(self.rows):
@@ -228,10 +240,8 @@ class TannerCode:
         w = np.asarray(word, dtype=np.int64)
         if w.shape != (self.n,):
             raise LengthMismatch(f"expected length {self.n}, got shape {w.shape}")
-        out = np.empty(self.m, dtype=np.int64)
-        for j in range(self.m):
-            out[j] = int(np.dot(w[self.row_cols[j]], self.row_vals[j])) % self.q
-        return out
+        w_pad = np.append(w, 0)
+        return (w_pad[self.padded_cols] * self.padded_vals).sum(axis=1) % self.q
 
     def is_codeword(self, word) -> bool:
         return not np.any(self.syndrome(word))

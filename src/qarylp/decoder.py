@@ -27,18 +27,21 @@ prefix step and extrinsic row are one (q, q) soft minimum each (the trellis
 check-node processing of Punekar & Flanagan, ISIT 2011).  A symbol that no
 local word reaches gets message -_MESSAGE_CLAMP.
 
-A sweep updates the edges in check-major order, but decode() visits the
-checks by levels: sets of checks that share no variable, where a check's
-level is one more than the highest level of an earlier check sharing a
-variable with it.  One kernel, _visit_checks, updates slot t of every
-check of a level at once.  A check's visit reads only its own messages,
-its suffix soft minima (computed once per sweep and unchanged until the
-check's own visit) and the node_sum rows of its own variables; a
-variable's checks lie in strictly increasing levels, so those rows have
-received exactly the writes, in the same order, that check-major order
-would have made.  Every kernel operation is elementwise or row by row,
-so the level sweep is bit-identical to the edge-by-edge path of
-update_edge_soft/update_edge_hard, which runs the same kernel on one check.
+A sweep updates the edges in check-major order, but decode() visits them
+in waves: an edge's wave is one more than the later of the waves of its
+check's previous slot and of its variable's previous edge, so a wave's
+edges lie in distinct checks and distinct variables.  One kernel,
+_visit_waves, updates every edge of a wave at once, each at its own slot.
+An edge's update reads only its check's previous-slot message and running
+prefix (both written in an earlier wave), its suffix soft minima (computed
+once per sweep and unchanged until the check's own slots are visited) and
+its variable's node_sum row; the earlier edges of that variable lie in
+earlier waves, so the row has received exactly the writes, in the same
+order, that check-major order would have made.  Every kernel operation
+is elementwise or a reduction over a leading axis of terms, column by
+column, so the wave sweep is bit-identical to the edge-by-edge path of
+update_edge_soft/update_edge_hard, which runs the same kernel on one
+check.
 """
 
 from __future__ import annotations
@@ -155,40 +158,38 @@ def _groups(keys: np.ndarray, n_groups: int, width: int, fill: int) -> np.ndarra
     return out
 
 
-def _levels(code: TannerCode, degree: np.ndarray) -> list:
-    # check j's level is one more than the highest level of an earlier
-    # check sharing a variable with it; each level lists its checks by
-    # descending degree (stable), so the checks still active at a slot
-    # are a prefix of the list
+def _waves(code: TannerCode) -> np.ndarray:
+    # the wave of every edge, check-major: one more than the later of the
+    # waves of its check's previous slot and of its variable's previous
+    # edge, so slot t of a check gets t + max over t' <= t of
+    # (the wave of variable i_t' so far + 1 - t')
     last = np.full(code.n, -1)
-    level = np.empty(code.m, dtype=np.int64)
-    for j, cols in enumerate(code.row_cols):
-        level[j] = last[cols].max() + 1
-        last[cols] = level[j]
     out = []
-    for k in range(level.max() + 1):
-        checks = np.flatnonzero(level == k)
-        out.append(checks[np.argsort(-degree[checks], kind="stable")])
-    return out
+    for cols in code.row_cols:
+        t = np.arange(len(cols))
+        wave = np.maximum.accumulate(last[cols] + 1 - t) + t
+        last[cols] = wave
+        out.append(wave)
+    return np.concatenate(out)
 
 
 class _CodeCache:
-    """Edge indexing, trellis offsets and the level schedule of one code.
+    """Edge indexing, trellis offsets and the wave schedule of one code.
 
     check_edges[j, t] is the edge id of slot t of check j; short checks
     are padded with edge n_edges, whose message row [0, +inf, ...] makes a
     padding slot (coefficient 0) an exact identity section.  Check j's
     _suffix_arrays block is row j of a (count, width + 1, q) array, and
-    suffix_index[j, t, r q + b] is the flat offset, inside that block, of
+    suffix_index[t, b, j, r] is the flat offset, inside that block, of
     B_{t+1}(r - h_t b): the suffix syndrome after slot t when the slots
     from t on sum to r and slot t holds b.
 
-    levels splits the checks into sets that share no variable, each
-    variable's checks in strictly increasing levels in their original
-    order (see _levels; the module docstring says why a level visit is
-    bit-identical to check-major order).  plans holds each level's kernel
-    steps (see plan).  Every array here holds O(q^2) entries per edge;
-    none grows with the local codebook.
+    steps holds the kernel steps of a sweep, one per wave (see _waves and
+    plan): a wave's edges lie in distinct checks and distinct variables,
+    and each edge comes after its check's previous slot and its variable's
+    previous edge in check-major order (the module docstring says why a
+    wave sweep is bit-identical to check-major order).  Every array here
+    holds O(q^2) entries per edge; none grows with the local codebook.
     """
 
     def __init__(self, code: TannerCode):
@@ -198,56 +199,53 @@ class _CodeCache:
         self.n_edges = len(code.edges)
         # position of each edge's variable inside its check's column list
         self.edge_slot = np.concatenate([np.arange(len(row)) for row in code.rows])
-        edge_vars, edge_checks = np.array(code.edges).T
+        self.edge_var, self.edge_check = np.array(code.edges).T
+        self.edge_coef = np.concatenate(code.row_vals)
         # var_edges[i]: edge ids of variable i, ascending, padded with
         # n_edges, which names an extra message row of -0.0 (x + -0.0 == x)
-        self.var_edges = _groups(edge_vars, code.n,
+        self.var_edges = _groups(self.edge_var, code.n,
                                  max(map(len, code.columns)), self.n_edges)
         width = max(map(len, code.rows))
-        self.check_edges = _groups(edge_checks, code.m, width, self.n_edges)
-        self.check_vars = np.append(edge_vars, -1)[self.check_edges]
+        self.check_edges = _groups(self.edge_check, code.m, width, self.n_edges)
         self.degree = np.array([len(row) for row in code.rows])
-        coefs = np.append(np.concatenate(code.row_vals), 0)[self.check_edges]
+        coefs = np.append(self.edge_coef, 0)[self.check_edges]
         # a check's suffix block is block_rows rows of q entries
         self.block_rows = width + 1
-        r, b = np.divmod(np.arange(q * q), q)
-        self.suffix_index = ((r - coefs[:, :, None] * b) % q
-                             + q * np.arange(1, width + 1)[:, None])
-        self.levels = _levels(code, self.degree)
-        self.plans = tuple(self.plan(checks, checks) for checks in self.levels)
+        r = np.arange(q)
+        self.suffix_index = ((r - coefs.T[:, None, :, None] * r[:, None, None]) % q
+                             + q * np.arange(1, width + 1)[:, None, None, None])
+        wave = _waves(code)
+        waves = np.split(np.argsort(wave, kind="stable"),
+                         np.cumsum(np.bincount(wave))[:-1])
+        self.steps = self.plan(waves, np.arange(code.m))
 
-    def plan(self, checks: np.ndarray, rows: np.ndarray) -> tuple:
-        """Kernel steps of _visit_checks for conflict-free checks.
+    def plan(self, waves, rows: np.ndarray) -> tuple:
+        """Kernel steps of _visit_waves, one per wave of edges.
 
-        checks are sorted by descending degree and their suffix blocks sit
-        at rows of the suffix array the kernel is given.  Step t holds, for
-        the first k checks, those of degree above t: the edge ids and
-        variables of slot t and two arrays of flat gather offsets, both the
-        suffix_index offsets reordered and shifted.  ext[i, c, s] is the
-        offset of B_{t+1}(-s - h_t c) of the i-th check in the suffix
-        array (at slot 0, ext[i, c] that of B_1(-h_0 c)).  For t >= 1,
-        prefix[i, s, b] is the offset of F_{t-2}(s - h_{t-1} b) in the
-        (k', q) prefix array of the previous step, k' >= k, which holds
-        the i-th check in row i; at slot 0 it is None.
+        Each wave lists edges of distinct checks and distinct variables;
+        rows[j] is check j's row in the suffix array and in the prefix
+        buffer that the kernel is given.  A step holds the wave's edges,
+        those before their check's last slot first, their variables, the
+        rows of those first checks, whose prefix is carried on, and two
+        (q, k, q) arrays of flat gather offsets.  For the i-th edge, at
+        slot t of its check with coefficient h_t: ext[s, i, c] is the
+        offset of B_{t+1}(-s - h_t c) in the suffix array, and prefix[b,
+        i, s] that of F_{t-1}(s - h_t b) in the prefix buffer.
         """
         q = self.q
-        negate = -np.arange(q) % q
+        a = np.arange(q)
         steps = []
-        for t in range(self.degree[checks[0]]):
-            k = np.count_nonzero(self.degree[checks] > t)
-            c = checks[:k]
-            # check i's B_{t+1}(r - h_t b) sits at suffix_index[c_i, t, r q + b]
-            # plus the offset of its block
-            base = q * self.block_rows * rows[:k]
-            if t == 0:
-                ext, prefix = self.suffix_index[c, 0, :q] + base[:, None], None
-            else:
-                suffix = self.suffix_index[c, t].reshape(k, q, q)[:, negate]
-                ext = np.ascontiguousarray(suffix.transpose(0, 2, 1)
-                                           + base[:, None, None])
-                prefix = (self.suffix_index[c, t - 1].reshape(k, q, q)
-                          - q * t + q * np.arange(k)[:, None, None])
-            steps.append((self.check_edges[c, t], self.check_vars[c, t],
+        for edges in waves:
+            checks = self.edge_check[edges]
+            later = self.edge_slot[edges] < self.degree[checks] - 1
+            edges = np.concatenate([edges[later], edges[~later]])
+            t = self.edge_slot[edges, None]
+            h = self.edge_coef[edges, None]
+            row = rows[self.edge_check[edges], None]
+            ext = ((row * self.block_rows + t + 1) * q
+                   + (-a[:, None, None] - h * a) % q)
+            prefix = row * q + (a - h * a[:, None, None]) % q
+            steps.append((edges, self.edge_var[edges], row[:later.sum(), 0],
                           ext, prefix))
         return tuple(steps)
 
@@ -264,25 +262,29 @@ def _code_cache(code: TannerCode) -> _CodeCache:
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
-def _softmin_rows(rows: np.ndarray, kappa: float) -> np.ndarray:
-    """Soft minimum of every row of a 2-d array; a row of +inf gives +inf.
+def _softmin(terms: np.ndarray, kappa: float) -> np.ndarray:
+    """Soft minimum over axis 0 of an array of 2 or more dimensions.
 
-    Each row is reduced along its own contiguous axis, so its value does
-    not depend on the other rows.  The log is math.log, row by row: np.log
-    may differ from it in the last bit, which would move decoded traces.
+    A column of +inf (an empty bucket) gives +inf.  In a C-ordered array
+    of two or more columns numpy adds each column's terms one by one in
+    axis order, so a column's value does not depend on the other columns;
+    a lone column may be summed pairwise.  The log is math.log, entry by
+    entry: np.log may differ from it in the last bit, which would move
+    decoded traces.
     """
     if math.isinf(kappa):
-        return np.minimum.reduce(rows, axis=1)
-    lo = np.minimum.reduce(rows, axis=1, initial=_FLOAT_MAX)
-    shifted = rows - lo[:, None]
+        return np.minimum.reduce(terms, axis=0)
+    lo = np.minimum.reduce(terms, axis=0, initial=_FLOAT_MAX)
+    shifted = terms - lo
     shifted *= -kappa
-    total = np.add.reduce(np.exp(shifted, out=shifted), axis=1)
-    # a row's own minimum contributes 1 to its total, so only an all-+inf
-    # row totals 0; it takes log 1 here and +inf below
+    total = np.add.reduce(np.exp(shifted, out=shifted), axis=0)
+    # a column's own minimum contributes 1 to its total, so only an all-+inf
+    # column totals 0; it takes log 1 here and +inf below
     empty = total == 0
     total[empty] = 1.0
-    out = lo - np.fromiter(map(math.log, total.tolist()), np.float64,
-                           len(total)) / kappa
+    logs = np.fromiter(map(math.log, total.ravel().tolist()), np.float64,
+                       total.size)
+    out = lo - logs.reshape(total.shape) / kappa
     out[empty] = math.inf
     return out
 
@@ -295,7 +297,7 @@ def soft_min(values, kappa: float) -> float:
     for a list of length L.  +inf entries add nothing; a -inf entry gives
     -inf.
     """
-    arr = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    arr = np.asarray(values, dtype=np.float64).reshape(-1, 1)
     if arr.size == 0:
         raise EmptyList("soft_min of an empty collection")
     if not kappa > 0:
@@ -303,7 +305,7 @@ def soft_min(values, kappa: float) -> float:
     if arr.min() == -math.inf:
         # shifting by the minimum would give -inf - -inf
         return -math.inf
-    return float(_softmin_rows(arr, kappa)[0])
+    return float(_softmin(arr, kappa)[0])
 
 
 # ---- dual state ----
@@ -361,24 +363,23 @@ def _suffix_arrays(state: DualState, checks=slice(None)) -> np.ndarray:
     out = np.zeros((count, width + 1, q))
     out[:, width, 1:] = math.inf
     flat = out.reshape(-1)
-    index = (cache.suffix_index[checks]
-             + cache.block_rows * q * np.arange(count)[:, None, None])
+    index = (cache.suffix_index[:, :, checks]
+             + cache.block_rows * q * np.arange(count)[:, None])
     for t in range(width - 1, -1, -1):
-        # B_t(r) = softmin_b [w_t(b) + B_{t+1}(r - h_t b)]
-        terms = (flat[index[:, t]].reshape(count, q, q) + w[:, t, None])
-        out[:, t] = _softmin_rows(terms.reshape(-1, q),
-                                  state.kappa).reshape(count, q)
+        # B_t(r) = softmin_b [w_t(b) + B_{t+1}(r - h_t b)], terms (b, check, r)
+        terms = flat[index[t]]
+        terms += w[:, t].T[:, :, None]
+        out[:, t] = _softmin(terms, state.kappa)
     return out
 
 
-def _variable_potentials(state: DualState, rows=slice(None)) -> np.ndarray:
-    # phi of the variables in rows: the soft minimum over each one's
-    # constant words, where the zero word scores 0 and the word repeating
-    # symbol b scores -node_sum[i, b-1]
-    node_sum = state.node_sum[rows]
-    scores = np.zeros((len(node_sum), state.code.q))
-    np.negative(node_sum, out=scores[:, 1:])
-    return _softmin_rows(scores, state.kappa)
+def _variable_potentials(state: DualState) -> np.ndarray:
+    # every phi: the soft minimum over each variable's constant words,
+    # where the zero word scores 0 and the word repeating symbol b scores
+    # -node_sum[i, b-1]
+    scores = np.zeros((state.code.q, state.code.n))
+    np.negative(state.node_sum.T, out=scores[1:])
+    return _softmin(scores, state.kappa)
 
 
 def _tighten_potentials(state: DualState) -> np.ndarray:
@@ -390,8 +391,10 @@ def _tighten_potentials(state: DualState) -> np.ndarray:
 
 
 def _edge_potentials(state: DualState, i: int, j: int):
-    # phi_i and theta_j recomputed from node_sum and check j's messages
-    return (_variable_potentials(state, slice(i, i + 1))[0],
+    # phi_i and theta_j recomputed from node_sum and check j's messages;
+    # phi_i is taken from all of them, as _softmin may sum a lone column
+    # in another order
+    return (_variable_potentials(state)[i],
             _suffix_arrays(state, [j])[0, 0, 0])
 
 
@@ -410,49 +413,50 @@ def _refresh_caches(state: DualState) -> None:
     state.node_sum[:] = state.chan + _message_sums(state)
 
 
-def _visit_checks(state: DualState, plan: tuple, suffix: np.ndarray,
-                  stop=None):
-    # the kernel: visit conflict-free checks together, slot by slot, as
-    # planned by _CodeCache.plan against suffix (their _suffix_arrays
-    # blocks, which hold until this visit writes the checks).  ext[k, c] is
-    # the soft minimum over check k's words with c in slot t of their
-    # message sums outside slot t: each step first carries the prefix F
-    # over slot t - 1, then meets it with the suffix B_{t+1}, two (q, q)
-    # soft minima per check.  stop=None (the sweep) updates every slot's
-    # message from ext; else nothing is written and slot stop's ext is
-    # returned.  Every operation is elementwise or row by row, so each
-    # check gets the bits of a visit on its own.
-    q = state.code.q
+def _visit_waves(state: DualState, steps: tuple, suffix: np.ndarray,
+                 stop=None):
+    # the kernel: one step per wave of edges, as planned by _CodeCache.plan
+    # against suffix (the _suffix_arrays blocks of their checks, which hold
+    # until the sweep reaches the checks) and a prefix buffer with a row
+    # per block, F_{-1} (syndrome 0 at cost 0) before slot 0.  ext[i, c]
+    # is the soft minimum over edge i's check words with c in slot t of
+    # their message sums outside slot t: the step meets the check's prefix
+    # F_{t-1} with its suffix B_{t+1}, writes the message, then carries the
+    # prefix over slot t, two (q, q) soft minima per edge.  Terms are laid
+    # out (reduced symbol, edge, kept symbol) and every minimum is taken
+    # over axis 0, so each edge gets the bits of a visit on its own.
+    # stop=None (the sweep) updates every edge's message from ext; else
+    # nothing is written and step stop's ext is returned.
     flat = suffix.reshape(-1)
-    for t, (edges, variables, ext_index, prefix_index) in enumerate(plan):
-        k = len(edges)
-        if t:
-            # F_{t-1}(s) = softmin_b [F_{t-2}(s - h_{t-1} b) + w_{t-1}(b)]
-            terms = prefix.reshape(-1)[prefix_index]
-            terms += row[:k, None, :]
-            prefix = _softmin_rows(terms.reshape(-1, q),
-                                   state.kappa).reshape(k, q)
-            # ext_t(c) = softmin_s [B_{t+1}(-s - h_t c) + F_{t-1}(s)]
-            terms = flat[ext_index]
-            terms += prefix[:, None, :]
-            ext = _softmin_rows(terms.reshape(-1, q),
-                                state.kappa).reshape(k, q)
-        else:
-            ext = flat[ext_index]
-            # the prefix before slot 0: syndrome 0 at cost 0
-            prefix = np.full((k, q), math.inf)
-            prefix[:, 0] = 0.0
-        if t == stop:
+    prefix = np.full((len(suffix), state.code.q), math.inf)
+    prefix[:, 0] = 0.0
+    prefix_flat = prefix.reshape(-1)
+    for wave, step in enumerate(steps):
+        edges, variables, carry, ext_index, prefix_index = step
+        # F_{t-1}(s - h_t b), laid out (b, edge, s)
+        shifted = prefix_flat[prefix_index]
+        # ext_t(c) = softmin_s [B_{t+1}(-s - h_t c) + F_{t-1}(s)]
+        terms = flat[ext_index]
+        terms += shifted[0].T[:, :, None]
+        ext = _softmin(terms, state.kappa)
+        if wave == stop:
             return ext
-        row = np.zeros((k, q))  # [0, message] of slot t
-        row[:, 1:] = (state.messages[edges] if stop is not None
-                      else _maximize_edges(state, edges, variables, ext))
+        new = (state.messages[edges] if stop is not None
+               else _maximize_edges(state, edges, variables, ext))
+        if len(carry):
+            # F_t(s) = softmin_b [F_{t-1}(s - h_t b) + w_t(b)], w_t(0) = 0
+            shifted = shifted[:, :len(carry)]
+            shifted[1:] += new[:len(carry)].T[:, :, None]
+            prefix[carry] = _softmin(shifted, state.kappa)
 
 
 def _slot_ext(state: DualState, j: int, t: int) -> np.ndarray:
-    # slot t's ext row of check j: its kernel replayed up to the slot
-    plan = state.cache.plan(np.array([j]), np.array([0]))
-    return _visit_checks(state, plan, _suffix_arrays(state, [j]), stop=t)[0]
+    # slot t's ext row of check j: its kernel replayed up to the slot, one
+    # slot per wave
+    cache = state.cache
+    steps = cache.plan(cache.check_edges[j, :t + 1, None],
+                       np.zeros(state.code.m, dtype=np.int64))
+    return _visit_waves(state, steps, _suffix_arrays(state, [j]), stop=t)[0]
 
 
 def dual_objective(state: DualState) -> float:
@@ -543,9 +547,9 @@ def _decide_symbols(state: DualState) -> np.ndarray:
 def decode(code: TannerCode, llr, config: DecoderConfig) -> DecodeOutcome:
     """Run coordinate-ascent sweeps until a codeword is found or the budget ends.
 
-    Each iteration updates every edge, checks level by level, applying
-    the soft update (finite kappa) or the hard update (kappa = math.inf),
-    then tightens every potential, records the dual objective and reads a
+    Each iteration updates every edge, wave by wave, applying the soft
+    update (finite kappa) or the hard update (kappa = math.inf), then
+    tightens every potential, records the dual objective and reads a
     decision.  The result equals running update_edge_soft/update_edge_hard
     edge by edge in check-major order.  The first erasure-free decision
     with zero syndrome returns CODEWORD_FOUND.  Iterations whose decision
@@ -562,8 +566,7 @@ def decode(code: TannerCode, llr, config: DecoderConfig) -> DecodeOutcome:
     status = Status.MAX_ITERATIONS
     for iteration in range(1, config.max_iterations + 1):
         _refresh_caches(state)
-        for plan in state.cache.plans:
-            _visit_checks(state, plan, suffix)
+        _visit_waves(state, state.cache.steps, suffix)
         suffix = _tighten_potentials(state)
         trace.append(dual_objective(state))
         try:

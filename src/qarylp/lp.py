@@ -328,21 +328,46 @@ def _crash_basis(setup):
     """The crash basis, as the column basic at each row, and its inverse.
 
     The crash words and unit columns (see _crash_words) form a
-    block-diagonal basis, inverted first.  Every covered indicator then
-    enters, in column order, at the row of the latest-ordered crash column
-    still basic whose |d| exceeds _SIMPLEX_TOL, never at a zero word's row.
-    Such a row exists: covered indicators touch disjoint coupling rows and
-    zero words only normalization rows, so no indicator lies in the span
-    of the other indicators and the zero words.  Exchanging out the latest
-    column of each fundamental circuit gives the rank-greedy basis over the
-    indicators, then the crash words check by check, then the unit columns.
-    The zero words stay basic, so the basic solution is still the zero
-    codeword.
+    block-diagonal basis.  Its inverse is assembled from one inverse per
+    distinct block: _invert runs on the block's own rows plus one spare row
+    that no column touches.  The spare row's column carries the signed zero
+    that every column outside the block holds when the whole basis is
+    inverted from I, and the same partial pivoting picks the same rows, so
+    the assembly equals that inversion bit for bit.  Every covered
+    indicator then enters, in column order, at the row of the
+    latest-ordered crash column still basic whose |d| exceeds
+    _SIMPLEX_TOL, never at a zero word's row.  Such a row exists: covered
+    indicators touch disjoint coupling rows and zero words only
+    normalization rows, so no indicator lies in the span of the other
+    indicators and the zero words.  Exchanging out the latest column of
+    each fundamental circuit gives the rank-greedy basis over the
+    indicators, then the crash words check by check, then the unit
+    columns.  The zero words stay basic, so the basic solution is still the
+    zero codeword.
     """
     rows, signs = setup.crash_store
+    q = setup.q
     basis = np.arange(setup.n_ind, setup.n_ind + setup.n_rows)
-    binv = _invert(setup.crash_store, basis, setup.n_rows)
-    zero_words = np.cumsum([0] + [len(ws) for ws in setup.crash_words[:-1]])
+    words = np.cumsum([0] + [len(ws) for ws in setup.crash_words])
+    units = words[-1] + np.cumsum([0] + [len(us) for us in setup.crash_units])
+    binv = np.empty((setup.n_rows, setup.n_rows))
+    solved = {}
+    for j, edges in enumerate(setup.check_edges):
+        # check j's block rows, ascending, and its columns' basis positions
+        edges = edges[edges < setup.n_coupling // (q - 1)]
+        block = np.append((edges[:, None] * (q - 1) + np.arange(q - 1)).ravel(),
+                          setup.n_coupling + j)
+        at = np.r_[words[j]:words[j + 1], units[j]:units[j + 1]]
+        # the block's columns on local rows; padding goes to the spare row
+        local = (np.searchsorted(block, rows[setup.n_ind + at]),
+                 signs[setup.n_ind + at])
+        key = tuple(a.tobytes() for a in local)
+        if key not in solved:
+            solved[key] = _invert(local, np.arange(len(at)), len(block) + 1)
+        inverse = solved[key]
+        binv[at] = inverse[:, -1:]
+        binv[at[:, None], block] = inverse[:, :-1]
+    zero_words = words[:-1]
     open_rows = np.ones(setup.n_rows, dtype=bool)
     open_rows[zero_words] = False
     for k in np.flatnonzero(setup.ind_rows[:, 0] < setup.n_rows):

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from qarylp import decoder as D
+from qarylp import lp as L
 from qarylp.codes import enumerate_spc
 
 
@@ -79,16 +80,20 @@ def softmin_bruteforce(values, kappa):
 
 
 def softmin_rows_loop(rows, kappa):
-    """The decoder's row soft minimum with its log taken row by row in a
-    list, as _softmin_rows computed it before its log was vectorized:
-    shifted by each row's minimum (or by the largest float for a row of
-    +inf, which gives +inf)."""
+    """The decoder's soft minimum of each row, with its log taken row by row
+    in a list: shifted by each row's minimum (or by the largest float for a
+    row of +inf, which gives +inf).  Each row's exponentials are summed
+    term by term in row order, the order of the decoder's reduction over a
+    leading axis; numpy's own row sum adds eight or more terms pairwise."""
     if math.isinf(kappa):
         return np.minimum.reduce(rows, axis=1)
     lo = np.minimum.reduce(rows, axis=1, initial=np.finfo(np.float64).max)
     shifted = rows - lo[:, None]
     shifted *= -kappa
-    total = np.add.reduce(np.exp(shifted, out=shifted), axis=1)
+    terms = np.exp(shifted, out=shifted)
+    total = terms[:, 0].copy()
+    for column in terms.T[1:]:
+        total += column
     return np.array([
         low - math.log(s) / kappa if s else math.inf
         for low, s in zip(lo.tolist(), total.tolist())
@@ -380,7 +385,7 @@ def merged_slot_ext(state, j, stop):
         row = np.concatenate(([0.0], state.messages[edges[t - 1]]))
         terms = g[t + 1][merged_kernel_table(q, vals[t - 1], vals[t])]
         terms += (prefix[:, None] + row[None, :]).reshape(1, -1)
-        minima = D._softmin_rows(terms, state.kappa)
+        minima = D._softmin(terms.T, state.kappa)
         prefix, ext = minima[:q], minima[q:]
     return ext
 
@@ -420,6 +425,33 @@ def crash_words_rank_greedy(code):
         words_out.append(solved[key][0])
         units_out.append(solved[key][1])
     return words_out, units_out
+
+
+def crash_basis_identity_replay(setup):
+    """The exact LP's crash basis and inverse, the whole block-diagonal
+    crash inverted by _invert from I, then every covered indicator entered
+    as _crash_basis enters it.  Returns (basis, binv)."""
+    rows, signs = setup.crash_store
+    basis = np.arange(setup.n_ind, setup.n_ind + setup.n_rows)
+    binv = L._invert(setup.crash_store, basis, setup.n_rows)
+    zero_words = np.cumsum([0] + [len(ws) for ws in setup.crash_words[:-1]])
+    open_rows = np.ones(setup.n_rows, dtype=bool)
+    open_rows[zero_words] = False
+    for k in np.flatnonzero(setup.ind_rows[:, 0] < setup.n_rows):
+        d = L._ftran(binv, rows[k], signs[k])
+        hit = np.flatnonzero(open_rows & (np.abs(d) > L._SIMPLEX_TOL))
+        r = int(hit[np.argmax(basis[hit])])
+        L._update_inverse(binv, d, r)
+        basis[r] = k
+        open_rows[r] = False
+    return basis.tolist(), binv
+
+
+def syndrome_loop(code, word):
+    """Per-check residuals, one check at a time."""
+    w = np.asarray(word, dtype=np.int64)
+    return np.array([int(np.dot(w[cols], vals)) % code.q
+                     for cols, vals in zip(code.row_cols, code.row_vals)])
 
 
 def crash_basis_rank_greedy(code):

@@ -21,7 +21,7 @@ from qarylp import (
     write_check_matrix,
 )
 
-from oracles import log_codebook_size_snf, spc_words_bruteforce
+from oracles import log_codebook_size_snf, spc_words_bruteforce, syndrome_loop
 
 
 # ---- ring symbols ----
@@ -112,6 +112,31 @@ def test_tanner_code_syndrome():
     assert code.is_codeword([0, 0, 0])
     with pytest.raises(LengthMismatch):
         code.syndrome([0, 0])
+
+
+def test_syndrome_matches_per_check_loop():
+    # the padded table against one dot product per check, on checks of
+    # unequal degree, zero-divisor coefficients and non-unit random codes
+    rng = np.random.default_rng(61)
+    codes = [
+        TannerCode(q=4, n=6, rows=(((0, 1), (1, 2), (2, 2)),
+                                   ((1, 1), (3, 3), (4, 1)),
+                                   ((2, 1), (5, 1)),
+                                   ((0, 3), (3, 1), (4, 2), (5, 1)))),
+        TannerCode(q=6, n=5, rows=(((0, 2), (1, 3), (2, 1)),
+                                   ((1, 1), (2, 2), (3, 3), (4, 1)),
+                                   ((0, 3), (4, 2)))),
+        TannerCode(q=8, n=5, rows=(((0, 4), (1, 1), (2, 2)),
+                                   ((0, 1), (2, 1), (3, 2), (4, 4)),
+                                   ((1, 4), (3, 4), (4, 1)))),
+        random_regular_code(16, 6, 4, 8, rng, unit_entries=False),
+        random_regular_code(18, 6, 4, 6, rng, unit_entries=False),
+    ]
+    for code in codes:
+        for _ in range(20):
+            word = rng.integers(0, code.q, size=code.n)
+            assert np.array_equal(code.syndrome(word), syndrome_loop(code, word))
+        assert not code.syndrome(np.zeros(code.n, dtype=np.int64)).any()
 
 
 def test_tanner_code_rejects_bad_rows():

@@ -111,15 +111,15 @@ def zero_divisor_codes():
 
 def trellis_buckets(state, j, t):
     """Slot t's bucket row of check j from the decoder's trellis: the
-    level kernel run on check j alone up to slot t, nothing written."""
+    wave kernel run on check j alone up to slot t, nothing written."""
     e = check_edges(state.code, j)[t]
     return (np.concatenate(([0.0], state.messages[e]))
             + D._slot_ext(state, j, t))
 
 
 def mixed_degree_code():
-    # checks 0 and 1 share no variable and check 0 is the shorter, so
-    # their level lists check 1 first; check 2 meets both
+    # checks 0 and 1 share no variable, so their slots share waves;
+    # check 2 meets both
     return TannerCode(q=4, n=7, rows=(
         ((0, 1), (1, 2)),
         ((2, 1), (3, 3), (4, 2)),
@@ -128,7 +128,8 @@ def mixed_degree_code():
 
 
 def star_code(m=5):
-    # every check holds variable 0, so no two checks may share a level
+    # every check holds variable 0, so each check's first slot waits for
+    # the previous check's
     return TannerCode(q=4, n=m + 1,
                       rows=tuple(((0, 1), (j + 1, 3)) for j in range(m)))
 
@@ -190,14 +191,16 @@ def test_soft_min_extreme_inputs():
 @pytest.mark.parametrize("kappa", [1.0, 100.0, 1e3])
 def test_softmin_rows_matches_list_form(kappa):
     # the vectorized log step gives the list form's bits, all-+inf rows
-    # (empty buckets) included; the decoder's digests rest on it
+    # (empty buckets) included; the decoder's digests rest on it.  The
+    # decoder reduces over a leading axis, so it is given the rows as
+    # columns
     rng = np.random.default_rng(18)
     # enough rows that a log differing in the last bit on a fraction of a
     # percent of its inputs would show
     rows = rng.normal(0.0, 3.0, size=(20000, 8)) / kappa
     rows[rng.random(rows.shape) < 0.3] = math.inf
     rows[::7] = math.inf
-    got = D._softmin_rows(rows.copy(), kappa)
+    got = D._softmin(np.ascontiguousarray(rows.T), kappa)
     want = softmin_rows_loop(rows.copy(), kappa)
     assert np.isinf(got[::7]).all()
     assert np.array_equal(got, want)
@@ -807,7 +810,7 @@ def cache_nbytes(value):
 
 def test_code_cache_is_quadratic_in_q():
     # a kernel step gathers O(q^2) offsets per edge: at q = 64 the
-    # decoder's per-code arrays, level plans included, stay under 4 MiB
+    # decoder's per-code arrays, wave steps included, stay under 4 MiB
     code = random_regular_code(24, 6, 4, 64, np.random.default_rng(1))
     cache = D._code_cache(code)
     total = sum(map(cache_nbytes, vars(cache).values()))
@@ -866,52 +869,65 @@ def test_suffix_pass_matches_per_check_pass(kappa):
             assert np.array_equal(whole[j], D._suffix_arrays(state, [j])[0])
 
 
-def test_level_plan_is_a_conflict_free_check_major_schedule():
-    # every check once; no two checks of a level share a variable; each
-    # variable's checks in strictly increasing levels, in their original
-    # order; checks by descending degree within a level
+def schedule_codes():
     rng = np.random.default_rng(48)
     codes = [ragged_code(), mixed_degree_code(), star_code(), ldpc80_z4(),
              read_check_matrix(Z8_CODE)]
-    codes += [random_regular_code(n, m, d, q, rng, unit_entries=False)
-              for n, m, d, q in ((12, 6, 3, 4), (24, 8, 6, 6), (10, 9, 4, 8),
-                                 (30, 10, 5, 4), (8, 12, 2, 3), (12, 4, 3, 32))]
-    for code in codes:
+    return codes + [
+        random_regular_code(n, m, d, q, rng, unit_entries=False)
+        for n, m, d, q in ((12, 6, 3, 4), (24, 8, 6, 6), (10, 9, 4, 8),
+                           (30, 10, 5, 4), (8, 12, 2, 3), (12, 4, 3, 32))]
+
+
+def test_wave_plan_is_a_conflict_free_check_major_schedule():
+    # every edge in exactly one wave; no two edges of a wave share a check
+    # or a variable; each edge's wave comes after those of its check's
+    # previous slot and of its variable's previous edge in check-major
+    # order; the edges whose check has a later slot come first, and their
+    # checks' prefixes are the ones carried on
+    for code in schedule_codes():
         cache = D._code_cache(code)
-        levels = cache.levels
-        # the levels are _levels' own, uncut whatever q is
-        want = D._levels(code, cache.degree)
-        assert len(levels) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(levels, want))
-        order = np.concatenate(levels)
-        assert sorted(order.tolist()) == list(range(code.m))
-        level_of = np.empty(code.m, dtype=np.int64)
-        for k, checks in enumerate(levels):
-            level_of[checks] = k
-            cols = np.concatenate([code.row_cols[j] for j in checks])
-            assert len(set(cols.tolist())) == len(cols)
-            degrees = [len(code.rows[j]) for j in checks]
-            assert degrees == sorted(degrees, reverse=True)
-        for checks in code.columns:
-            assert list(checks) == sorted(checks)
-            assert np.all(np.diff(level_of[list(checks)]) > 0)
-    assert len(D._code_cache(star_code()).levels) == 5
-    mixed = D._code_cache(mixed_degree_code()).levels
-    assert [c.tolist() for c in mixed] == [[1, 0], [2]]
-    # the bench graph (over Z_4 and Z_8): 25 kernel steps per sweep
+        wave = np.full(cache.n_edges, -1)
+        for k, (edges, variables, carry, _, _) in enumerate(cache.steps):
+            assert np.all(wave[edges] == -1)
+            wave[edges] = k
+            checks = [code.edges[e][1] for e in edges]
+            assert len(set(checks)) == len(checks)
+            assert variables.tolist() == [code.edges[e][0] for e in edges]
+            assert len(set(variables.tolist())) == len(variables)
+            later = [int(cache.edge_slot[e]) < len(code.rows[j]) - 1
+                     for e, j in zip(edges, checks)]
+            assert later == sorted(later, reverse=True)
+            assert carry.tolist() == checks[:sum(later)]
+        assert np.all(wave >= 0)
+        for j in range(code.m):
+            assert np.all(np.diff(wave[check_edges(code, j)]) > 0)
+        for i in range(code.n):
+            assert np.all(np.diff(wave[variable_edges(code, i)]) > 0)
+    # slot 0 of check j waits for slot 0 of check j - 1
+    assert len(D._code_cache(star_code()).steps) == 6
+    steps = D._code_cache(mixed_degree_code()).steps
+    # each wave lists last slots (edges 1 and 4) after the others
+    assert [step[0].tolist() for step in steps] == [[0, 2], [3, 5, 1],
+                                                    [6, 4], [7], [8]]
+    # the bench graph (over Z_4 and Z_8): 13 kernel steps per sweep
     for code in (ldpc80_z4(), read_check_matrix(Z8_CODE)):
-        assert [len(c) for c in D._code_cache(code).levels] == [7, 7, 7, 7, 4]
+        assert len(D._code_cache(code).steps) == 13
+    # the wave count grows slowly with n: 20 at n = 48
+    big = random_regular_code(3072, 1536, 6, 4, np.random.default_rng(1))
+    assert len(D._CodeCache(big).steps) <= 30
 
 
 @pytest.mark.parametrize("kappa", [1.0, 100.0, math.inf])
-def test_level_visit_matches_check_by_check(kappa):
-    # one sweep, level by level, against the same sweep visiting each
-    # level's checks alone in check-major order: messages and node_sum
-    # equal bit for bit after every level
+def test_wave_visit_matches_check_by_check(kappa):
+    # one sweep, wave by wave, against the same sweep replaying the checks
+    # one at a time in check-major order, each slot a wave of its own:
+    # messages and node_sum equal bit for bit
     rng = np.random.default_rng(49)
     codes = (ldpc80_z4(), ragged_code(), mixed_degree_code(),
              *zero_divisor_codes(), star_code(),
-             random_regular_code(24, 8, 6, 6, rng, unit_entries=False))
+             random_regular_code(24, 8, 6, 6, rng, unit_entries=False),
+             read_check_matrix(Z8_CODE))
     for code in codes:
         llr = rng.normal(0.3, 1.5, size=(code.n, code.q - 1))
         state = init_state(code, llr, DecoderConfig(kappa=kappa))
@@ -920,13 +936,67 @@ def test_level_visit_matches_check_by_check(kappa):
         alone = copy.deepcopy(state)
         cache = state.cache
         suffix = D._suffix_arrays(state)
-        for checks, plan in zip(cache.levels, cache.plans):
-            D._visit_checks(state, plan, suffix)
-            for j in sorted(checks.tolist()):
-                D._visit_checks(alone, cache.plan(np.array([j]), np.array([j])),
-                                suffix)
-            assert np.array_equal(state.messages, alone.messages)
-            assert np.array_equal(state.node_sum, alone.node_sum)
+        D._visit_waves(state, cache.steps, suffix)
+        for j in range(code.m):
+            slots = cache.check_edges[j, :len(code.rows[j]), None]
+            D._visit_waves(alone, cache.plan(slots, np.arange(code.m)), suffix)
+        assert np.array_equal(state.messages, alone.messages)
+        assert np.array_equal(state.node_sum, alone.node_sum)
+
+
+def test_decode_ignores_check_orders_that_keep_shared_variables():
+    # the wave schedule rests on this: reordering the checks, so that any
+    # two checks sharing a variable keep their relative order, changes no
+    # edge update.  One sweep gives the same messages bit for bit, matched
+    # by (variable, check); decode gives the same symbols, status and
+    # iterations, and the trace only moves by theta's summation order
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None)
+    @hypothesis.given(shape=st.sampled_from([(12, 6, 3, 4, True),
+                                             (24, 8, 6, 6, False),
+                                             (10, 9, 4, 8, False),
+                                             (30, 10, 5, 4, True),
+                                             (16, 6, 4, 16, True)]),
+                      kappa=st.sampled_from([1.0, 100.0, math.inf]),
+                      seed=st.integers(0, 2**32 - 1))
+    def check(shape, kappa, seed):
+        n, m, d, q, unit = shape
+        rng = np.random.default_rng(seed)
+        code = random_regular_code(n, m, d, q, rng, unit_entries=unit)
+        cols = [set(c.tolist()) for c in code.row_cols]
+        # a random order in which every check follows the earlier checks
+        # it shares a variable with
+        order = []
+        for _ in range(m):
+            ready = [j for j in range(m) if j not in order and all(
+                k in order for k in range(j) if cols[j] & cols[k])]
+            order.append(ready[rng.integers(len(ready))])
+        moved = TannerCode(q=q, n=n, rows=tuple(code.rows[j] for j in order))
+        position = np.argsort(order)
+        same = [moved.edges.index((i, position[j])) for i, j in code.edges]
+        llr = rng.normal(0.3, 1.5, size=(n, q - 1))
+        config = DecoderConfig(max_iterations=12, kappa=kappa)
+        messages = rng.normal(0.0, 2.0, size=(len(code.edges), q - 1))
+        swept = []
+        for c, rows in ((code, messages), (moved, np.empty_like(messages))):
+            state = init_state(c, llr, config)
+            rows[same] = messages
+            state.messages[:] = rows
+            D._refresh_caches(state)
+            D._visit_waves(state, state.cache.steps, D._suffix_arrays(state))
+            swept.append(state.messages)
+        assert np.array_equal(swept[0], swept[1][same])
+        base, out = decode(code, llr, config), decode(moved, llr, config)
+        assert np.array_equal(out.symbols, base.symbols)
+        assert out.status == base.status
+        assert out.iterations_used == base.iterations_used
+        assert out.malformed_decisions == base.malformed_decisions
+        np.testing.assert_allclose(out.dual_objective_trace,
+                                   base.dual_objective_trace, rtol=1e-12)
+
+    check()
 
 
 @pytest.mark.parametrize("kappa", [1.0, 100.0, math.inf])

@@ -9,6 +9,7 @@ import qarylp.lp
 from oracles import (
     check_edges,
     codewords_bruteforce,
+    crash_basis_identity_replay,
     crash_basis_rank_greedy,
     crash_words_rank_greedy,
     decoding_lp,
@@ -620,6 +621,17 @@ def test_crash_words_match_rank_greedy():
         assert len({id(ws) for ws in setup.crash_words}) == len(rows)
         filled += not any(units)
     assert filled == 11
+
+
+def test_crash_inverse_matches_identity_replay():
+    # the crash inverse assembled from one block inverse per distinct
+    # coefficient row equals, byte for byte and signed zeros included, the
+    # whole crash inverted from I
+    for code in crash_codes():
+        setup = qarylp.lp._ExactSetup(code)
+        basis, binv = crash_basis_identity_replay(setup)
+        assert setup.crash_basis == basis
+        assert setup.crash_binv.tobytes() == binv.tobytes()
 
 
 def test_crash_basis_matches_rank_greedy():
