@@ -293,8 +293,10 @@ def enumerate_spc(code: TannerCode, j: int) -> SpcCodebook:
 
 # ---- Code constructions ----
 
-# random_regular_code gives up after this many draws of the whole matrix
-_MAX_CODE_ATTEMPTS = 1000
+# random_regular_code gives up after this many draws of the whole matrix;
+# a draw of n=10, m=9, row_degree=4 succeeds with probability about 0.003,
+# so 1000 draws failed on about 5% of seeds and 4000 fail on about 5e-6
+_MAX_CODE_ATTEMPTS = 4000
 
 _LDPC80_OFFSETS = ((0, 1), (8, 3), (25, 3), (41, 1), (48, 1))
 

@@ -80,11 +80,13 @@ def softmin_bruteforce(values, kappa):
 
 
 def softmin_rows_loop(rows, kappa):
-    """The decoder's soft minimum of each row, with its log taken row by row
-    in a list: shifted by each row's minimum (or by the largest float for a
-    row of +inf, which gives +inf).  Each row's exponentials are summed
-    term by term in row order, the order of the decoder's reduction over a
-    leading axis; numpy's own row sum adds eight or more terms pairwise."""
+    """The decoder's soft minimum of each row, finished row by row in a
+    list: shifted by each row's minimum (or by the largest float for a row
+    of +inf, which gives +inf).  Each row's exponentials are summed term by
+    term in row order, the order of the decoder's reduction over a leading
+    axis; numpy's own row sum adds eight or more terms pairwise.  The logs
+    of the row totals are one np.log, as in the decoder; an empty row's
+    total is logged as 1 and the row is given +inf."""
     if math.isinf(kappa):
         return np.minimum.reduce(rows, axis=1)
     lo = np.minimum.reduce(rows, axis=1, initial=np.finfo(np.float64).max)
@@ -94,10 +96,30 @@ def softmin_rows_loop(rows, kappa):
     total = terms[:, 0].copy()
     for column in terms.T[1:]:
         total += column
+    logs = np.log(np.where(total > 0, total, 1.0))
     return np.array([
-        low - math.log(s) / kappa if s else math.inf
-        for low, s in zip(lo.tolist(), total.tolist())
+        low - log / kappa if s else math.inf
+        for low, log, s in zip(lo.tolist(), logs.tolist(), total.tolist())
     ])
+
+
+def softmin_libm(terms, kappa):
+    """The decoder's _softmin with each column's log taken by math.log,
+    the C library's, one column at a time: the form whose bits the
+    decoder's np.log replaced."""
+    if math.isinf(kappa):
+        return np.minimum.reduce(terms, axis=0)
+    lo = np.minimum.reduce(terms, axis=0, initial=np.finfo(np.float64).max)
+    shifted = terms - lo
+    shifted *= -kappa
+    total = np.add.reduce(np.exp(shifted, out=shifted), axis=0)
+    empty = total == 0
+    total[empty] = 1.0
+    logs = np.fromiter(map(math.log, total.ravel().tolist()), np.float64,
+                       total.size)
+    out = lo - logs.reshape(total.shape) / kappa
+    out[empty] = math.inf
+    return out
 
 
 def central_difference_gradient(fn, x, step=1e-5):

@@ -47,6 +47,7 @@ from oracles import (
     set_message,
     slot_buckets_bruteforce,
     softmin_bruteforce,
+    softmin_libm,
     softmin_rows_loop,
     update_phi_theta,
     variable_edges,
@@ -204,6 +205,39 @@ def test_softmin_rows_matches_list_form(kappa):
     want = softmin_rows_loop(rows.copy(), kappa)
     assert np.isinf(got[::7]).all()
     assert np.array_equal(got, want)
+
+
+def test_np_log_within_one_ulp_of_math_log():
+    # the soft minimum takes its logs with np.log, which may differ from the
+    # C library's math.log; the move rests on the two never differing by
+    # more than one ulp on column totals, which lie in [1, number of terms]
+    totals = np.random.default_rng(64).uniform(1.0, 64.0, 100_000)
+    got = np.log(totals)
+    want = np.array([math.log(t) for t in totals.tolist()])
+    # both logs are >= 0 here, so their bit patterns order like their values
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 1
+
+
+@pytest.mark.parametrize("kappa", [1.0, 100.0])
+def test_np_log_decodes_as_math_log(monkeypatch, kappa):
+    # np.log in the soft minimum moves trace last bits only: against
+    # math.log column by column, every frame keeps its symbols, status,
+    # sweeps and malformed count, and its trace agrees to 1e-13
+    config = DecoderConfig(max_iterations=30, kappa=kappa)
+    for code, ebno in ((ldpc80_z4(), 3.0), (read_check_matrix(Z8_CODE), 6.0)):
+        frames = awgn_frames(code, ebno, 20, seed=18)
+        new = [decode(code, llr, config) for llr in frames]
+        with monkeypatch.context() as patch:
+            patch.setattr(D, "_softmin", softmin_libm)
+            old = [decode(code, llr, config) for llr in frames]
+        for a, b in zip(new, old):
+            np.testing.assert_array_equal(a.symbols, b.symbols)
+            assert a.status is b.status
+            assert a.iterations_used == b.iterations_used
+            assert a.malformed_decisions == b.malformed_decisions
+            np.testing.assert_allclose(a.dual_objective_trace,
+                                       b.dual_objective_trace,
+                                       rtol=1e-13, atol=0)
 
 
 def test_soft_min_rejects_bad_input():
@@ -660,6 +694,44 @@ def test_decide_zero_tolerance():
     assert out.symbols[1] == ERASED
     set_message(state, 1, 0, [-1e-11, -1.0, -1.0])
     assert decide(state).symbols[1] == 0
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_decide_symbols_matches_argsort_form(q):
+    # argmin, min and a count of the scores within _DECISION_ZERO_TOL of
+    # the best give the symbols, erasures and MalformedDecision of a stable
+    # sort's first and second entries, on scores with exact ties, ties
+    # inside and just outside the tolerance, and ties below zero
+    rng = np.random.default_rng(40 + q)
+    code = random_regular_code(12, 6, 3, q, rng)
+    # zero messages, so each variable's scores are its llr row
+    state = init_state(code, np.zeros((code.n, q - 1)),
+                       DecoderConfig(kappa=math.inf))
+    tol = D._DECISION_ZERO_TOL
+    near_zero = [0.0, -0.0, 0.4 * tol, -0.4 * tol, tol, -tol, 3 * tol,
+                 -3 * tol]
+    below_zero = [-1.0, -1.0 + 0.4 * tol, -1.0 + tol, -1.0 + 3 * tol]
+    outcomes = {"malformed": 0, "erased": 0, "decided": 0}
+    for trial in range(400):
+        scores = rng.normal(0.0, 1.0, size=(code.n, q - 1))
+        # every other trial also holds ties below zero, hence malformed
+        for values, share in ((near_zero, 0.3),
+                              (below_zero, 0.15 * (trial % 2))):
+            pick = rng.random(scores.shape) < share
+            scores[pick] = rng.choice(values, size=pick.sum())
+        state.llr = scores
+        try:
+            want = decide_symbols_loop(state)
+        except MalformedDecision as err:
+            with pytest.raises(MalformedDecision) as got:
+                D._decide_symbols(state)
+            assert str(got.value) == str(err)
+            outcomes["malformed"] += 1
+            continue
+        np.testing.assert_array_equal(D._decide_symbols(state), want)
+        outcomes["erased"] += int(np.sum(want == ERASED))
+        outcomes["decided"] += int(np.sum(want > 0))
+    assert min(outcomes.values()) > 50, outcomes
 
 
 def test_decide_codeword_status():
