@@ -1,13 +1,11 @@
 """Linear codes over the ring of integers mod q.
 
-Symbols live in Z_q = {0, ..., q-1}.  A nonzero symbol a is embedded as the
-indicator vector of length q-1 with a one in slot a-1; the zero symbol maps
-to the all-zero vector.  A parity-check matrix H over Z_q defines one
-single-parity-check (SPC) constraint per row: sum_i c_i * H[j, i] = 0 (mod q).
-This module provides the symbol/indicator arithmetic, the Tanner-graph view
+Symbols live in Z_q = {0, ..., q-1} as plain integers.  A parity-check
+matrix H over Z_q defines one single-parity-check (SPC) constraint per row:
+sum_i c_i * H[j, i] = 0 (mod q).  This module provides the Tanner-graph view
 of H (check supports, variable supports, edge list), local SPC codebook
-enumeration, a bundled [80, 48] benchmark code over Z_4, and a plain-text
-check-matrix file format.
+enumeration, a bundled [80, 48] benchmark code over Z_4, a random regular
+code generator and a plain-text check-matrix file format.
 """
 
 from __future__ import annotations
@@ -17,10 +15,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-class MalformedIndicator(ValueError):
-    """Vector is not a valid symbol indicator (entries not 0/1 or sum > 1)."""
 
 
 class LengthMismatch(ValueError):
@@ -39,102 +33,6 @@ class ParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-# ---- Ring symbols and indicator embeddings ----
-
-
-@dataclass(frozen=True)
-class RingSymbol:
-    """An element of Z_q, with arithmetic mod q."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(
-                f"value {self.value} outside Z_{self.modulus}"
-            )
-
-    def _check(self, other: "RingSymbol") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"modulus mismatch: {self.modulus} vs {other.modulus}"
-            )
-
-    def __add__(self, other: "RingSymbol") -> "RingSymbol":
-        self._check(other)
-        return RingSymbol((self.value + other.value) % self.modulus, self.modulus)
-
-    def __sub__(self, other: "RingSymbol") -> "RingSymbol":
-        self._check(other)
-        return RingSymbol((self.value - other.value) % self.modulus, self.modulus)
-
-    def __mul__(self, other: "RingSymbol") -> "RingSymbol":
-        self._check(other)
-        return RingSymbol((self.value * other.value) % self.modulus, self.modulus)
-
-    def __neg__(self) -> "RingSymbol":
-        return RingSymbol((-self.value) % self.modulus, self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
-    @classmethod
-    def elements(cls, modulus: int) -> tuple["RingSymbol", ...]:
-        """All elements of Z_modulus in ascending order."""
-        return tuple(cls(v, modulus) for v in range(modulus))
-
-
-def indicator(symbol: RingSymbol | int, q: int | None = None) -> np.ndarray:
-    """Indicator embedding of a symbol: length q-1, slot a-1 set for a != 0.
-
-    Accepts a RingSymbol, or a plain int together with q.
-    """
-    if isinstance(symbol, RingSymbol):
-        a, q = symbol.value, symbol.modulus
-    else:
-        if q is None:
-            raise ValueError("q is required when symbol is a plain int")
-        a = int(symbol)
-        if not 0 <= a < q:
-            raise ValueError(f"symbol {a} outside Z_{q}")
-    vec = np.zeros(q - 1, dtype=np.int64)
-    if a != 0:
-        vec[a - 1] = 1
-    return vec
-
-
-def symbol_from_indicator(vec) -> RingSymbol:
-    """Invert the indicator embedding; the modulus is len(vec) + 1.
-
-    Raises MalformedIndicator unless entries are 0/1 with at most one 1.
-    """
-    arr = np.asarray(vec)
-    if arr.ndim != 1 or arr.size < 1:
-        raise MalformedIndicator(f"expected a 1-d vector, got shape {arr.shape}")
-    q = arr.size + 1
-    ones = np.flatnonzero(arr == 1)
-    if ones.size + np.count_nonzero(arr == 0) != arr.size:
-        raise MalformedIndicator(f"entries must be 0 or 1, got {arr.tolist()}")
-    if ones.size > 1:
-        raise MalformedIndicator(f"more than one slot set: {arr.tolist()}")
-    value = int(ones[0]) + 1 if ones.size == 1 else 0
-    return RingSymbol(value, q)
-
-
-def indicator_block(word, q: int) -> np.ndarray:
-    """Stack indicator embeddings of a word: shape (len(word), q-1)."""
-    w = np.asarray(word, dtype=np.int64)
-    if np.any((w < 0) | (w >= q)):
-        raise ValueError(f"word entries outside Z_{q}: {w.tolist()}")
-    block = np.zeros((w.size, q - 1), dtype=np.int64)
-    nz = np.flatnonzero(w)
-    block[nz, w[nz] - 1] = 1
-    return block
 
 
 # ---- Tanner-graph view of a parity-check matrix ----

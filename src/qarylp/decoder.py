@@ -1,31 +1,31 @@
 """Low-complexity LP decoding by coordinate ascent on a smoothed dual.
 
-The decoder keeps one real (q-1)-vector message per Tanner-graph edge, plus a
-frozen channel message -llr_i in a virtual slot of each variable.  Feasible
-dual points assign each variable a potential phi_i bounded by the best score
-of any constant local word at that variable, and each check a potential
-theta_j bounded by the best score of any local codeword of that check; the
-dual objective is the sum of all potentials.  Replacing each minimum with the
-soft minimum min^kappa{z} = -(1/kappa) log sum_l exp(-kappa z_l) makes the
-edge-local part of the objective a smooth concave function of that edge's
-message, so each visit jumps straight to the closed-form stationary point,
-which is the exact per-edge maximizer.  A sweep over the edges therefore
-never decreases the dual objective.  kappa = math.inf applies the same
-update with hard minima: still locally maximal, but without the monotone
-guarantee.  decode() tightens every potential once per sweep, after the
-last edge update: phi_i depends only on its variable's node_sum and theta_j
-only on its check's messages, so this equals tightening them after every
-edge, which the per-edge path update_edge_soft/update_edge_hard still
-does.  Decisions score each variable's constant words by the channel cost
-minus the sum of edge messages and pick the strictly cheapest word, the
-zero word costing 0; ties at the minimum erase the symbol (or, strictly
-below zero, surface MalformedDecision).  No local codebook is enumerated: each check is a
-trellis over its q partial syndromes (see _CodeCache), and theta_j and an
-edge's bucket soft minima come from prefix and suffix soft minima: O(d q^2)
-terms per degree-d check for theta and O(q^2) per edge update, whose
-prefix step and extrinsic row are one (q, q) soft minimum each (the trellis
-check-node processing of Punekar & Flanagan, ISIT 2011).  A symbol that no
-local word reaches gets message -_MESSAGE_CLAMP.
+The decoder keeps one real (q-1)-vector message per Tanner-graph edge; the
+channel enters as a frozen message -llr_i in a virtual slot of each
+variable.  Feasible dual points assign each variable a potential phi_i
+bounded by the best score of any constant local word at that variable, and
+each check a potential theta_j bounded by the best score of any local
+codeword of that check; the dual objective is the sum of all potentials.
+Replacing each minimum with the soft minimum min^kappa{z} = -(1/kappa) log
+sum_l exp(-kappa z_l) makes the edge-local part of the objective a smooth
+concave function of that edge's message, so each visit jumps straight to the
+closed-form stationary point, which is the exact per-edge maximizer.  A
+sweep over the edges therefore never decreases the dual objective.  kappa =
+math.inf applies the same update with hard minima: still locally maximal,
+but without the monotone guarantee.  The messages are the only free
+variables: every potential sits at its bound, a closed-form (soft) minimum
+of the messages, so none is stored; the dual objective computes them where
+it is read.  Decisions score each variable's constant words by the channel
+cost minus the sum of edge messages and pick the strictly cheapest word,
+the zero word costing 0; ties at the minimum erase the symbol (or, strictly
+below zero, surface MalformedDecision).  No local codebook is enumerated:
+each check is a trellis over its q partial syndromes (see _CodeCache and
+_trellis), and theta_j and an edge's bucket soft minima come from prefix
+and suffix soft minima: O(d q^2) terms per degree-d check for theta and
+O(q^2) per edge update, whose prefix step and extrinsic row are one (q, q)
+soft minimum each (the trellis check-node processing of Punekar &
+Flanagan, ISIT 2011).  A symbol that no local word reaches gets message
+-_MESSAGE_CLAMP.
 
 A sweep updates the edges in check-major order, but decode() visits them
 in waves: an edge's wave is one more than the later of the waves of its
@@ -179,7 +179,7 @@ class _CodeCache:
     check_edges[j, t] is the edge id of slot t of check j; short checks
     are padded with edge n_edges, whose message row [0, +inf, ...] makes a
     padding slot (coefficient 0) an exact identity section.  Check j's
-    _suffix_arrays block is row j of a (count, width + 1, q) array, and
+    _trellis block is row j of a (count, width + 1, q) array, and
     suffix_index[t, b, j, r] is the flat offset, inside that block, of
     B_{t+1}(r - h_t b): the suffix syndrome after slot t when the slots
     from t on sum to r and slot t holds b.
@@ -319,48 +319,41 @@ def soft_min(values, kappa: float) -> float:
 class DualState:
     """Mutable decoder state for one frame.
 
-    messages[e] is the (q-1)-vector on edge e (check-major edge ids);
-    chan[i] = -llr[i] is the fixed channel slot of variable i.  node_sum
-    caches chan[i] plus the sum of messages on the variable's edges, kept
-    up to date by every message write.  Nothing is cached per check: its
-    values are trellis soft minima of its current messages.  phi_i and
-    theta_j are tightened after each update_edge_soft/update_edge_hard
-    call on edge (i, j), and every phi and theta by decode() once per
-    sweep.
+    messages[e] is the (q-1)-vector on edge e (check-major edge ids), the
+    dual's only free variables.  node_sum[i] caches the sum of the messages
+    on variable i's edges minus llr[i] (its channel slot), kept up to date
+    by every message write.  No potential is stored: phi_i and theta_j are
+    soft minima of these (see dual_objective).
     """
 
     code: TannerCode
     kappa: float
     llr: np.ndarray
-    chan: np.ndarray
     messages: np.ndarray
     node_sum: np.ndarray
-    phi: np.ndarray
-    theta: np.ndarray
     cache: _CodeCache = field(repr=False, default=None)
 
 
 def init_state(code: TannerCode, llr, config: DecoderConfig) -> DualState:
-    """Fresh state: zero edge messages, channel slots at -llr, tight potentials."""
+    """Fresh state: zero edge messages, so node_sum is -llr."""
     lam = validate_llr(code, llr)
     cache = _code_cache(code)
-    state = DualState(code=code, kappa=config.kappa, llr=lam, chan=-lam,
-                      messages=np.zeros((cache.n_edges, code.q - 1)),
-                      node_sum=(-lam).copy(), phi=np.zeros(code.n),
-                      theta=np.zeros(code.m), cache=cache)
-    _tighten_potentials(state)
-    return state
+    return DualState(code=code, kappa=config.kappa, llr=lam,
+                     messages=np.zeros((cache.n_edges, code.q - 1)),
+                     node_sum=-lam, cache=cache)
 
 
-def _suffix_arrays(state: DualState, checks=slice(None)) -> np.ndarray:
-    # out[k, t, r] = B_t(r) of the k-th given check: the soft minimum of the
-    # message sums of slots t, t+1, ... over their symbols of syndrome r;
-    # theta is B_0(0).  Each step works elementwise or row by row, so no
-    # check's rows depend on the other checks passed.
-    cache = state.cache
-    q = state.code.q
+def _trellis(costs: np.ndarray, kappa: float, cache: _CodeCache,
+             checks=slice(None)) -> np.ndarray:
+    # out[k, t, r] = B_t(r) of the k-th given check: the soft minimum, over
+    # the symbols of slots t, t+1, ... of syndrome r, of their summed costs,
+    # costs[e, b-1] for symbol b != 0 on edge e and 0 for symbol 0.  B_0(0)
+    # is the check's (soft) minimum over its local words, theta_j when the
+    # costs are the messages.  Each step works elementwise or row by row,
+    # so no check's rows depend on the other checks passed.
+    q = cache.q
     rows = np.zeros((cache.n_edges + 1, q))
-    rows[:-1, 1:] = state.messages
+    rows[:-1, 1:] = costs
     rows[-1, 1:] = math.inf
     w = rows[cache.check_edges[checks]]
     count, width = w.shape[:2]
@@ -373,7 +366,7 @@ def _suffix_arrays(state: DualState, checks=slice(None)) -> np.ndarray:
         # B_t(r) = softmin_b [w_t(b) + B_{t+1}(r - h_t b)], terms (b, check, r)
         terms = flat[index[t]]
         terms += w[:, t].T[:, :, None]
-        out[:, t] = _softmin(terms, state.kappa)
+        out[:, t] = _softmin(terms, kappa)
     return out
 
 
@@ -386,20 +379,10 @@ def _variable_potentials(state: DualState) -> np.ndarray:
     return _softmin(scores, state.kappa)
 
 
-def _tighten_potentials(state: DualState) -> np.ndarray:
-    # tighten every phi and theta; returns the suffix arrays of all checks
-    state.phi[:] = _variable_potentials(state)
-    suffix = _suffix_arrays(state)
-    state.theta[:] = suffix[:, 0, 0]
-    return suffix
-
-
-def _edge_potentials(state: DualState, i: int, j: int):
-    # phi_i and theta_j recomputed from node_sum and check j's messages;
-    # phi_i is taken from all of them, as _softmin may sum a lone column
-    # in another order
-    return (_variable_potentials(state)[i],
-            _suffix_arrays(state, [j])[0, 0, 0])
+def _objective(state: DualState, suffix: np.ndarray) -> float:
+    # sum_i phi_i + sum_j theta_j, theta_j read off suffix, the _trellis
+    # pass of every check on the messages
+    return float(_variable_potentials(state).sum() + suffix[:, 0, 0].sum())
 
 
 def _message_sums(state: DualState) -> np.ndarray:
@@ -411,16 +394,10 @@ def _message_sums(state: DualState) -> np.ndarray:
     return rows[cache.var_edges].sum(axis=1)
 
 
-def _refresh_caches(state: DualState) -> None:
-    # recompute node_sum from messages, shedding the float drift of the
-    # incremental updates, which a message clamped at +-1e18 makes large
-    state.node_sum[:] = state.chan + _message_sums(state)
-
-
 def _visit_waves(state: DualState, steps: tuple, suffix: np.ndarray,
                  stop=None):
     # the kernel: one step per wave of edges, as planned by _CodeCache.plan
-    # against suffix (the _suffix_arrays blocks of their checks, which hold
+    # against suffix (the _trellis blocks of their checks, which hold
     # until the sweep reaches the checks) and a prefix buffer with a row
     # per block, F_{-1} (syndrome 0 at cost 0) before slot 0.  ext[i, c]
     # is the soft minimum over edge i's check words with c in slot t of
@@ -460,12 +437,18 @@ def _slot_ext(state: DualState, j: int, t: int) -> np.ndarray:
     cache = state.cache
     steps = cache.plan(cache.check_edges[j, :t + 1, None],
                        np.zeros(state.code.m, dtype=np.int64))
-    return _visit_waves(state, steps, _suffix_arrays(state, [j]), stop=t)[0]
+    suffix = _trellis(state.messages, state.kappa, cache, [j])
+    return _visit_waves(state, steps, suffix, stop=t)[0]
 
 
 def dual_objective(state: DualState) -> float:
-    """sum_i phi_i + sum_j theta_j."""
-    return float(state.phi.sum() + state.theta.sum())
+    """sum_i phi_i + sum_j theta_j, every potential at its bound.
+
+    phi_i is the soft minimum over variable i's constant words and theta_j
+    that over check j's local words.  Any messages give a lower bound on
+    the LP optimum, the tightest one at kappa = math.inf.
+    """
+    return _objective(state, _trellis(state.messages, state.kappa, state.cache))
 
 
 # ---- edge updates ----
@@ -480,8 +463,7 @@ def _maximize_edges(state: DualState, edges, variables,
     # edge's message w is, per nonzero symbol a,
     #   w(a) <- w(a) - (node_sum(i, a) + bucket(a) - bucket(0)) / 2
     # with bucket(0) = ext(0) a shared normalizer; the current w(a) cancels
-    # from the right side.  Returns the new messages; phi and theta are
-    # left to the caller.
+    # from the right side.  Returns the new messages.
     msg = state.messages[edges]
     node_sum = state.node_sum[variables]
     new = msg - 0.5 * (node_sum + (msg + ext[:, 1:]) - ext[:, :1])
@@ -497,7 +479,6 @@ def _update_edge(state: DualState, i: int, j: int) -> None:
     e = state.cache.edge_index[(i, j)]
     ext = _slot_ext(state, j, int(state.cache.edge_slot[e]))
     _maximize_edges(state, [e], [i], ext[None])
-    state.phi[i], state.theta[j] = _edge_potentials(state, i, j)
 
 
 def update_edge_soft(state: DualState, i: int, j: int) -> DualState:
@@ -523,18 +504,17 @@ def update_edge_hard(state: DualState, i: int, j: int) -> DualState:
 # ---- decisions ----
 
 
-def _decide_symbols(state: DualState) -> np.ndarray:
+def _decide_symbols(scores: np.ndarray) -> np.ndarray:
     # each variable decides the repetition word with the smallest score,
     # where the zero word scores 0 and the word repeating alpha scores
-    # x_hat[i, alpha] = llr[i, alpha] - sum of edge messages (the channel
-    # slot joins the sum like any other slot of the repetition code, and the
-    # sum is taken from messages so decisions are immune to node_sum drift);
-    # a tie for the smallest score means no unique word claims the decision:
-    # some other word scores within _DECISION_ZERO_TOL of the best, which
-    # (float subtraction being monotone) holds exactly when the runner-up
-    # of a stable sort does, and the sort's first entry is argmin's
-    scores = state.llr - _message_sums(state)
-    full = np.zeros((state.code.n, state.code.q))
+    # scores[i, alpha-1] = llr[i, alpha-1] - sum of edge messages (the
+    # channel slot joins the sum like any other slot of the repetition code,
+    # and the sum is taken from messages so decisions are immune to node_sum
+    # drift); a tie for the smallest score means no unique word claims the
+    # decision: some other word scores within _DECISION_ZERO_TOL of the
+    # best, which (float subtraction being monotone) holds exactly when the
+    # runner-up of a stable sort does, and the sort's first entry is argmin's
+    full = np.zeros((len(scores), scores.shape[1] + 1))
     full[:, 1:] = scores
     choice = np.argmin(full, axis=1)
     best = np.min(full, axis=1)
@@ -556,28 +536,33 @@ def decode(code: TannerCode, llr, config: DecoderConfig) -> DecodeOutcome:
 
     Each iteration updates every edge, wave by wave, applying the soft
     update (finite kappa) or the hard update (kappa = math.inf), then
-    tightens every potential, records the dual objective and reads a
-    decision.  The result equals running update_edge_soft/update_edge_hard
-    edge by edge in check-major order.  The first erasure-free decision
-    with zero syndrome returns CODEWORD_FOUND.  Iterations whose decision
-    is malformed are counted and skipped; a malformed final decision
-    propagates MalformedDecision.
+    records the dual objective and reads a decision.  The result equals
+    running update_edge_soft/update_edge_hard edge by edge in check-major
+    order.  The first erasure-free decision with zero syndrome returns
+    CODEWORD_FOUND.  Iterations whose decision is malformed are counted and
+    skipped; a malformed final decision propagates MalformedDecision.
     """
     state = init_state(code, llr, config)
     # a check's suffix arrays stay valid until its own visit writes it, so
     # one pass of all checks per sweep serves both the sweep and theta
-    suffix = _suffix_arrays(state)
-    trace = [dual_objective(state)]
+    suffix = _trellis(state.messages, config.kappa, state.cache)
+    trace = [_objective(state, suffix)]
+    sums = _message_sums(state)
     malformed = 0
     symbols = None
     status = Status.MAX_ITERATIONS
     for iteration in range(1, config.max_iterations + 1):
-        _refresh_caches(state)
+        # node_sum from the messages, shedding the float drift of the
+        # incremental updates, which a message clamped at +-1e18 makes large
+        state.node_sum[:] = sums - state.llr
         _visit_waves(state, state.cache.steps, suffix)
-        suffix = _tighten_potentials(state)
-        trace.append(dual_objective(state))
+        suffix = _trellis(state.messages, config.kappa, state.cache)
+        trace.append(_objective(state, suffix))
+        # one message sum per sweep: no message changes before the next
+        # sweep reads it for node_sum
+        sums = _message_sums(state)
         try:
-            symbols = _decide_symbols(state)
+            symbols = _decide_symbols(state.llr - sums)
         except MalformedDecision:
             malformed += 1
             symbols = None
@@ -587,5 +572,5 @@ def decode(code: TannerCode, llr, config: DecoderConfig) -> DecodeOutcome:
             break
     if symbols is None:
         # the final sweep's decision was malformed: surface it
-        _decide_symbols(state)
+        _decide_symbols(state.llr - sums)
     return DecodeOutcome(symbols, status, iteration, tuple(trace), malformed)

@@ -610,13 +610,11 @@ def lp_decode_exact(code: TannerCode, llr) -> DecodeOutcome:
         (near.max(axis=1) <= _INTEGRALITY_TOL)
         & (f.sum(axis=1) <= 1.0 + _INTEGRALITY_TOL)
     )
-    symbols = np.empty(code.n, dtype=np.int64)
-    for i in range(code.n):
-        if not integral_rows[i]:
-            symbols[i] = ERASED
-            continue
-        ones = np.flatnonzero(f[i] > 0.5)
-        symbols[i] = int(ones[0]) + 1 if ones.size else 0
+    # an integral row's symbol is its first slot above 0.5, else 0
+    ones = f > 0.5
+    symbols = np.where(integral_rows,
+                       np.where(ones.any(axis=1), ones.argmax(axis=1) + 1, 0),
+                       ERASED)
     status = (
         Status.CODEWORD_FOUND if bool(integral_rows.all())
         else Status.MAX_ITERATIONS

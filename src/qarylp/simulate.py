@@ -224,27 +224,24 @@ def run_point(config: SimConfig, ebno_db: float, point_index: int = None,
     wave = 1 if _pool is None else _WAVE_PER_WORKER * config.workers
     frames = errors = sym_errors = erasures = malformed = 0
     iteration_sum = 0
-    next_eval = 0
-    buffered: dict = {}
     while frames < config.max_frames and errors < config.target_frame_errors:
-        if frames not in buffered:
-            hi = min(next_eval + wave, config.max_frames)
-            tasks = [(point_index, fi, sigma) for fi in range(next_eval, hi)]
-            if _pool is None:
-                results = [_frame_outcome(ctx, *task) for task in tasks]
-            else:
-                chunk = max(1, len(tasks) // config.workers)
-                results = list(_pool.map(_worker_frame, tasks,
-                                         chunksize=chunk))
-            buffered.update(zip(range(next_eval, hi), results))
-            next_eval = hi
-        err, sym, era, iters, bad = buffered.pop(frames)
-        frames += 1
-        errors += err
-        sym_errors += sym
-        erasures += era
-        iteration_sum += iters
-        malformed += bad
+        hi = min(frames + wave, config.max_frames)
+        tasks = [(point_index, fi, sigma) for fi in range(frames, hi)]
+        if _pool is None:
+            results = [_frame_outcome(ctx, *task) for task in tasks]
+        else:
+            chunk = max(1, len(tasks) // config.workers)
+            results = list(_pool.map(_worker_frame, tasks, chunksize=chunk))
+        # judged in index order; frames after the target error are dropped
+        for err, sym, era, iters, bad in results:
+            frames += 1
+            errors += err
+            sym_errors += sym
+            erasures += era
+            iteration_sum += iters
+            malformed += bad
+            if errors >= config.target_frame_errors:
+                break
     wall = time.perf_counter() - started if config.record_timing else 0.0
     return FerPoint(
         ebno_db=float(ebno_db),

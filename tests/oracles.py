@@ -4,9 +4,9 @@ Everything here trades speed for obviousness: exhaustive enumeration,
 Smith normal forms, finite differences, scalar golden-section search,
 edge-by-edge and loop forms of the decoder's sweep and bookkeeping, and the
 merged O(q^3) trellis step that the decoder's O(q^2) kernel regroups.  The
-per-edge instrumentation (set_message, update_phi_theta, the exclusion
-terms, local_function and decide) runs the decoder's own kernel on one
-edge or one state, so the tests that use it still exercise that kernel.
+per-edge instrumentation (set_message, potentials, the exclusion terms,
+local_function and decide) runs the decoder's own kernel on one edge or
+one state, so the tests that use it still exercise that kernel.
 Production modules must never import from this file.
 """
 
@@ -223,12 +223,11 @@ def codewords_vectorized(code, chunk=1 << 20):
 
 
 def set_message(state: D.DualState, i: int, j: int, values) -> None:
-    """Assign the message on edge (i, j), keeping all caches consistent."""
+    """Assign the message on edge (i, j), keeping node_sum consistent."""
     e = state.cache.edge_index[(i, j)]
     new = np.asarray(values, dtype=np.float64)
     state.node_sum[i] += new - state.messages[e]
     state.messages[e] = new
-    update_phi_theta(state, i, j)
 
 
 def compute_v_terms(state: D.DualState, i: int, j: int, alpha: int):
@@ -265,15 +264,23 @@ def compute_c_terms(state: D.DualState, j: int, i: int, alpha: int):
 
 
 def local_function(state: D.DualState, i: int, j: int) -> float:
-    """Edge-local part of the dual objective: both potentials recomputed."""
-    phi, theta = D._edge_potentials(state, i, j)
-    return float(phi + theta)
+    """Edge-local part of the dual objective: phi_i + theta_j, phi_i from
+    node_sum and theta_j from a trellis pass of check j alone."""
+    theta = D._trellis(state.messages, state.kappa, state.cache, [j])
+    return float(D._variable_potentials(state)[i] + theta[0, 0, 0])
 
 
-def update_phi_theta(state: D.DualState, i: int, j: int) -> D.DualState:
-    """Tighten phi_i and theta_j to their current soft-minimum bounds."""
-    state.phi[i], state.theta[j] = D._edge_potentials(state, i, j)
-    return state
+def potentials(state: D.DualState):
+    """(phi, theta): every potential at its bound, as dual_objective
+    sums them."""
+    theta = D._trellis(state.messages, state.kappa, state.cache)[:, 0, 0]
+    return D._variable_potentials(state), theta
+
+
+def refresh_node_sum(state: D.DualState) -> None:
+    """node_sum recomputed from the messages, as decode() does before
+    each sweep."""
+    state.node_sum[:] = D._message_sums(state) - state.llr
 
 
 def decide(state: D.DualState) -> D.DecodeOutcome:
@@ -288,7 +295,7 @@ def decide(state: D.DualState) -> D.DecodeOutcome:
     strictly below zero means several nonzero symbols claim the variable
     at once and raises MalformedDecision.
     """
-    symbols = D._decide_symbols(state)
+    symbols = D._decide_symbols(state.llr - D._message_sums(state))
     found = not np.any(symbols == D.ERASED) and state.code.is_codeword(symbols)
     status = D.Status.CODEWORD_FOUND if found else D.Status.MAX_ITERATIONS
     return D.DecodeOutcome(symbols, status, 0, (D.dual_objective(state),))
@@ -297,9 +304,9 @@ def decide(state: D.DualState) -> D.DecodeOutcome:
 def decode_reference(code, llr, config):
     """decode() spelled out through the public per-edge path.
 
-    One cache refresh per sweep, then update_edge_soft/update_edge_hard on
-    every edge in check-major order, each tightening phi and theta right
-    after its edge, then decide().  decode() must return exactly this.
+    One node_sum refresh per sweep, then update_edge_soft/update_edge_hard
+    on every edge in check-major order, then dual_objective() and
+    decide().  decode() must return exactly this.
     """
     state = D.init_state(code, llr, config)
     edges = [(i, j) for j in range(code.m) for i, _ in code.rows[j]]
@@ -308,7 +315,7 @@ def decode_reference(code, llr, config):
     malformed = 0
     outcome = None
     for iteration in range(1, config.max_iterations + 1):
-        D._refresh_caches(state)
+        refresh_node_sum(state)
         for i, j in edges:
             update(state, i, j)
         trace.append(D.dual_objective(state))
@@ -340,7 +347,7 @@ def check_edges(code, j):
 def node_sum_loop(state):
     """node_sum rebuilt from messages one variable at a time."""
     code = state.code
-    node_sum = state.chan.copy()
+    node_sum = -state.llr
     for i in range(code.n):
         edges = variable_edges(code, i)
         if edges:
@@ -396,7 +403,7 @@ def merged_slot_ext(state, j, stop):
     q = state.code.q
     vals = state.code.row_vals[j]
     edges = check_edges(state.code, j)
-    suffix = D._suffix_arrays(state, [j])[0]
+    suffix = D._trellis(state.messages, state.kappa, state.cache, [j])[0]
     # each suffix row B_t followed by the 0 and +inf the tables point at
     g = np.column_stack([suffix, np.zeros(len(suffix)),
                          np.full(len(suffix), math.inf)])

@@ -7,87 +7,16 @@ import qarylp.lp
 from qarylp import (
     BudgetExceeded,
     LengthMismatch,
-    MalformedIndicator,
     ParseError,
-    RingSymbol,
     TannerCode,
     enumerate_spc,
-    indicator,
-    indicator_block,
     ldpc80_z4,
     random_regular_code,
     read_check_matrix,
-    symbol_from_indicator,
     write_check_matrix,
 )
 
 from oracles import log_codebook_size_snf, spc_words_bruteforce, syndrome_loop
-
-
-# ---- ring symbols ----
-
-
-def test_ring_symbol_arithmetic():
-    a = RingSymbol(3, 4)
-    b = RingSymbol(2, 4)
-    assert (a + b).value == 1
-    assert (a - b).value == 1
-    assert (b - a).value == 3
-    assert (a * b).value == 2
-    assert (-a).value == 1
-    assert (-RingSymbol(0, 4)).value == 0
-    assert int(a) == 3
-    assert [s.value for s in RingSymbol.elements(3)] == [0, 1, 2]
-
-
-def test_ring_symbol_validation():
-    with pytest.raises(ValueError):
-        RingSymbol(4, 4)
-    with pytest.raises(ValueError):
-        RingSymbol(-1, 4)
-    with pytest.raises(ValueError):
-        RingSymbol(0, 1)
-    with pytest.raises(ValueError):
-        RingSymbol(1, 4) + RingSymbol(1, 5)
-
-
-# ---- indicator embeddings ----
-
-
-def test_indicator_values():
-    assert indicator(RingSymbol(0, 4)).tolist() == [0, 0, 0]
-    assert indicator(RingSymbol(2, 4)).tolist() == [0, 1, 0]
-    assert indicator(3, q=4).tolist() == [0, 0, 1]
-    assert indicator(0, q=2).tolist() == [0]
-    with pytest.raises(ValueError):
-        indicator(4, q=4)
-    with pytest.raises(ValueError):
-        indicator(2)
-
-
-def test_indicator_roundtrip():
-    for q in range(2, 7):
-        for a in range(q):
-            sym = symbol_from_indicator(indicator(a, q=q))
-            assert sym == RingSymbol(a, q)
-
-
-def test_symbol_from_indicator_rejects_malformed():
-    with pytest.raises(MalformedIndicator):
-        symbol_from_indicator([1, 1, 0])
-    with pytest.raises(MalformedIndicator):
-        symbol_from_indicator([0, 2, 0])
-    with pytest.raises(MalformedIndicator):
-        symbol_from_indicator([[0, 1], [0, 0]])
-    with pytest.raises(MalformedIndicator):
-        symbol_from_indicator([])
-
-
-def test_indicator_block():
-    block = indicator_block([0, 3, 1], q=4)
-    assert block.tolist() == [[0, 0, 0], [0, 0, 1], [1, 0, 0]]
-    with pytest.raises(ValueError):
-        indicator_block([0, 4], q=4)
 
 
 # ---- Tanner code structure ----

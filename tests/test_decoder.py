@@ -44,12 +44,13 @@ from oracles import (
     local_word_scores,
     merged_slot_ext,
     node_sum_loop,
+    potentials,
+    refresh_node_sum,
     set_message,
     slot_buckets_bruteforce,
     softmin_bruteforce,
     softmin_libm,
     softmin_rows_loop,
-    update_phi_theta,
     variable_edges,
 )
 
@@ -275,12 +276,13 @@ def test_init_state_channel_slots():
     code = two_check_code()
     llr = np.arange(9, dtype=float).reshape(3, 3)
     state = init_state(code, llr, DecoderConfig(kappa=2.0))
-    np.testing.assert_array_equal(state.chan, -llr)
+    # with no message yet, node_sum is the channel slot alone
+    np.testing.assert_array_equal(state.node_sum, -llr)
     assert not state.messages.any()
 
     again = init_state(code, llr, DecoderConfig(kappa=2.0))
-    np.testing.assert_array_equal(again.phi, state.phi)
-    np.testing.assert_array_equal(again.theta, state.theta)
+    for mine, theirs in zip(potentials(again), potentials(state)):
+        np.testing.assert_array_equal(mine, theirs)
 
 
 def test_init_state_dimension_mismatch():
@@ -325,8 +327,9 @@ def test_init_state_zero_llr_dual_values():
     soft = init_state(code, np.zeros((80, 3)), DecoderConfig(kappa=1.0))
     expected = -80.0 * math.log(4.0) - 32.0 * math.log(256.0)
     assert dual_objective(soft) == pytest.approx(expected, abs=1e-9)
-    assert soft.phi[0] == pytest.approx(-math.log(4.0), abs=1e-12)
-    assert soft.theta[0] == pytest.approx(-math.log(256.0), abs=1e-12)
+    phi, theta = potentials(soft)
+    assert phi[0] == pytest.approx(-math.log(4.0), abs=1e-12)
+    assert theta[0] == pytest.approx(-math.log(256.0), abs=1e-12)
 
 
 # ---- V and C terms ----
@@ -364,7 +367,7 @@ def test_v_terms_match_bruteforce():
             slots = list(code.columns[i])
             # full score of the constant-b word, channel slot included
             def full(b):
-                total = state.chan[i, b - 1]
+                total = -state.llr[i, b - 1]
                 for j2 in slots:
                     total += state.messages[state.cache.edge_index[(i, j2)], b - 1]
                 return -total
@@ -597,7 +600,7 @@ def test_padded_edge_updates_match_closed_form(kappa):
                 for b in range(code.q)
             ])
             mine = variable_edges(code, i)
-            node_sum = state.chan[i] + state.messages[mine].sum(axis=0)
+            node_sum = -state.llr[i] + state.messages[mine].sum(axis=0)
             want = np.clip(
                 state.messages[e] - 0.5 * (node_sum + bucket[1:] - bucket[0]),
                 -1e18, 1e18)
@@ -611,14 +614,19 @@ def test_padded_edge_updates_match_closed_form(kappa):
 
 
 def test_update_phi_theta_tightness():
+    # after an edge update, the potentials that dual_objective sums sit at
+    # their bounds: phi_i at the soft minimum of variable i's constant-word
+    # scores and theta_j at that of check j's local-word scores
     rng = np.random.default_rng(37)
     code, state = random_state(5.0, rng)
     i, j = code.edges[1]
-    update_phi_theta(state, i, j)
+    update_edge_soft(state, i, j)
+    phi, theta = potentials(state)
+    assert dual_objective(state) == float(phi.sum() + theta.sum())
     scores = np.concatenate(([0.0], -state.node_sum[i]))
-    assert state.phi[i] == pytest.approx(soft_min(scores, 5.0), abs=1e-12)
+    assert phi[i] == pytest.approx(soft_min(scores, 5.0), abs=1e-12)
     _, word_scores = local_word_scores(state, j)
-    assert state.theta[j] == pytest.approx(
+    assert theta[j] == pytest.approx(
         softmin_bruteforce(word_scores, 5.0), rel=1e-12, abs=1e-12)
 
 
@@ -626,12 +634,13 @@ def test_set_message_keeps_caches_consistent():
     rng = np.random.default_rng(38)
     code, state = random_state(2.0, rng)
     fresh = copy.deepcopy(state)
-    D._refresh_caches(fresh)
+    refresh_node_sum(fresh)
     np.testing.assert_allclose(fresh.node_sum, state.node_sum, atol=1e-9)
-    # each check's last set_message left its theta tight
+    # every theta, derived from the messages set, is tight
+    _, theta = potentials(state)
     for j in range(code.m):
         _, scores = local_word_scores(state, j)
-        assert state.theta[j] == pytest.approx(
+        assert theta[j] == pytest.approx(
             softmin_bruteforce(scores, 2.0), rel=1e-12, abs=1e-12)
 
 
@@ -720,15 +729,16 @@ def test_decide_symbols_matches_argsort_form(q):
             pick = rng.random(scores.shape) < share
             scores[pick] = rng.choice(values, size=pick.sum())
         state.llr = scores
+        slot_scores = state.llr - D._message_sums(state)
         try:
             want = decide_symbols_loop(state)
         except MalformedDecision as err:
             with pytest.raises(MalformedDecision) as got:
-                D._decide_symbols(state)
+                D._decide_symbols(slot_scores)
             assert str(got.value) == str(err)
             outcomes["malformed"] += 1
             continue
-        np.testing.assert_array_equal(D._decide_symbols(state), want)
+        np.testing.assert_array_equal(D._decide_symbols(slot_scores), want)
         outcomes["erased"] += int(np.sum(want == ERASED))
         outcomes["decided"] += int(np.sum(want > 0))
     assert min(outcomes.values()) > 50, outcomes
@@ -913,16 +923,16 @@ def test_vectorized_bookkeeping_matches_loops():
             for i, j in code.edges:
                 set_message(state, i, j, rng.normal(0.0, 1.5, size=code.q - 1))
             node_sum = node_sum_loop(state)
-            D._refresh_caches(state)
+            refresh_node_sum(state)
             np.testing.assert_array_equal(state.node_sum, node_sum)
             # the all-checks suffix pass gives every check's theta
-            suffix = D._suffix_arrays(state)
+            suffix = D._trellis(state.messages, 2.0, state.cache)
             for j in range(code.m):
                 _, scores = local_word_scores(state, j)
                 assert suffix[j, 0, 0] == pytest.approx(
                     softmin_bruteforce(scores, 2.0), rel=1e-12, abs=1e-12)
             np.testing.assert_array_equal(
-                D._decide_symbols(state), decide_symbols_loop(state))
+                decide(state).symbols, decide_symbols_loop(state))
 
 
 @pytest.mark.parametrize("kappa", [1.0, 100.0, math.inf])
@@ -936,9 +946,10 @@ def test_suffix_pass_matches_per_check_pass(kappa):
         state = init_state(code, np.zeros((code.n, code.q - 1)),
                            DecoderConfig(kappa=kappa))
         state.messages[:] = rng.normal(0.0, 2.0, size=state.messages.shape)
-        whole = D._suffix_arrays(state)
+        whole = D._trellis(state.messages, kappa, state.cache)
         for j in range(code.m):
-            assert np.array_equal(whole[j], D._suffix_arrays(state, [j])[0])
+            alone = D._trellis(state.messages, kappa, state.cache, [j])
+            assert np.array_equal(whole[j], alone[0])
 
 
 def schedule_codes():
@@ -1004,10 +1015,10 @@ def test_wave_visit_matches_check_by_check(kappa):
         llr = rng.normal(0.3, 1.5, size=(code.n, code.q - 1))
         state = init_state(code, llr, DecoderConfig(kappa=kappa))
         state.messages[:] = rng.normal(0.0, 2.0, size=state.messages.shape)
-        D._refresh_caches(state)
+        refresh_node_sum(state)
         alone = copy.deepcopy(state)
         cache = state.cache
-        suffix = D._suffix_arrays(state)
+        suffix = D._trellis(state.messages, kappa, cache)
         D._visit_waves(state, cache.steps, suffix)
         for j in range(code.m):
             slots = cache.check_edges[j, :len(code.rows[j]), None]
@@ -1056,8 +1067,9 @@ def test_decode_ignores_check_orders_that_keep_shared_variables():
             state = init_state(c, llr, config)
             rows[same] = messages
             state.messages[:] = rows
-            D._refresh_caches(state)
-            D._visit_waves(state, state.cache.steps, D._suffix_arrays(state))
+            refresh_node_sum(state)
+            D._visit_waves(state, state.cache.steps,
+                           D._trellis(state.messages, kappa, state.cache))
             swept.append(state.messages)
         assert np.array_equal(swept[0], swept[1][same])
         base, out = decode(code, llr, config), decode(moved, llr, config)
@@ -1084,9 +1096,10 @@ def test_trellis_matches_codebook_oracle(kappa):
         state = init_state(code, llr, DecoderConfig(kappa=kappa))
         for i, j in code.edges:
             set_message(state, i, j, rng.normal(0.0, 1.5, size=code.q - 1))
+        _, theta = potentials(state)
         for j in range(code.m):
             words, scores = local_word_scores(state, j)
-            assert state.theta[j] == pytest.approx(
+            assert theta[j] == pytest.approx(
                 softmin_bruteforce(scores, kappa), rel=1e-12, abs=1e-12)
             for t, e in enumerate(check_edges(code, j)):
                 want = slot_buckets_bruteforce(state, j, t)

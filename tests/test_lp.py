@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qarylp.decoder
 import qarylp.lp
 from oracles import (
     check_edges,
@@ -1103,3 +1104,42 @@ def test_decoder_messages_are_an_lp_dual():
             duals = np.concatenate([y.ravel(), norm])
             assert (c - duals @ A[code]).min() >= -1e-9
             assert dual_objective(state) <= norm.sum() <= optimum + 1e-9
+
+
+def test_trellis_prices_the_lp_optimum(monkeypatch):
+    # at the exact LP's optimum, the decoder's trellis pass at kappa = inf
+    # on the final coupling duals, read as edge messages, minus each
+    # check's normalization dual is that check's minimum reduced cost over
+    # its enumerate_spc words, and no word prices in: the codebook-free
+    # form of the optimality test that column generation runs word by word
+    engine = qarylp.lp._revised_phase2
+    duals = []
+
+    def capture(*args, **kwargs):
+        out = engine(*args, **kwargs)
+        duals.append(out[1])
+        return out
+
+    monkeypatch.setattr(qarylp.lp, "_revised_phase2", capture)
+    rng = np.random.default_rng(47)
+    cases = [(ldpc80_z4(), lam) for lam in ldpc80_frames(4, seed=47)]
+    # non-unit Z_4, zero-divisor Z_6 and uncovered variables
+    cases += [(code, rng.normal(0.3, 1.5, size=(code.n, code.q - 1)))
+              for code in mixed_degree_codes() for _ in range(3)]
+    for code, lam in cases:
+        duals.clear()
+        lp_decode_exact(code, lam)
+        y = duals[-1]
+        cache = qarylp.decoder._code_cache(code)
+        n_coupling = cache.n_edges * (code.q - 1)
+        messages = y[:n_coupling].reshape(cache.n_edges, code.q - 1)
+        norm = y[n_coupling:n_coupling + code.m]
+        got = qarylp.decoder._trellis(messages, math.inf, cache)[:, 0, 0] - norm
+        padded = np.hstack([np.zeros((cache.n_edges, 1)), messages])
+        want = np.array([
+            padded[check_edges(code, j), enumerate_spc(code, j).words]
+            .sum(axis=1).min()
+            for j in range(code.m)
+        ]) - norm
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert want.min() >= -qarylp.lp._PRICING_TOL
