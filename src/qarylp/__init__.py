@@ -3,8 +3,8 @@
 Subpackages: codes (Tanner graphs, local codebooks, code constructions),
 channel (PSK modulation and AWGN log-likelihood ratios), decoder (dual
 coordinate-ascent decoding), lp (exact LP decoding by column generation
-over a revised simplex, polytope utilities and an exhaustive ML oracle), and
-simulate (frame-error-rate sweeps).
+over a revised simplex, and an exhaustive ML oracle), and simulate
+(frame-error-rate sweeps).
 """
 
 from .channel import (
@@ -47,17 +47,8 @@ from .decoder import (
 )
 from .lp import (
     CycleGuardTripped,
-    FactorPoint,
-    InfeasibleInput,
-    MarginalPoint,
     TooLarge,
-    check_factor,
-    check_marginal,
-    codeword_vertex,
-    factor_to_marginal,
-    lp_cost,
     lp_decode_exact,
-    marginal_to_factor,
     ml_bruteforce,
 )
 from .simulate import (
@@ -81,13 +72,10 @@ __all__ = [
     "DualState",
     "ERASED",
     "EmptyList",
-    "FactorPoint",
     "FerPoint",
-    "InfeasibleInput",
     "InvalidRate",
     "LengthMismatch",
     "MalformedDecision",
-    "MarginalPoint",
     "NonFiniteLLR",
     "NonPositiveSigma",
     "ParseError",
@@ -97,22 +85,16 @@ __all__ = [
     "TannerCode",
     "TooLarge",
     "awgn_sample",
-    "check_factor",
-    "check_marginal",
-    "codeword_vertex",
     "compute_llr",
     "decode",
     "dual_objective",
     "ebno_to_sigma",
     "enumerate_spc",
-    "factor_to_marginal",
     "format_csv",
     "init_state",
     "ldpc80_z4",
     "load_codeword_list",
-    "lp_cost",
     "lp_decode_exact",
-    "marginal_to_factor",
     "ml_bruteforce",
     "modulate",
     "psk",

@@ -12,12 +12,6 @@ which joins variable i to check j, has row e(q-1) + a - 1.  The duals of
 those rows are therefore edge messages, the form of the decoder's
 primal-dual pair, and the exact solver builds no second row layout.
 
-Two equivalent polytope descriptions are provided: the marginal form above
-(f plus per-check weights) and a factor form that additionally carries one
-convex-weight vector per variable over the q constant words.  Conversions in
-both directions preserve the cost exactly, and each form has a constraint
-checker that reports the worst violation per constraint family.
-
 The simplex core is a revised method that keeps only the basis inverse.
 Columns are held sparse, as padded (row ids, values) pairs: a decoding-LP
 column has at most max(d+1, d_v) nonzeros.  Pricing, the entering column's
@@ -42,7 +36,6 @@ the zero codeword.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -57,8 +50,6 @@ _SIMPLEX_TOL = 1e-9
 _FEAS_TOL = 1e-7
 # LP outputs within this of {0, 1} count as integral
 _INTEGRALITY_TOL = 1e-6
-# conversion inputs may violate their polytope by at most this much
-_INPUT_TOL = 1e-8
 
 # consecutive degenerate pivots before Dantzig pricing falls back to Bland
 _REVISED_STALL_LIMIT = 200
@@ -68,10 +59,6 @@ _REFACTOR_EVERY = 128
 
 class TooLarge(ValueError):
     """The code is too large for exhaustive ML search."""
-
-
-class InfeasibleInput(ValueError):
-    """A conversion input does not lie in its polytope."""
 
 
 class CycleGuardTripped(RuntimeError):
@@ -244,38 +231,6 @@ def _revised_phase2(cols, b, c, basis, binv, max_pivots, fixed, spent=0,
 # ---- the decoding LP ----
 
 
-@dataclass(frozen=True)
-class MarginalPoint:
-    """A point of the marginal-form polytope: indicators plus check weights.
-
-    indicators is (n, q-1); check_weights[j] is a vector over the local
-    codebook of check j (word order as enumerated by enumerate_spc).
-    """
-
-    indicators: np.ndarray
-    check_weights: tuple
-
-
-@dataclass(frozen=True)
-class FactorPoint:
-    """A point of the factor-form polytope.
-
-    Adds symbol_weights, an (n, q) array of per-variable convex weights over
-    the q constant local words; column b holds the weight of repeating
-    symbol b.
-    """
-
-    indicators: np.ndarray
-    symbol_weights: np.ndarray
-    check_weights: tuple
-
-
-@lru_cache(maxsize=16)
-def _codebooks(code: TannerCode) -> tuple:
-    # every check's local codebook, enumerated once per code
-    return tuple(enumerate_spc(code, j) for j in range(code.m))
-
-
 def _crash_words(code: TannerCode, books) -> tuple:
     """Per-check words and unit columns that form a feasible zero-vertex basis.
 
@@ -406,7 +361,7 @@ class _ExactSetup:
             if size > _CODEBOOK_BUDGET:
                 raise BudgetExceeded(f"check {j}: codebook bound {size} "
                                      f"exceeds budget {_CODEBOOK_BUDGET}")
-        self.books = _codebooks(code)
+        self.books = tuple(enumerate_spc(code, j) for j in range(code.m))
         cache = _code_cache(code)
         self.check_edges = cache.check_edges
         q = self.q = code.q
@@ -502,13 +457,13 @@ def _column_generation(setup: _ExactSetup, c_ind):
     coupling duals, read as edge messages, are gathered through each
     check's edge ids.  Of each check's words that price below
     -_PRICING_TOL, the _CG_ADDS_PER_CHECK most negative (ties in codebook
-    order) join the working set: their columns are built from their symbols and appended to the
-    master, so every earlier column keeps its place and the basis and its
-    inverse carry over to the next round unchanged.  A round with none
-    certifies the restricted optimum as the optimum of the full LP (the
-    crash basis's unit columns stay in the master, fixed at zero).  More
-    than _MAX_PIVOTS pivots in all raise CycleGuardTripped.  Returns
-    (indicator part of x, value, total pivots).
+    order) join the working set: their columns are built from their
+    symbols and appended to the master, so every earlier column keeps its
+    place and the basis and its inverse carry over to the next round
+    unchanged.  A round with none certifies the restricted optimum as the
+    optimum of the full LP (the crash basis's unit columns stay in the
+    master, fixed at zero).  More than _MAX_PIVOTS pivots in all raise
+    CycleGuardTripped.  Returns (indicator part of x, value, total pivots).
     """
     q = setup.q
     rows, signs = setup.crash_store
@@ -625,142 +580,6 @@ def lp_decode_exact(code: TannerCode, llr) -> DecodeOutcome:
         iterations_used=pivots,
         dual_objective_trace=(value,),
     )
-
-
-# ---- polytope checks and conversions ----
-
-
-def _check_weight_gaps(point, code: TannerCode, target):
-    """Worst (coupling, negativity, sum) violations of the check weights.
-
-    The coupling gap is the largest |target[i, alpha-1] - marginal| over
-    every edge (i, j) and nonzero symbol alpha, where the marginal is the
-    weight check j puts on local words with alpha at position i.
-    """
-    if len(point.check_weights) != code.m:
-        raise ValueError(
-            f"expected {code.m} check weight vectors, got "
-            f"{len(point.check_weights)}"
-        )
-    coupling = nonneg = norm = 0.0
-    for j, book in enumerate(_codebooks(code)):
-        words = book.words
-        w = np.asarray(point.check_weights[j], dtype=np.float64)
-        if w.shape != (len(words),):
-            raise ValueError(
-                f"check {j}: weight vector must have length {len(words)}"
-            )
-        nonneg = max(nonneg, float(np.maximum(-w, 0.0).max()))
-        norm = max(norm, abs(float(w.sum()) - 1.0))
-        for t, (i, _) in enumerate(code.rows[j]):
-            for alpha in range(1, code.q):
-                marg = float(w[words[:, t] == alpha].sum())
-                coupling = max(coupling, abs(target[i, alpha - 1] - marg))
-    return coupling, nonneg, norm
-
-
-def check_marginal(point: MarginalPoint, code: TannerCode) -> dict:
-    """Worst violation of each marginal-form constraint family."""
-    f = np.asarray(point.indicators, dtype=np.float64)
-    if f.shape != (code.n, code.q - 1):
-        raise ValueError(f"indicators shape {f.shape} does not match the code")
-    coupling, nonneg, norm = _check_weight_gaps(point, code, f)
-    return {
-        "coupling": coupling,
-        "check_weight_nonneg": nonneg,
-        "check_weight_sum": norm,
-    }
-
-
-def check_factor(point: FactorPoint, code: TannerCode) -> dict:
-    """Worst violation of each factor-form constraint family.
-
-    The per-slot aggregation equalities are reported as identically zero:
-    the aggregated slot values are materialized from their defining sums, so
-    those two families cannot be violated by construction.
-    """
-    f = np.asarray(point.indicators, dtype=np.float64)
-    g = np.asarray(point.symbol_weights, dtype=np.float64)
-    if f.shape != (code.n, code.q - 1):
-        raise ValueError(f"indicators shape {f.shape} does not match the code")
-    if g.shape != (code.n, code.q):
-        raise ValueError(
-            f"symbol_weights shape {g.shape} does not match ({code.n}, {code.q})"
-        )
-    channel_link = float(np.abs(f - g[:, 1:]).max())
-    edge_link, w_nonneg, w_norm = _check_weight_gaps(point, code, g[:, 1:])
-    return {
-        "channel_link": channel_link,
-        "edge_link": edge_link,
-        "symbol_weight_aggregation": 0.0,
-        "check_weight_aggregation": 0.0,
-        "symbol_weight_nonneg": float(np.maximum(-g, 0.0).max()),
-        "check_weight_nonneg": w_nonneg,
-        "symbol_weight_sum": float(np.abs(g.sum(axis=1) - 1.0).max()),
-        "check_weight_sum": w_norm,
-    }
-
-
-def marginal_to_factor(point: MarginalPoint, code: TannerCode) -> FactorPoint:
-    """Lift a marginal-form point: symbol weights from the shared marginal.
-
-    The constant-word weight for a nonzero symbol is that symbol's indicator
-    entry; the zero word takes the leftover mass.  Check weights carry over
-    unchanged, so the cost is preserved exactly.
-    """
-    report = check_marginal(point, code)
-    worst = max(report.values())
-    if worst > _INPUT_TOL:
-        raise InfeasibleInput(f"marginal point violates {report}")
-    f = np.asarray(point.indicators, dtype=np.float64)
-    g = np.empty((code.n, code.q))
-    g[:, 1:] = f
-    g[:, 0] = 1.0 - f.sum(axis=1)
-    return FactorPoint(
-        indicators=f.copy(),
-        symbol_weights=g,
-        check_weights=tuple(
-            np.asarray(w, dtype=np.float64).copy() for w in point.check_weights
-        ),
-    )
-
-
-def factor_to_marginal(point: FactorPoint, code: TannerCode) -> MarginalPoint:
-    """Project a factor-form point: drop symbol weights, keep check weights."""
-    report = check_factor(point, code)
-    worst = max(report.values())
-    if worst > _INPUT_TOL:
-        raise InfeasibleInput(f"factor point violates {report}")
-    return MarginalPoint(
-        indicators=np.asarray(point.indicators, dtype=np.float64).copy(),
-        check_weights=tuple(
-            np.asarray(w, dtype=np.float64).copy() for w in point.check_weights
-        ),
-    )
-
-
-def codeword_vertex(code: TannerCode, word) -> MarginalPoint:
-    """The marginal-form vertex of a codeword: unit weight on each local word."""
-    w = np.asarray(word, dtype=np.int64)
-    if not code.is_codeword(w):
-        raise InfeasibleInput(f"{w.tolist()} is not a codeword")
-    f = np.zeros((code.n, code.q - 1))
-    nz = np.flatnonzero(w)
-    f[nz, w[nz] - 1] = 1.0
-    weights = []
-    for j, book in enumerate(_codebooks(code)):
-        local = w[code.row_cols[j]]
-        hit = np.flatnonzero((book.words == local).all(axis=1))
-        vec = np.zeros(len(book))
-        vec[hit[0]] = 1.0
-        weights.append(vec)
-    return MarginalPoint(indicators=f, check_weights=tuple(weights))
-
-
-def lp_cost(llr, point) -> float:
-    """Channel cost of a polytope point: sum of llr against the indicators."""
-    lam = np.asarray(llr, dtype=np.float64)
-    return float((lam * np.asarray(point.indicators)).sum())
 
 
 # ---- exhaustive ML oracle ----

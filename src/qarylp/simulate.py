@@ -63,13 +63,13 @@ class SimConfig:
         if not all(math.isfinite(e) for e in ebno):
             raise ValueError(f"ebno_list entries must be finite, got {ebno}")
         object.__setattr__(self, "ebno_list", ebno)
-        for name in ("target_frame_errors", "max_frames", "max_iterations",
-                     "workers"):
+        for name, low in (("target_frame_errors", 1), ("max_frames", 1),
+                          ("max_iterations", 1), ("workers", 1), ("seed", 0)):
             count = getattr(self, name)
             if not isinstance(count, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {count!r}")
-            if count < 1:
-                raise ValueError(f"{name} must be >= 1, got {count}")
+            if count < low:
+                raise ValueError(f"{name} must be >= {low}, got {count}")
         if self.decoder == "soft" and not self.kappa > 0.0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
 

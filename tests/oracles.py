@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -649,3 +650,72 @@ def padded_store(A):
         rows[k, :len(h)] = h
         vals[k, :len(h)] = A[h, k]
     return rows, vals
+
+
+def full_columns(setup):
+    """The dense constraint matrix of every local word of an _ExactSetup."""
+    return dense_store(
+        *setup.store([range(len(book)) for book in setup.books]), setup.n_rows)
+
+
+# the exact LP's variables: indicators (n, q-1) and per check j weights over
+# its local codebook in enumerate_spc order; the factor form adds (n, q)
+# weights over each variable's constant words, column b repeating symbol b
+MarginalPoint = namedtuple("MarginalPoint", "indicators check_weights")
+FactorPoint = namedtuple("FactorPoint",
+                         "indicators symbol_weights check_weights")
+
+
+def check_marginal(point, code):
+    """Worst violation of each marginal-form constraint family: |A x - b| on
+    the exact LP's coupling rows and on its normalization rows, A the
+    full_columns of its setup, and the most negative check weight."""
+    setup = L._exact_setup(code)
+    w = np.concatenate(point.check_weights)
+    gap = np.abs(full_columns(setup) @ np.concatenate(
+        [np.ravel(point.indicators), w]) - setup.b)
+    return {"coupling": float(gap[:setup.n_coupling].max()),
+            "check_weight_nonneg": float(np.maximum(-w, 0.0).max()),
+            "check_weight_sum": float(gap[setup.n_coupling:].max())}
+
+
+def check_factor(point, code):
+    """Worst violation of each factor-form constraint family.  The symbol
+    weights meet the check weights on the coupling rows (check_marginal);
+    the two aggregation families hold by construction and report 0."""
+    f, g = point.indicators, point.symbol_weights
+    linked = check_marginal(MarginalPoint(g[:, 1:], point.check_weights), code)
+    return {"channel_link": float(np.abs(f - g[:, 1:]).max()),
+            "edge_link": linked.pop("coupling"),
+            "symbol_weight_aggregation": 0.0,
+            "check_weight_aggregation": 0.0,
+            "symbol_weight_nonneg": float(np.maximum(-g, 0.0).max()),
+            "symbol_weight_sum": float(np.abs(g.sum(axis=1) - 1.0).max()),
+            **linked}
+
+
+def marginal_to_factor(point, code):
+    """Symbol b's weight is its indicator; the zero word takes the rest."""
+    f = np.array(point.indicators, dtype=np.float64)
+    g = np.column_stack([1.0 - f.sum(axis=1), f])
+    return FactorPoint(f, g, point.check_weights)
+
+
+def factor_to_marginal(point, code):
+    """The factor point without its symbol weights."""
+    return MarginalPoint(np.array(point.indicators), point.check_weights)
+
+
+def codeword_vertex(code, word):
+    """One-hot indicators and unit weight on each check's local word."""
+    w = np.asarray(word, dtype=np.int64)
+    f = np.zeros((code.n, code.q - 1))
+    f[np.flatnonzero(w), w[w != 0] - 1] = 1.0
+    return MarginalPoint(f, tuple(
+        (book.words == w[cols]).all(axis=1) * 1.0
+        for book, cols in zip(L._exact_setup(code).books, code.row_cols)))
+
+
+def lp_cost(llr, point):
+    """Channel cost of a point: llr summed against its indicators."""
+    return float((np.asarray(llr, dtype=np.float64) * point.indicators).sum())

@@ -19,23 +19,16 @@ import qarylp
 from qarylp import (
     DecoderConfig,
     ERASED,
-    MarginalPoint,
     SimConfig,
     Status,
     awgn_sample,
-    check_factor,
-    check_marginal,
-    codeword_vertex,
     compute_llr,
     decode,
     ebno_to_sigma,
     enumerate_spc,
-    factor_to_marginal,
     format_csv,
     ldpc80_z4,
-    lp_cost,
     lp_decode_exact,
-    marginal_to_factor,
     ml_bruteforce,
     modulate,
     psk,
@@ -52,10 +45,17 @@ from qarylp.decoder import (
 )
 
 from oracles import (
+    MarginalPoint,
     central_difference_gradient,
+    check_factor,
+    check_marginal,
+    codeword_vertex,
     codewords_vectorized,
     coordinate_grid_max,
+    factor_to_marginal,
     local_function,
+    lp_cost,
+    marginal_to_factor,
     set_message,
     spc_words_bruteforce,
 )

@@ -8,7 +8,11 @@ import pytest
 import qarylp.decoder
 import qarylp.lp
 from oracles import (
+    MarginalPoint,
     check_edges,
+    check_factor,
+    check_marginal,
+    codeword_vertex,
     codewords_bruteforce,
     crash_basis_identity_replay,
     crash_basis_rank_greedy,
@@ -16,7 +20,11 @@ from oracles import (
     decoding_lp,
     decoding_lp_columns,
     dense_store,
+    factor_to_marginal,
+    full_columns,
+    lp_cost,
     lp_vertex_enumeration,
+    marginal_to_factor,
     padded_store,
     update_inverse_dense,
     variable_edges,
@@ -42,17 +50,8 @@ from qarylp.decoder import (
 from qarylp.lp import (
     BudgetExceeded,
     CycleGuardTripped,
-    FactorPoint,
-    InfeasibleInput,
-    MarginalPoint,
     TooLarge,
-    check_factor,
-    check_marginal,
-    codeword_vertex,
-    factor_to_marginal,
-    lp_cost,
     lp_decode_exact,
-    marginal_to_factor,
     ml_bruteforce,
 )
 from qarylp.simulate import SimConfig, run_point
@@ -104,12 +103,6 @@ def word_cost(llr, word):
     w = np.asarray(word)
     nz = np.flatnonzero(w)
     return float(lam[nz, w[nz] - 1].sum())
-
-
-def full_columns(setup):
-    """The dense constraint matrix of every local word of an _ExactSetup."""
-    return dense_store(
-        *setup.store([range(len(book)) for book in setup.books]), setup.n_rows)
 
 
 def run_engine(c, A, b, basis, max_pivots=10_000, fixed=()):
@@ -913,11 +906,6 @@ def test_codeword_vertices_are_feasible():
         assert lp_cost(lam, point) == pytest.approx(word_cost(lam, word))
 
 
-def test_codeword_vertex_rejects_noncodeword():
-    with pytest.raises(InfeasibleInput):
-        codeword_vertex(four_cycle_code(), [1, 2])
-
-
 def test_check_marginal_flags_violations():
     code = single_check_code()
     point = codeword_vertex(code, [0, 0])
@@ -977,28 +965,6 @@ def test_convex_combinations_convert_exactly():
             assert np.array_equal(back.check_weights[j],
                                   mixed.check_weights[j])
         assert lp_cost(lam, lifted) == lp_cost(lam, mixed)
-
-
-def test_conversions_reject_infeasible_points():
-    code = single_check_code()
-    point = codeword_vertex(code, [2, 2])
-    bad_w = point.check_weights[0] * 1.5
-    with pytest.raises(InfeasibleInput):
-        marginal_to_factor(
-            MarginalPoint(indicators=point.indicators * 1.5,
-                          check_weights=(bad_w,)),
-            code,
-        )
-    lifted = marginal_to_factor(point, code)
-    g = lifted.symbol_weights.copy()
-    g[0, 0] = -0.2
-    g[0, 2] += 0.2
-    with pytest.raises(InfeasibleInput):
-        factor_to_marginal(
-            FactorPoint(indicators=lifted.indicators, symbol_weights=g,
-                        check_weights=lifted.check_weights),
-            code,
-        )
 
 
 # ---- ML oracle ----

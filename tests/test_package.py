@@ -1,6 +1,10 @@
 """The package's public surface: what `from qarylp import *` promises."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import qarylp
@@ -35,3 +39,17 @@ def test_package_never_imports_the_tests():
             if any(set(m.split(".")) & banned for m in modules):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_readme_quick_start_runs():
+    # every public name a README example uses must still exist
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", blocks[0]], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    found = [line for line in run.stdout.splitlines()
+             if line.startswith("Status.CODEWORD_FOUND")]
+    assert len(found) == 2, run.stdout

@@ -64,10 +64,19 @@ def test_config_refuses_non_integer_max_iterations(bad):
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, "3"])
 @pytest.mark.parametrize("name", ["max_frames", "target_frame_errors",
-                                  "workers"])
+                                  "workers", "seed"])
 def test_config_refuses_non_integer_counts(name, bad):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         SimConfig(ebno_list=(1.0,), **{name: bad})
+
+
+def test_config_refuses_negative_seed(capsys):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SimConfig(ebno_list=(1.0,), seed=-1)
+    assert SimConfig(ebno_list=(1.0,), seed=0).seed == 0
+    # the CLI refuses a negative seed before any frame runs
+    assert main(["--ebno", "3.0", "--max-frames", "1", "--seed", "-3"]) == 2
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
