@@ -25,7 +25,10 @@ and suffix soft minima: O(d q^2) terms per degree-d check for theta and
 O(q^2) per edge update, whose prefix step and extrinsic row are one (q, q)
 soft minimum each (the trellis check-node processing of Punekar &
 Flanagan, ISIT 2011).  A symbol that no local word reaches gets message
--_MESSAGE_CLAMP.
+-_MESSAGE_CLAMP.  Such an empty bucket is a soft minimum over no terms: its
+column of +inf totals 0 after the shift, log 0 = -inf makes it +inf, and
+the public entries ignore numpy's divide (and exp underflow) warnings
+while they run.
 
 A sweep updates the edges in check-major order, but decode() visits them
 in waves: an edge's wave is one more than the later of the waves of its
@@ -41,7 +44,8 @@ order, that check-major order would have made.  Every kernel operation
 is elementwise or a reduction over a leading axis of terms, column by
 column, so the wave sweep is bit-identical to the edge-by-edge path of
 update_edge_soft/update_edge_hard, which runs the same kernel on one
-check.
+check.  The kernel and the passes over all checks gather and scatter
+through flat offsets that _CodeCache computes once per code.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,7 +105,9 @@ class DecoderConfig:
     kappa: float = 100.0
 
     def __post_init__(self):
-        if not isinstance(self.max_iterations, numbers.Integral):
+        # bool is an Integral, but True is no sweep budget or kappa
+        if (isinstance(self.max_iterations, bool)
+                or not isinstance(self.max_iterations, numbers.Integral)):
             raise ValueError(
                 f"max_iterations must be an integer, got {self.max_iterations!r}"
             )
@@ -108,6 +115,8 @@ class DecoderConfig:
             raise ValueError(
                 f"max_iterations must be >= 1, got {self.max_iterations}"
             )
+        if isinstance(self.kappa, bool):
+            raise ValueError(f"kappa must be a number, got {self.kappa!r}")
         if not self.kappa > 0:
             raise ValueError(f"kappa must be > 0 or math.inf, got {self.kappa}")
 
@@ -173,23 +182,47 @@ def _waves(code: TannerCode) -> np.ndarray:
     return np.concatenate(out)
 
 
+def _row_offsets(ids, width: int) -> np.ndarray:
+    # flat offsets of rows ids of a C-ordered array with rows of width
+    # entries, one row of offsets per id
+    return np.asarray(ids)[:, None] * width + np.arange(width)
+
+
+class _Step(NamedTuple):
+    """One kernel step of _visit_waves: flat offsets for a wave of k edges.
+
+    ext and prefix are (q, k, q) offsets into the suffix array and the
+    prefix buffer (see _CodeCache.plan); messages and node_sum are (k, q-1)
+    offsets of the edges' rows of DualState.messages and of their
+    variables' rows of DualState.node_sum; carry is (k', q) offsets of the
+    prefix rows of the first k' edges' checks, whose prefix is carried on.
+    """
+
+    ext: np.ndarray
+    prefix: np.ndarray
+    messages: np.ndarray
+    node_sum: np.ndarray
+    carry: np.ndarray
+
+
 class _CodeCache:
     """Edge indexing, trellis offsets and the wave schedule of one code.
 
     check_edges[j, t] is the edge id of slot t of check j; short checks
-    are padded with edge n_edges, whose message row [0, +inf, ...] makes a
-    padding slot (coefficient 0) an exact identity section.  Check j's
-    _trellis block is row j of a (count, width + 1, q) array, and
-    suffix_index[t, b, j, r] is the flat offset, inside that block, of
-    B_{t+1}(r - h_t b): the suffix syndrome after slot t when the slots
-    from t on sum to r and slot t holds b.
+    are padded with edge n_edges, whose slot costs 0 for symbol 0 and +inf
+    for the others, which makes a padding slot (coefficient 0) an exact
+    identity section.  Check j's _trellis block is row j of a (count,
+    width + 1, q) array; trellis holds the flat offsets that the pass of
+    every check gathers through (see trellis_offsets), and message_sums
+    those of each variable's edge messages, (n, column width, q-1), where a
+    padding slot names one row of -0.0 past the messages.
 
-    steps holds the kernel steps of a sweep, one per wave (see _waves and
-    plan): a wave's edges lie in distinct checks and distinct variables,
-    and each edge comes after its check's previous slot and its variable's
-    previous edge in check-major order (the module docstring says why a
-    wave sweep is bit-identical to check-major order).  Every array here
-    holds O(q^2) entries per edge; none grows with the local codebook.
+    steps holds the kernel steps of a sweep, one _Step per wave (see _waves
+    and plan): a wave's edges lie in distinct checks and distinct
+    variables, and each edge comes after its check's previous slot and its
+    variable's previous edge in check-major order (the module docstring says
+    why a wave sweep is bit-identical to check-major order).  Every array
+    here holds O(q^2) entries per edge; none grows with the local codebook.
     """
 
     def __init__(self, code: TannerCode):
@@ -202,35 +235,61 @@ class _CodeCache:
         self.edge_var, self.edge_check = np.array(code.edges).T
         self.edge_coef = np.concatenate(code.row_vals)
         # var_edges[i]: edge ids of variable i, ascending, padded with
-        # n_edges, which names an extra message row of -0.0 (x + -0.0 == x)
+        # n_edges, whose message_sums offsets name a row of -0.0 past the
+        # messages (x + -0.0 == x)
         self.var_edges = _groups(self.edge_var, code.n,
                                  max(map(len, code.columns)), self.n_edges)
+        self.message_sums = (self.var_edges[:, :, None] * (q - 1)
+                             + np.arange(q - 1))
         width = max(map(len, code.rows))
         self.check_edges = _groups(self.edge_check, code.m, width, self.n_edges)
         self.degree = np.array([len(row) for row in code.rows])
-        coefs = np.append(self.edge_coef, 0)[self.check_edges]
         # a check's suffix block is block_rows rows of q entries
         self.block_rows = width + 1
-        r = np.arange(q)
-        self.suffix_index = ((r - coefs.T[:, None, :, None] * r[:, None, None]) % q
-                             + q * np.arange(1, width + 1)[:, None, None, None])
+        self.trellis = self.trellis_offsets(np.arange(code.m))
         wave = _waves(code)
         waves = np.split(np.argsort(wave, kind="stable"),
                          np.cumsum(np.bincount(wave))[:-1])
         self.steps = self.plan(waves, np.arange(code.m))
 
+    def trellis_offsets(self, checks) -> tuple:
+        """(index, weights): the flat offsets of _trellis over checks.
+
+        index[t, b, k, r] is the offset, in the (count, width + 1, q)
+        output, of B_{t+1}(r - h_t b) of the k-th check: the suffix
+        syndrome after slot t when the slots from t on sum to r and slot t
+        holds b.  weights[t, b, k] is the offset of that slot's cost of b
+        in the messages, flattened and followed by a 0 (symbol 0, and every
+        symbol's offset past the messages) and a +inf (a padding slot's
+        nonzero symbols).
+        """
+        q = self.q
+        edges = self.check_edges[checks]
+        count, width = edges.shape
+        coefs = np.append(self.edge_coef, 0)[edges]
+        r = np.arange(q)
+        index = ((r - coefs.T[:, None, :, None] * r[:, None, None]) % q
+                 + q * (np.arange(1, width + 1)[:, None, None, None]
+                        + self.block_rows * np.arange(count)[:, None]))
+        zero = self.n_edges * (q - 1)
+        b = r[:, None]
+        slots = edges.T[:, None, :]
+        weights = np.where(b == 0, zero,
+                           np.where(slots < self.n_edges,
+                                    slots * (q - 1) + b - 1, zero + 1))
+        return index, weights
+
     def plan(self, waves, rows: np.ndarray) -> tuple:
-        """Kernel steps of _visit_waves, one per wave of edges.
+        """Kernel steps of _visit_waves, one _Step per wave of edges.
 
         Each wave lists edges of distinct checks and distinct variables;
         rows[j] is check j's row in the suffix array and in the prefix
-        buffer that the kernel is given.  A step holds the wave's edges,
-        those before their check's last slot first, their variables, the
-        rows of those first checks, whose prefix is carried on, and two
-        (q, k, q) arrays of flat gather offsets.  For the i-th edge, at
-        slot t of its check with coefficient h_t: ext[s, i, c] is the
-        offset of B_{t+1}(-s - h_t c) in the suffix array, and prefix[b,
-        i, s] that of F_{t-1}(s - h_t b) in the prefix buffer.
+        buffer that the kernel is given.  A step orders the wave's edges
+        with those before their check's last slot first, and carries the
+        prefix of those first edges' checks on.  For the i-th edge, at slot
+        t of its check with coefficient h_t: ext[s, i, c] is the offset of
+        B_{t+1}(-s - h_t c) in the suffix array, and prefix[b, i, s] that
+        of F_{t-1}(s - h_t b) in the prefix buffer.
         """
         q = self.q
         a = np.arange(q)
@@ -245,8 +304,9 @@ class _CodeCache:
             ext = ((row * self.block_rows + t + 1) * q
                    + (-a[:, None, None] - h * a) % q)
             prefix = row * q + (a - h * a[:, None, None]) % q
-            steps.append((edges, self.edge_var[edges], row[:later.sum(), 0],
-                          ext, prefix))
+            steps.append(_Step(ext, prefix, _row_offsets(edges, q - 1),
+                               _row_offsets(self.edge_var[edges], q - 1),
+                               row[:later.sum()] * q + a))
         return tuple(steps)
 
 
@@ -257,18 +317,25 @@ def _code_cache(code: TannerCode) -> _CodeCache:
 
 # ---- soft minimum ----
 
-# an all-+inf row (an empty bucket) is shifted by this instead of by its own
-# minimum, which would give inf - inf
+# an all-+inf column (an empty bucket) is shifted by this instead of by its
+# own minimum, which would give inf - inf
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def _softmin(terms: np.ndarray, kappa: float) -> np.ndarray:
     """Soft minimum over axis 0 of an array of 2 or more dimensions.
 
-    A column of +inf (an empty bucket) gives +inf.  In a C-ordered array
-    of two or more columns numpy adds each column's terms one by one in
-    axis order, so a column's value does not depend on the other columns;
-    a lone column may be summed pairwise.
+    A column of +inf (an empty bucket) gives +inf: shifted by the largest
+    float, its terms all exponentiate to 0, its total logs to -inf and
+    lo - (-inf)/kappa is +inf.  That log 0 is a numpy divide-by-zero, and
+    terms far above a column's minimum underflow in exp; the public
+    entries that reach here (decode, dual_objective, soft_min and the edge
+    updates) ignore both under one np.errstate each, entered once per call
+    rather than once per soft minimum, so neither reaches the caller's
+    error settings.  Private callers set it themselves.  In a C-ordered
+    array of two or more columns numpy adds each column's terms one by one
+    in axis order, so a column's value does not depend on the other
+    columns; a lone column may be summed pairwise.
 
     The exponentials and the log are numpy's, one call each over the
     whole array.  Their last bits follow numpy's SIMD code on the host,
@@ -285,12 +352,8 @@ def _softmin(terms: np.ndarray, kappa: float) -> np.ndarray:
     shifted *= -kappa
     total = np.add.reduce(np.exp(shifted, out=shifted), axis=0)
     # a column's own minimum contributes 1 to its total, so only an all-+inf
-    # column totals 0; it takes log 1 here and +inf below
-    empty = total == 0
-    total[empty] = 1.0
-    out = lo - np.log(total, out=total) / kappa
-    out[empty] = math.inf
-    return out
+    # column totals 0
+    return lo - np.log(total, out=total) / kappa
 
 
 def soft_min(values, kappa: float) -> float:
@@ -299,17 +362,21 @@ def soft_min(values, kappa: float) -> float:
     Computed in shifted form, so it stays finite for kappa up to 1e3 and
     values of either sign.  Satisfies min - log(L)/kappa <= result <= min
     for a list of length L.  +inf entries add nothing; a -inf entry gives
-    -inf.
+    -inf.  A NaN entry raises ValueError.
     """
     arr = np.asarray(values, dtype=np.float64).reshape(-1, 1)
     if arr.size == 0:
         raise EmptyList("soft_min of an empty collection")
     if not kappa > 0:
         raise ValueError(f"kappa must be > 0 or math.inf, got {kappa}")
-    if arr.min() == -math.inf:
+    lo = arr.min()
+    if math.isnan(lo):
+        raise ValueError("soft_min of a collection holding NaN")
+    if lo == -math.inf:
         # shifting by the minimum would give -inf - -inf
         return -math.inf
-    return float(_softmin(arr, kappa)[0])
+    with np.errstate(divide="ignore", under="ignore"):
+        return float(_softmin(arr, kappa)[0])
 
 
 # ---- dual state ----
@@ -323,7 +390,8 @@ class DualState:
     dual's only free variables.  node_sum[i] caches the sum of the messages
     on variable i's edges minus llr[i] (its channel slot), kept up to date
     by every message write.  No potential is stored: phi_i and theta_j are
-    soft minima of these (see dual_objective).
+    soft minima of these (see dual_objective).  Both arrays are C-ordered,
+    as init_state makes them: the sweep writes through flat views.
     """
 
     code: TannerCode
@@ -343,29 +411,31 @@ def init_state(code: TannerCode, llr, config: DecoderConfig) -> DualState:
                      node_sum=-lam, cache=cache)
 
 
+# appended to the flattened messages: a slot's cost of symbol 0 and a
+# padding slot's cost of the others (see _CodeCache.trellis_offsets)
+_SLOT_TAIL = np.array([0.0, math.inf])
+
+
 def _trellis(costs: np.ndarray, kappa: float, cache: _CodeCache,
-             checks=slice(None)) -> np.ndarray:
-    # out[k, t, r] = B_t(r) of the k-th given check: the soft minimum, over
-    # the symbols of slots t, t+1, ... of syndrome r, of their summed costs,
-    # costs[e, b-1] for symbol b != 0 on edge e and 0 for symbol 0.  B_0(0)
-    # is the check's (soft) minimum over its local words, theta_j when the
-    # costs are the messages.  Each step works elementwise or row by row,
-    # so no check's rows depend on the other checks passed.
-    q = cache.q
-    rows = np.zeros((cache.n_edges + 1, q))
-    rows[:-1, 1:] = costs
-    rows[-1, 1:] = math.inf
-    w = rows[cache.check_edges[checks]]
-    count, width = w.shape[:2]
+             checks=None) -> np.ndarray:
+    # out[k, t, r] = B_t(r) of the k-th given check (every check when
+    # checks is None): the soft minimum, over the symbols of slots t, t+1,
+    # ... of syndrome r, of their summed costs, costs[e, b-1] for symbol
+    # b != 0 on edge e and 0 for symbol 0.  B_0(0) is the check's (soft)
+    # minimum over its local words, theta_j when the costs are the
+    # messages.  Each step works elementwise or row by row, so no check's
+    # rows depend on the other checks passed.
+    index, weights = (cache.trellis if checks is None
+                      else cache.trellis_offsets(checks))
+    width, q, count = weights.shape
+    w = np.concatenate((costs.reshape(-1), _SLOT_TAIL))[weights]
     out = np.zeros((count, width + 1, q))
     out[:, width, 1:] = math.inf
     flat = out.reshape(-1)
-    index = (cache.suffix_index[:, :, checks]
-             + cache.block_rows * q * np.arange(count)[:, None])
     for t in range(width - 1, -1, -1):
         # B_t(r) = softmin_b [w_t(b) + B_{t+1}(r - h_t b)], terms (b, check, r)
         terms = flat[index[t]]
-        terms += w[:, t].T[:, :, None]
+        terms += w[t][:, :, None]
         out[:, t] = _softmin(terms, kappa)
     return out
 
@@ -388,10 +458,17 @@ def _objective(state: DualState, suffix: np.ndarray) -> float:
 def _message_sums(state: DualState) -> np.ndarray:
     # per-variable sums of edge messages, shape (n, q-1), added in edge
     # order; padding slots read a row of -0.0, which changes no sum
-    cache = state.cache
-    rows = np.full((cache.n_edges + 1, state.code.q - 1), -0.0)
-    rows[:-1] = state.messages
-    return rows[cache.var_edges].sum(axis=1)
+    padded = np.concatenate((state.messages.reshape(-1),
+                             np.full(state.code.q - 1, -0.0)))
+    return padded[state.cache.message_sums].sum(axis=1)
+
+
+def _flat_view(array: np.ndarray) -> np.ndarray:
+    # reshape would copy an array that is not C-ordered, and the kernel's
+    # writes would be lost
+    if not array.flags.c_contiguous:
+        raise ValueError("decoder state arrays must be C-ordered")
+    return array.reshape(-1)
 
 
 def _visit_waves(state: DualState, steps: tuple, suffix: np.ndarray,
@@ -407,28 +484,32 @@ def _visit_waves(state: DualState, steps: tuple, suffix: np.ndarray,
     # out (reduced symbol, edge, kept symbol) and every minimum is taken
     # over axis 0, so each edge gets the bits of a visit on its own.
     # stop=None (the sweep) updates every edge's message from ext; else
-    # nothing is written and step stop's ext is returned.
+    # nothing is written and step stop's ext is returned.  Every gather and
+    # scatter goes through flat offsets into 1-D views.
+    q = state.code.q
     flat = suffix.reshape(-1)
-    prefix = np.full((len(suffix), state.code.q), math.inf)
-    prefix[:, 0] = 0.0
-    prefix_flat = prefix.reshape(-1)
+    prefix = np.full(len(suffix) * q, math.inf)
+    prefix[::q] = 0.0
+    messages = _flat_view(state.messages)
+    node_sum = _flat_view(state.node_sum)
     for wave, step in enumerate(steps):
-        edges, variables, carry, ext_index, prefix_index = step
         # F_{t-1}(s - h_t b), laid out (b, edge, s)
-        shifted = prefix_flat[prefix_index]
+        shifted = prefix[step.prefix]
         # ext_t(c) = softmin_s [B_{t+1}(-s - h_t c) + F_{t-1}(s)]
-        terms = flat[ext_index]
+        terms = flat[step.ext]
         terms += shifted[0].T[:, :, None]
         ext = _softmin(terms, state.kappa)
         if wave == stop:
             return ext
-        new = (state.messages[edges] if stop is not None
-               else _maximize_edges(state, edges, variables, ext))
-        if len(carry):
+        new = (messages[step.messages] if stop is not None
+               else _maximize_edges(messages, node_sum, step.messages,
+                                    step.node_sum, ext))
+        carry = len(step.carry)
+        if carry:
             # F_t(s) = softmin_b [F_{t-1}(s - h_t b) + w_t(b)], w_t(0) = 0
-            shifted = shifted[:, :len(carry)]
-            shifted[1:] += new[:len(carry)].T[:, :, None]
-            prefix[carry] = _softmin(shifted, state.kappa)
+            shifted = shifted[:, :carry]
+            shifted[1:] += new[:carry].T[:, :, None]
+            prefix[step.carry] = _softmin(shifted, state.kappa)
 
 
 def _slot_ext(state: DualState, j: int, t: int) -> np.ndarray:
@@ -448,37 +529,46 @@ def dual_objective(state: DualState) -> float:
     that over check j's local words.  Any messages give a lower bound on
     the LP optimum, the tightest one at kappa = math.inf.
     """
-    return _objective(state, _trellis(state.messages, state.kappa, state.cache))
+    with np.errstate(divide="ignore", under="ignore"):
+        return _objective(state, _trellis(state.messages, state.kappa,
+                                          state.cache))
 
 
 # ---- edge updates ----
 
 
-def _maximize_edges(state: DualState, edges, variables,
+def _maximize_edges(messages: np.ndarray, node_sum: np.ndarray,
+                    message_index: np.ndarray, node_index: np.ndarray,
                     ext: np.ndarray) -> np.ndarray:
     # closed-form joint maximizer of the edge-local objective, edge by
-    # edge over edges of distinct variables: with bucket(b) = w(b) +
-    # ext(b), the soft minimum of check-j word scores whose slot for
-    # variable i equals b, the stationary point of phi_i + theta_j in this
-    # edge's message w is, per nonzero symbol a,
+    # edge over edges of distinct variables; message_index and node_index
+    # are the flat offsets of their rows in the flat views messages and
+    # node_sum.  With bucket(b) = w(b) + ext(b), the soft minimum of
+    # check-j word scores whose slot for variable i equals b, the
+    # stationary point of phi_i + theta_j in this edge's message w is, per
+    # nonzero symbol a,
     #   w(a) <- w(a) - (node_sum(i, a) + bucket(a) - bucket(0)) / 2
     # with bucket(0) = ext(0) a shared normalizer; the current w(a) cancels
     # from the right side.  Returns the new messages.
-    msg = state.messages[edges]
-    node_sum = state.node_sum[variables]
-    new = msg - 0.5 * (node_sum + (msg + ext[:, 1:]) - ext[:, :1])
+    msg = messages[message_index]
+    total = node_sum[node_index]
+    new = msg - 0.5 * (total + (msg + ext[:, 1:]) - ext[:, :1])
     np.maximum(new, -_MESSAGE_CLAMP, out=new)
     np.minimum(new, _MESSAGE_CLAMP, out=new)
-    state.node_sum[variables] = node_sum + (new - msg)
-    state.messages[edges] = new
+    node_sum[node_index] = total + (new - msg)
+    messages[message_index] = new
     return new
 
 
 def _update_edge(state: DualState, i: int, j: int) -> None:
     # check j's kernel replayed up to the edge: the sweep's operations
     e = state.cache.edge_index[(i, j)]
-    ext = _slot_ext(state, j, int(state.cache.edge_slot[e]))
-    _maximize_edges(state, [e], [i], ext[None])
+    with np.errstate(divide="ignore", under="ignore"):
+        ext = _slot_ext(state, j, int(state.cache.edge_slot[e]))
+    q = state.code.q
+    _maximize_edges(_flat_view(state.messages), _flat_view(state.node_sum),
+                    _row_offsets([e], q - 1), _row_offsets([i], q - 1),
+                    ext[None])
 
 
 def update_edge_soft(state: DualState, i: int, j: int) -> DualState:
@@ -542,35 +632,37 @@ def decode(code: TannerCode, llr, config: DecoderConfig) -> DecodeOutcome:
     CODEWORD_FOUND.  Iterations whose decision is malformed are counted and
     skipped; a malformed final decision propagates MalformedDecision.
     """
-    state = init_state(code, llr, config)
-    # a check's suffix arrays stay valid until its own visit writes it, so
-    # one pass of all checks per sweep serves both the sweep and theta
-    suffix = _trellis(state.messages, config.kappa, state.cache)
-    trace = [_objective(state, suffix)]
-    sums = _message_sums(state)
-    malformed = 0
-    symbols = None
-    status = Status.MAX_ITERATIONS
-    for iteration in range(1, config.max_iterations + 1):
-        # node_sum from the messages, shedding the float drift of the
-        # incremental updates, which a message clamped at +-1e18 makes large
-        state.node_sum[:] = sums - state.llr
-        _visit_waves(state, state.cache.steps, suffix)
+    with np.errstate(divide="ignore", under="ignore"):
+        state = init_state(code, llr, config)
+        # a check's suffix arrays stay valid until its own visit writes it,
+        # so one pass of all checks per sweep serves both the sweep and theta
         suffix = _trellis(state.messages, config.kappa, state.cache)
-        trace.append(_objective(state, suffix))
-        # one message sum per sweep: no message changes before the next
-        # sweep reads it for node_sum
+        trace = [_objective(state, suffix)]
         sums = _message_sums(state)
-        try:
-            symbols = _decide_symbols(state.llr - sums)
-        except MalformedDecision:
-            malformed += 1
-            symbols = None
-            continue
-        if not np.any(symbols == ERASED) and code.is_codeword(symbols):
-            status = Status.CODEWORD_FOUND
-            break
-    if symbols is None:
-        # the final sweep's decision was malformed: surface it
-        _decide_symbols(state.llr - sums)
+        malformed = 0
+        symbols = None
+        status = Status.MAX_ITERATIONS
+        for iteration in range(1, config.max_iterations + 1):
+            # node_sum from the messages, shedding the float drift of the
+            # incremental updates, which a message clamped at +-1e18 makes
+            # large
+            state.node_sum[:] = sums - state.llr
+            _visit_waves(state, state.cache.steps, suffix)
+            suffix = _trellis(state.messages, config.kappa, state.cache)
+            trace.append(_objective(state, suffix))
+            # one message sum per sweep: no message changes before the next
+            # sweep reads it for node_sum
+            sums = _message_sums(state)
+            try:
+                symbols = _decide_symbols(state.llr - sums)
+            except MalformedDecision:
+                malformed += 1
+                symbols = None
+                continue
+            if not np.any(symbols == ERASED) and code.is_codeword(symbols):
+                status = Status.CODEWORD_FOUND
+                break
+        if symbols is None:
+            # the final sweep's decision was malformed: surface it
+            _decide_symbols(state.llr - sums)
     return DecodeOutcome(symbols, status, iteration, tuple(trace), malformed)

@@ -66,10 +66,14 @@ class SimConfig:
         for name, low in (("target_frame_errors", 1), ("max_frames", 1),
                           ("max_iterations", 1), ("workers", 1), ("seed", 0)):
             count = getattr(self, name)
-            if not isinstance(count, numbers.Integral):
+            # bool is an Integral, but True is no count
+            if (isinstance(count, bool)
+                    or not isinstance(count, numbers.Integral)):
                 raise ValueError(f"{name} must be an integer, got {count!r}")
             if count < low:
                 raise ValueError(f"{name} must be >= {low}, got {count}")
+        if isinstance(self.kappa, bool):
+            raise ValueError(f"kappa must be a number, got {self.kappa!r}")
         if self.decoder == "soft" and not self.kappa > 0.0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
 

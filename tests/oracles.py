@@ -6,8 +6,11 @@ edge-by-edge and loop forms of the decoder's sweep and bookkeeping, and the
 merged O(q^3) trellis step that the decoder's O(q^2) kernel regroups.  The
 per-edge instrumentation (set_message, potentials, the exclusion terms,
 local_function and decide) runs the decoder's own kernel on one edge or
-one state, so the tests that use it still exercise that kernel.
-Production modules must never import from this file.
+one state, so the tests that use it still exercise that kernel.  Where
+they call the decoder's private soft-minimum code directly, they ignore
+the divide warning of an empty bucket's log 0 under np.errstate, as the
+decoder's public entries do.  Production modules must never import from
+this file.
 """
 
 from __future__ import annotations
@@ -119,6 +122,23 @@ def softmin_libm(terms, kappa):
     logs = np.fromiter(map(math.log, total.ravel().tolist()), np.float64,
                        total.size)
     out = lo - logs.reshape(total.shape) / kappa
+    out[empty] = math.inf
+    return out
+
+
+def softmin_masked(terms, kappa):
+    """The decoder's _softmin as it was before log 0 gave its empty
+    columns +inf: an all-+inf column's total of 0 is logged as 1 and the
+    column is then set to +inf, so no divide warning fires."""
+    if math.isinf(kappa):
+        return np.minimum.reduce(terms, axis=0)
+    lo = np.minimum.reduce(terms, axis=0, initial=np.finfo(np.float64).max)
+    shifted = terms - lo
+    shifted *= -kappa
+    total = np.add.reduce(np.exp(shifted, out=shifted), axis=0)
+    empty = total == 0
+    total[empty] = 1.0
+    out = lo - np.log(total, out=total) / kappa
     out[empty] = math.inf
     return out
 
@@ -256,7 +276,8 @@ def compute_c_terms(state: D.DualState, j: int, i: int, alpha: int):
     position excluded.  Returns (C_bar, C_eq).
     """
     e = state.cache.edge_index[(i, j)]
-    ext = D._slot_ext(state, j, int(state.cache.edge_slot[e]))
+    with np.errstate(divide="ignore"):
+        ext = D._slot_ext(state, j, int(state.cache.edge_slot[e]))
     # bucket(b) = w(b) + ext(b) covers the words with b in variable i's slot
     bucket = np.concatenate(([0.0], state.messages[e])) + ext
     c_bar = -D.soft_min(bucket[np.arange(state.code.q) != alpha], state.kappa)
@@ -267,14 +288,16 @@ def compute_c_terms(state: D.DualState, j: int, i: int, alpha: int):
 def local_function(state: D.DualState, i: int, j: int) -> float:
     """Edge-local part of the dual objective: phi_i + theta_j, phi_i from
     node_sum and theta_j from a trellis pass of check j alone."""
-    theta = D._trellis(state.messages, state.kappa, state.cache, [j])
+    with np.errstate(divide="ignore"):
+        theta = D._trellis(state.messages, state.kappa, state.cache, [j])
     return float(D._variable_potentials(state)[i] + theta[0, 0, 0])
 
 
 def potentials(state: D.DualState):
     """(phi, theta): every potential at its bound, as dual_objective
     sums them."""
-    theta = D._trellis(state.messages, state.kappa, state.cache)[:, 0, 0]
+    with np.errstate(divide="ignore"):
+        theta = D._trellis(state.messages, state.kappa, state.cache)[:, 0, 0]
     return D._variable_potentials(state), theta
 
 
@@ -404,7 +427,8 @@ def merged_slot_ext(state, j, stop):
     q = state.code.q
     vals = state.code.row_vals[j]
     edges = check_edges(state.code, j)
-    suffix = D._trellis(state.messages, state.kappa, state.cache, [j])[0]
+    with np.errstate(divide="ignore"):
+        suffix = D._trellis(state.messages, state.kappa, state.cache, [j])[0]
     # each suffix row B_t followed by the 0 and +inf the tables point at
     g = np.column_stack([suffix, np.zeros(len(suffix)),
                          np.full(len(suffix), math.inf)])
@@ -415,7 +439,8 @@ def merged_slot_ext(state, j, stop):
         row = np.concatenate(([0.0], state.messages[edges[t - 1]]))
         terms = g[t + 1][merged_kernel_table(q, vals[t - 1], vals[t])]
         terms += (prefix[:, None] + row[None, :]).reshape(1, -1)
-        minima = D._softmin(terms.T, state.kappa)
+        with np.errstate(divide="ignore"):
+            minima = D._softmin(terms.T, state.kappa)
         prefix, ext = minima[:q], minima[q:]
     return ext
 

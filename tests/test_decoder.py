@@ -50,6 +50,7 @@ from oracles import (
     slot_buckets_bruteforce,
     softmin_bruteforce,
     softmin_libm,
+    softmin_masked,
     softmin_rows_loop,
     variable_edges,
 )
@@ -115,8 +116,9 @@ def trellis_buckets(state, j, t):
     """Slot t's bucket row of check j from the decoder's trellis: the
     wave kernel run on check j alone up to slot t, nothing written."""
     e = check_edges(state.code, j)[t]
-    return (np.concatenate(([0.0], state.messages[e]))
-            + D._slot_ext(state, j, t))
+    with np.errstate(divide="ignore"):
+        ext = D._slot_ext(state, j, t)
+    return np.concatenate(([0.0], state.messages[e])) + ext
 
 
 def mixed_degree_code():
@@ -202,7 +204,9 @@ def test_softmin_rows_matches_list_form(kappa):
     rows = rng.normal(0.0, 3.0, size=(20000, 8)) / kappa
     rows[rng.random(rows.shape) < 0.3] = math.inf
     rows[::7] = math.inf
-    got = D._softmin(np.ascontiguousarray(rows.T), kappa)
+    # the public entries silence log 0's divide warning, as here
+    with np.errstate(divide="ignore"):
+        got = D._softmin(np.ascontiguousarray(rows.T), kappa)
     want = softmin_rows_loop(rows.copy(), kappa)
     assert np.isinf(got[::7]).all()
     assert np.array_equal(got, want)
@@ -241,6 +245,76 @@ def test_np_log_decodes_as_math_log(monkeypatch, kappa):
                                        rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("kappa", [1e-3, 1.0, 100.0, 1e3, math.inf])
+def test_softmin_matches_masked_form(kappa):
+    # an empty column reaches +inf through log 0 = -inf with the same bits
+    # as the masked form, which logged 1 and then wrote +inf
+    rng = np.random.default_rng(21)
+    rows = rng.normal(0.0, 3.0, size=(20000, 8))
+    if math.isfinite(kappa):
+        rows /= kappa
+    rows[rng.random(rows.shape) < 0.3] = math.inf
+    rows[::7] = math.inf
+    terms = np.ascontiguousarray(rows.T)
+    with np.errstate(divide="ignore"):
+        got = D._softmin(terms.copy(), kappa)
+    want = softmin_masked(terms.copy(), kappa)
+    assert np.isinf(got[::7]).all()
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("kappa", [1.0, 100.0, math.inf])
+def test_masked_softmin_decodes_the_same(monkeypatch, kappa):
+    # decode with the masked soft minimum patched in returns the same
+    # symbols, status, sweeps, malformed count and trace bits.
+    # decode_reference shares _softmin, so it cannot show such a change
+    rng = np.random.default_rng(22)
+    z6 = random_regular_code(18, 6, 4, 6, rng, unit_entries=False)
+    assert any(math.gcd(int(h), 6) > 1 for h in np.concatenate(z6.row_vals))
+    cases = [(z6, rng.normal(0.3, 1.5, size=(z6.n, z6.q - 1)))
+             for _ in range(4)]
+    small = zero_divisor_codes()[0]
+    cases += [(small, rng.normal(0.3, 1.5, size=(small.n, small.q - 1)))
+              for _ in range(4)]
+    if kappa != math.inf:
+        ldpc = ldpc80_z4()
+        cases += [(ldpc, llr) for llr in awgn_frames(ldpc, 3.0, 12, seed=21)]
+    if kappa != 1.0:
+        z8 = read_check_matrix(Z8_CODE)
+        cases += [(z8, llr) for llr in awgn_frames(z8, 6.0, 8, seed=21)]
+    config = DecoderConfig(max_iterations=30, kappa=kappa)
+    new = [decode(code, llr, config) for code, llr in cases]
+    with monkeypatch.context() as patch:
+        patch.setattr(D, "_softmin", softmin_masked)
+        old = [decode(code, llr, config) for code, llr in cases]
+    for a, b in zip(new, old):
+        assert np.array_equal(a.symbols, b.symbols)
+        assert a.status is b.status
+        assert a.iterations_used == b.iterations_used
+        assert a.malformed_decisions == b.malformed_decisions
+        assert a.dual_objective_trace == b.dual_objective_trace
+
+
+def test_public_entries_keep_the_callers_error_settings():
+    # the Z_6 code has empty buckets, so a trellis pass takes log 0; the
+    # public entries raise nothing under a caller's errstate(all="raise")
+    # and leave its settings as they were
+    code = zero_divisor_codes()[0]
+    llr = np.random.default_rng(23).normal(0.3, 1.5, size=(code.n, code.q - 1))
+    state = init_state(code, llr, DecoderConfig(kappa=100.0))
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        with pytest.raises(FloatingPointError):
+            D._trellis(state.messages, state.kappa, state.cache)
+        decode(code, llr, DecoderConfig(max_iterations=5, kappa=100.0))
+        dual_objective(state)
+        update_edge_soft(state, *code.edges[0])
+        hard = init_state(code, llr, DecoderConfig(kappa=math.inf))
+        update_edge_hard(hard, *code.edges[0])
+        assert soft_min([math.inf, math.inf], 1.0) == math.inf
+        assert np.geterr() == before
+
+
 def test_soft_min_rejects_bad_input():
     with pytest.raises(EmptyList):
         soft_min([], 1.0)
@@ -248,6 +322,11 @@ def test_soft_min_rejects_bad_input():
         soft_min([1.0], 0.0)
     with pytest.raises(ValueError):
         soft_min([1.0], -2.0)
+    for kappa in (100.0, math.inf):
+        with pytest.raises(ValueError, match="NaN"):
+            soft_min([math.nan, 1.0], kappa)
+        with pytest.raises(ValueError, match="NaN"):
+            soft_min([1.0, -math.inf, math.nan], kappa)
 
 
 # ---- config ----
@@ -263,10 +342,16 @@ def test_config_validation():
     DecoderConfig(kappa=math.inf)  # allowed
 
 
-@pytest.mark.parametrize("bad", [2.5, 3.0, "3"])
+# bool is an Integral, but True is no sweep budget
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", True])
 def test_config_refuses_non_integer_max_iterations(bad):
     with pytest.raises(ValueError, match="max_iterations must be an integer"):
         DecoderConfig(max_iterations=bad)
+
+
+def test_config_refuses_bool_kappa():
+    with pytest.raises(ValueError, match="kappa must be a number"):
+        DecoderConfig(kappa=True)
 
 
 # ---- init_state ----
@@ -873,7 +958,8 @@ def test_slot_ext_matches_merged_step(kappa):
         state.messages[:] = rng.normal(0.0, 2.0, size=state.messages.shape)
         for j in range(code.m):
             for t in range(len(code.rows[j])):
-                got = D._slot_ext(state, j, t)
+                with np.errstate(divide="ignore"):
+                    got = D._slot_ext(state, j, t)
                 want = merged_slot_ext(state, j, t)
                 if math.isinf(kappa):
                     assert np.array_equal(got, want)
@@ -926,7 +1012,8 @@ def test_vectorized_bookkeeping_matches_loops():
             refresh_node_sum(state)
             np.testing.assert_array_equal(state.node_sum, node_sum)
             # the all-checks suffix pass gives every check's theta
-            suffix = D._trellis(state.messages, 2.0, state.cache)
+            with np.errstate(divide="ignore"):
+                suffix = D._trellis(state.messages, 2.0, state.cache)
             for j in range(code.m):
                 _, scores = local_word_scores(state, j)
                 assert suffix[j, 0, 0] == pytest.approx(
@@ -946,10 +1033,11 @@ def test_suffix_pass_matches_per_check_pass(kappa):
         state = init_state(code, np.zeros((code.n, code.q - 1)),
                            DecoderConfig(kappa=kappa))
         state.messages[:] = rng.normal(0.0, 2.0, size=state.messages.shape)
-        whole = D._trellis(state.messages, kappa, state.cache)
-        for j in range(code.m):
-            alone = D._trellis(state.messages, kappa, state.cache, [j])
-            assert np.array_equal(whole[j], alone[0])
+        with np.errstate(divide="ignore"):
+            whole = D._trellis(state.messages, kappa, state.cache)
+            for j in range(code.m):
+                alone = D._trellis(state.messages, kappa, state.cache, [j])
+                assert np.array_equal(whole[j], alone[0])
 
 
 def schedule_codes():
@@ -962,6 +1050,13 @@ def schedule_codes():
                            (30, 10, 5, 4), (8, 12, 2, 3), (12, 4, 3, 32))]
 
 
+def step_ids(step, q):
+    """(edges, variables, carried prefix rows) of a kernel step, read off
+    its flat offsets into messages, node_sum and the prefix buffer."""
+    return (step.messages[:, 0] // (q - 1), step.node_sum[:, 0] // (q - 1),
+            step.carry[:, 0] // q)
+
+
 def test_wave_plan_is_a_conflict_free_check_major_schedule():
     # every edge in exactly one wave; no two edges of a wave share a check
     # or a variable; each edge's wave comes after those of its check's
@@ -971,7 +1066,8 @@ def test_wave_plan_is_a_conflict_free_check_major_schedule():
     for code in schedule_codes():
         cache = D._code_cache(code)
         wave = np.full(cache.n_edges, -1)
-        for k, (edges, variables, carry, _, _) in enumerate(cache.steps):
+        for k, step in enumerate(cache.steps):
+            edges, variables, carry = step_ids(step, code.q)
             assert np.all(wave[edges] == -1)
             wave[edges] = k
             checks = [code.edges[e][1] for e in edges]
@@ -991,8 +1087,8 @@ def test_wave_plan_is_a_conflict_free_check_major_schedule():
     assert len(D._code_cache(star_code()).steps) == 6
     steps = D._code_cache(mixed_degree_code()).steps
     # each wave lists last slots (edges 1 and 4) after the others
-    assert [step[0].tolist() for step in steps] == [[0, 2], [3, 5, 1],
-                                                    [6, 4], [7], [8]]
+    assert [step_ids(step, 4)[0].tolist() for step in steps] == [
+        [0, 2], [3, 5, 1], [6, 4], [7], [8]]
     # the bench graph (over Z_4 and Z_8): 13 kernel steps per sweep
     for code in (ldpc80_z4(), read_check_matrix(Z8_CODE)):
         assert len(D._code_cache(code).steps) == 13
@@ -1018,11 +1114,13 @@ def test_wave_visit_matches_check_by_check(kappa):
         refresh_node_sum(state)
         alone = copy.deepcopy(state)
         cache = state.cache
-        suffix = D._trellis(state.messages, kappa, cache)
-        D._visit_waves(state, cache.steps, suffix)
-        for j in range(code.m):
-            slots = cache.check_edges[j, :len(code.rows[j]), None]
-            D._visit_waves(alone, cache.plan(slots, np.arange(code.m)), suffix)
+        with np.errstate(divide="ignore"):
+            suffix = D._trellis(state.messages, kappa, cache)
+            D._visit_waves(state, cache.steps, suffix)
+            for j in range(code.m):
+                slots = cache.check_edges[j, :len(code.rows[j]), None]
+                D._visit_waves(alone, cache.plan(slots, np.arange(code.m)),
+                               suffix)
         assert np.array_equal(state.messages, alone.messages)
         assert np.array_equal(state.node_sum, alone.node_sum)
 
@@ -1068,8 +1166,9 @@ def test_decode_ignores_check_orders_that_keep_shared_variables():
             rows[same] = messages
             state.messages[:] = rows
             refresh_node_sum(state)
-            D._visit_waves(state, state.cache.steps,
-                           D._trellis(state.messages, kappa, state.cache))
+            with np.errstate(divide="ignore"):
+                D._visit_waves(state, state.cache.steps,
+                               D._trellis(state.messages, kappa, state.cache))
             swept.append(state.messages)
         assert np.array_equal(swept[0], swept[1][same])
         base, out = decode(code, llr, config), decode(moved, llr, config)

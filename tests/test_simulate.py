@@ -56,18 +56,24 @@ def test_config_validation():
         SimConfig(ebno_list=(1.0,), workers=0)
 
 
-@pytest.mark.parametrize("bad", [2.5, 3.0, "3"])
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", True])
 def test_config_refuses_non_integer_max_iterations(bad):
     with pytest.raises(ValueError, match="max_iterations must be an integer"):
         SimConfig(ebno_list=(1.0,), max_iterations=bad)
 
 
-@pytest.mark.parametrize("bad", [2.5, 3.0, "3"])
+# bool is an Integral, but True is no count
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", True])
 @pytest.mark.parametrize("name", ["max_frames", "target_frame_errors",
                                   "workers", "seed"])
 def test_config_refuses_non_integer_counts(name, bad):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         SimConfig(ebno_list=(1.0,), **{name: bad})
+
+
+def test_config_refuses_bool_kappa():
+    with pytest.raises(ValueError, match="kappa must be a number"):
+        SimConfig(ebno_list=(3,), kappa=True)
 
 
 def test_config_refuses_negative_seed(capsys):
