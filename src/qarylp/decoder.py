@@ -115,7 +115,9 @@ class DecoderConfig:
             raise ValueError(
                 f"max_iterations must be >= 1, got {self.max_iterations}"
             )
-        if isinstance(self.kappa, bool):
+        # bool is a Real, but True is no smoothing
+        if (isinstance(self.kappa, bool)
+                or not isinstance(self.kappa, numbers.Real)):
             raise ValueError(f"kappa must be a number, got {self.kappa!r}")
         if not self.kappa > 0:
             raise ValueError(f"kappa must be > 0 or math.inf, got {self.kappa}")

@@ -25,12 +25,17 @@ from round to round.  The crash basis it starts from, inverted once per
 code, is the zero codeword with every covered indicator already basic:
 the indicators would otherwise cost one pivot each to bring in, and a
 refactorization replays only the basis columns the crash does not hold.
-Pivoting uses the Dantzig rule and falls back to Bland's after a
-degenerate stall: pure Dantzig can cycle on the degenerate decoding
-polytope, and pure Bland is far slower there.  The unit columns that
-complete a crash basis whose check's codebook columns cannot fill its
-block are fixed at zero, so every code decodes by column generation from
-the zero codeword.
+The first master also holds, per check, the cheapest words that the crash
+does not, priced by the same code as every later round against
+channel-split duals: each edge takes its variable's channel costs divided
+by the variable's degree, so every covered indicator prices at zero.
+These columns only start the master nearer its optimum, which column
+generation still certifies over the full codebooks.  Pivoting uses the
+Dantzig rule and falls back to Bland's after a degenerate stall: pure
+Dantzig can cycle on the degenerate decoding polytope, and pure Bland is
+far slower there.  The unit columns that complete a crash basis whose
+check's codebook columns cannot fill its block are fixed at zero, so every
+code decodes by column generation from the zero codeword.
 """
 
 from __future__ import annotations
@@ -112,7 +117,9 @@ def _invert(cols, basis, m, start=None):
     row not yet taken where its d is largest in magnitude (partial
     pivoting); a column listed twice enters the second time.  The rows are
     then put back in basis order.  Raises ValueError when a column has no
-    nonzero entry left on the free rows, that is, the basis is singular.
+    entry above _SIMPLEX_TOL in magnitude left on the free rows, that is,
+    the basis is singular: rounding leaves entries near 1e-16 where a
+    column listed twice has exact zeros.
     """
     rows, vals = cols
     held, inverse = start or ((), None)
@@ -126,7 +133,7 @@ def _invert(cols, basis, m, start=None):
         d = _ftran(binv, rows[s], vals[s])
         mag = np.where(free, np.abs(d), -1.0)
         r = int(np.argmax(mag))
-        if mag[r] <= 0.0:
+        if mag[r] <= _SIMPLEX_TOL:
             raise ValueError("basis is singular")
         _update_inverse(binv, d, r)
         free[r] = False
@@ -351,7 +358,9 @@ class _ExactSetup:
     _crash_basis), and crash_binv is its inverse; b_pert is the rhs b
     perturbed so that the crash solution stays feasible.  uncovered lists
     the variables that no check covers, whose indicator columns touch no
-    row.  A check whose codebook bound q^(d-1) exceeds _CODEBOOK_BUDGET
+    row.  words, word_index and crash_held serve the pricing of every
+    check's words at once (see _add_cheapest_words).  A check whose
+    codebook bound q^(d-1) exceeds _CODEBOOK_BUDGET
     words raises BudgetExceeded.
     """
 
@@ -364,6 +373,11 @@ class _ExactSetup:
         self.books = tuple(enumerate_spc(code, j) for j in range(code.m))
         cache = _code_cache(code)
         self.check_edges = cache.check_edges
+        # each edge's variable and that variable's degree, for the
+        # channel-split duals that seed column generation
+        self.edge_var = cache.edge_var
+        self.edge_var_degree = np.bincount(cache.edge_var,
+                                           minlength=code.n)[cache.edge_var]
         q = self.q = code.q
         self.n_ind = code.n * (q - 1)
         self.n_coupling = cache.n_edges * (q - 1)
@@ -382,7 +396,24 @@ class _ExactSetup:
             var_edges * (q - 1) + np.arange(q - 1)[:, None], self.n_rows,
         ).reshape(self.n_ind, -1)
         self.ind_signs = (self.ind_rows < self.n_rows).astype(np.float64)
+        # every check's codebook padded to one (m, most words, widest check)
+        # array: zero symbols past a check's degree, zero words past its
+        # codebook; word_index holds the flat offsets of each word's
+        # symbols into an (n_edges + 1, q) array of edge messages whose last
+        # row, the padding edge's, is zero
+        count = max(len(book) for book in self.books)
+        self.words = np.zeros((code.m, count, self.check_edges.shape[1]),
+                              dtype=np.intp)
+        self.check_degree = cache.degree
         self.crash_words, self.crash_units = _crash_words(code, self.books)
+        # the words a first master holds: the crash words, and the padding
+        # past each codebook so that it is never priced in
+        self.crash_held = np.ones((code.m, count), dtype=bool)
+        for j, book in enumerate(self.books):
+            self.words[j, :len(book), :book.words.shape[1]] = book.words
+            self.crash_held[j, :len(book)] = False
+            self.crash_held[j, self.crash_words[j]] = True
+        self.word_index = self.check_edges[:, None, :] * q + self.words
         # a unit column's block row k is slot k // (q-1), symbol k % (q-1) + 1;
         # none is a normalization row, which the zero word's column is
         units = np.full((sum(map(len, self.crash_units)), self.width),
@@ -409,28 +440,32 @@ class _ExactSetup:
             minlength=self.n_rows + 1,
         )[:-1]
 
-    def word_store(self, j: int, words):
-        """Stored columns of local words of check j: -1 on the coupling row
-        of each nonzero symbol, +1 on the check's normalization row."""
+    def word_store(self, checks, words):
+        """Stored columns of local words, words[k] of check checks[k], each
+        zero-padded to the widest check: -1 on the coupling row of each
+        nonzero symbol, +1 on the check's normalization row."""
         count, d = words.shape
         rows = np.full((count, self.width), self.n_rows)
         signs = np.zeros((count, self.width))
         hit = words != 0
         rows[:, :d] = np.where(
-            hit, self.check_edges[j, :d] * (self.q - 1) + words - 1, self.n_rows,
+            hit, self.check_edges[checks, :d] * (self.q - 1) + words - 1,
+            self.n_rows,
         )
         signs[:, :d] = np.where(hit, -1.0, 0.0)
-        rows[:, d] = self.n_coupling + j
-        signs[:, d] = 1.0
+        at = (np.arange(count), self.check_degree[checks])
+        rows[at] = self.n_coupling + checks
+        signs[at] = 1.0
         return rows, signs
 
     def store(self, word_ids):
         """Stored indicator columns, then per check j the words word_ids[j]."""
-        parts = [(self.ind_rows, self.ind_signs)] + [
-            self.word_store(j, self.books[j].words[np.asarray(ws, np.intp)])
-            for j, ws in enumerate(word_ids)
-        ]
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+        checks = np.repeat(np.arange(len(word_ids)),
+                           [len(ws) for ws in word_ids])
+        ids = np.concatenate([np.asarray(ws, np.intp) for ws in word_ids])
+        words = self.word_store(checks, self.words[checks, ids])
+        return tuple(np.concatenate(arrays)
+                     for arrays in zip((self.ind_rows, self.ind_signs), words))
 
 
 @lru_cache(maxsize=4)
@@ -449,15 +484,46 @@ _CG_ADDS_PER_CHECK = 25
 _PRICING_TOL = 1e-9
 
 
+def _add_cheapest_words(setup: _ExactSetup, held, y, below):
+    """Each check's cheapest words that the master does not hold yet.
+
+    Every local word of every check is priced at once against the duals y:
+    the coupling duals, read as edge messages, are gathered through the
+    words' flat offsets (see _ExactSetup), and each check's normalization
+    dual is subtracted.  Of each check's words that held, an (m, words)
+    mask, does not mark and that price below `below`, the
+    _CG_ADDS_PER_CHECK cheapest (ties in codebook order) are marked in
+    held.  Returns their stored columns, check by check and cheapest
+    first, as one (rows, signs) pair.
+    """
+    q = setup.q
+    # the coupling duals as edge messages; symbol 0 and the padding edge
+    # price at zero
+    messages = np.zeros((setup.n_coupling // (q - 1) + 1, q))
+    messages[:-1, 1:] = y[:setup.n_coupling].reshape(-1, q - 1)
+    scores = (messages.ravel()[setup.word_index].sum(axis=2)
+              - y[setup.n_coupling:setup.n_rows, None])
+    scores[held | (scores >= below)] = np.inf
+    order = np.argsort(scores, axis=1, kind="stable")[:, :_CG_ADDS_PER_CHECK]
+    checks, rank = np.nonzero(
+        np.take_along_axis(scores, order, axis=1) < np.inf)
+    picked = order[checks, rank]
+    held[checks, picked] = True
+    return setup.word_store(checks, setup.words[checks, picked])
+
+
 def _column_generation(setup: _ExactSetup, c_ind):
     """Exact LP optimum via restricted masters over growing word sets.
 
-    Each round solves the decoding LP restricted to the working local words,
-    then prices every excluded word against the restricted duals: the
-    coupling duals, read as edge messages, are gathered through each
-    check's edge ids.  Of each check's words that price below
-    -_PRICING_TOL, the _CG_ADDS_PER_CHECK most negative (ties in codebook
-    order) join the working set: their columns are built from their
+    The first master holds the crash words plus, per check, the
+    _CG_ADDS_PER_CHECK cheapest words under the channel-split duals: each
+    edge's coupling duals are its variable's channel costs divided by the
+    variable's degree, so every covered indicator prices at zero, and the
+    normalization duals are zero.  Each round then solves the decoding LP
+    restricted to the working local words and prices every excluded word
+    against the restricted duals (see _add_cheapest_words).  Of each
+    check's words that price below -_PRICING_TOL, the _CG_ADDS_PER_CHECK
+    most negative join the working set: their columns are built from their
     symbols and appended to the master, so every earlier column keeps its
     place and the basis and its inverse carry over to the next round
     unchanged.  A round with none certifies the restricted optimum as the
@@ -471,9 +537,15 @@ def _column_generation(setup: _ExactSetup, c_ind):
     c = np.zeros(len(rows))
     c[:setup.n_ind] = c_ind
     # per check, which of its local words the master already holds
-    master = [np.zeros(len(book), dtype=bool) for book in setup.books]
-    for held, words in zip(master, setup.crash_words):
-        held[words] = True
+    held = setup.crash_held.copy()
+    # the seed: each check's cheapest words under the channel-split duals,
+    # whatever their sign
+    split = np.zeros(setup.n_rows)
+    split[:setup.n_coupling] = (
+        c_ind.reshape(-1, q - 1)[setup.edge_var]
+        / setup.edge_var_degree[:, None]
+    ).ravel()
+    new_rows, new_signs = _add_cheapest_words(setup, held, split, np.inf)
     # start at the zero-codeword vertex provided by the crash selection,
     # and refactor from it
     start = (setup.crash_basis, setup.crash_binv)
@@ -482,47 +554,36 @@ def _column_generation(setup: _ExactSetup, c_ind):
     b = setup.b_pert
     total_pivots = 0
     for _ in range(_MAX_CG_ROUNDS):
+        if len(new_rows):
+            rows = np.concatenate([rows, new_rows])
+            signs = np.concatenate([signs, new_signs])
+            c = np.concatenate([c, np.zeros(len(new_rows))])
+            fixed = np.concatenate([fixed, np.zeros(len(new_rows), bool)])
         x, y, pivots, basis, binv = _revised_phase2(
             (rows, signs), b, c, basis, binv, _MAX_PIVOTS, fixed,
             spent=total_pivots, start=start,
         )
         total_pivots += pivots
-        # the coupling duals as edge messages, symbol 0 priced at zero
-        edge_duals = y[:setup.n_coupling].reshape(-1, q - 1)
-        edge_duals = np.hstack([np.zeros((len(edge_duals), 1)), edge_duals])
-        added = []
-        for j, book in enumerate(setup.books):
-            edges = setup.check_edges[j, :book.words.shape[1]]
-            scores = (edge_duals[edges, book.words].sum(axis=1)
-                      - y[setup.n_coupling + j])
-            fresh = np.flatnonzero((scores < -_PRICING_TOL) & ~master[j])
-            order = np.argsort(scores[fresh], kind="stable")
-            picked = fresh[order[:_CG_ADDS_PER_CHECK]]
-            if picked.size:
-                master[j][picked] = True
-                added.append(setup.word_store(j, book.words[picked]))
-        if not added:
-            if b is setup.b:
-                return x[:setup.n_ind], float((c * x).sum()), total_pivots
-            # reduced costs do not depend on the rhs, so the basis stays
-            # optimal for the true rhs as long as it stays feasible there,
-            # fixed columns at zero included
-            xb_true = _matvec(binv, setup.b)
-            if (xb_true.min() >= -_FEAS_TOL
-                    and xb_true[fixed[basis]].max(initial=0.0) <= _FEAS_TOL):
-                x_true = np.zeros(len(c))
-                x_true[basis] = np.clip(xb_true, 0.0, None)
-                return (x_true[:setup.n_ind], float((c * x_true).sum()),
-                        total_pivots)
-            # rare: re-run unperturbed from the crash vertex
-            b = setup.b
-            basis = setup.crash_basis
-            binv = setup.crash_binv.copy()
+        new_rows, new_signs = _add_cheapest_words(setup, held, y,
+                                                  -_PRICING_TOL)
+        if len(new_rows):
             continue
-        rows = np.concatenate([rows] + [r for r, _ in added])
-        signs = np.concatenate([signs] + [s for _, s in added])
-        c = np.concatenate([c, np.zeros(len(rows) - len(c))])
-        fixed = np.concatenate([fixed, np.zeros(len(rows) - len(fixed), bool)])
+        if b is setup.b:
+            return x[:setup.n_ind], float((c * x).sum()), total_pivots
+        # reduced costs do not depend on the rhs, so the basis stays
+        # optimal for the true rhs as long as it stays feasible there,
+        # fixed columns at zero included
+        xb_true = _matvec(binv, setup.b)
+        if (xb_true.min() >= -_FEAS_TOL
+                and xb_true[fixed[basis]].max(initial=0.0) <= _FEAS_TOL):
+            x_true = np.zeros(len(c))
+            x_true[basis] = np.clip(xb_true, 0.0, None)
+            return (x_true[:setup.n_ind], float((c * x_true).sum()),
+                    total_pivots)
+        # rare: re-run unperturbed from the crash vertex
+        b = setup.b
+        basis = setup.crash_basis
+        binv = setup.crash_binv.copy()
     raise CycleGuardTripped(
         f"column generation did not settle in {_MAX_CG_ROUNDS} rounds"
     )

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +71,9 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {count!r}")
             if count < low:
                 raise ValueError(f"{name} must be >= {low}, got {count}")
-        if isinstance(self.kappa, bool):
+        # refused whatever the decoder, although only the soft one reads it
+        if (isinstance(self.kappa, bool)
+                or not isinstance(self.kappa, numbers.Real)):
             raise ValueError(f"kappa must be a number, got {self.kappa!r}")
         if self.decoder == "soft" and not self.kappa > 0.0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
@@ -313,6 +314,9 @@ def run_sweep(config: SimConfig, progress=print) -> list:
     pool = None
     try:
         if config.workers > 1:
+            # imported here: it pulls in multiprocessing, socket and
+            # subprocess, which a single-process run never uses
+            from concurrent.futures import ProcessPoolExecutor
             pool = ProcessPoolExecutor(
                 max_workers=config.workers,
                 initializer=_worker_init,

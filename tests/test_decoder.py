@@ -350,8 +350,9 @@ def test_config_refuses_non_integer_max_iterations(bad):
 
 
 def test_config_refuses_bool_kappa():
-    with pytest.raises(ValueError, match="kappa must be a number"):
-        DecoderConfig(kappa=True)
+    for bad in (True, "3", None):
+        with pytest.raises(ValueError, match="kappa must be a number"):
+            DecoderConfig(kappa=bad)
 
 
 # ---- init_state ----

@@ -26,6 +26,7 @@ from oracles import (
     lp_vertex_enumeration,
     marginal_to_factor,
     padded_store,
+    spc_words_bruteforce,
     update_inverse_dense,
     variable_edges,
 )
@@ -236,7 +237,7 @@ def test_simplex_cycle_guard():
 
 
 def test_update_inverse_matches_dense_form(monkeypatch):
-    # every inverse update of five 3 dB ldpc80_z4 decodes (pivots and
+    # every inverse update of six 3 dB ldpc80_z4 decodes (pivots and
     # refactorizations, the per-code set-up excluded) gives the values of
     # the dense rank-one form
     qarylp.lp._exact_setup(ldpc80_z4())
@@ -250,7 +251,7 @@ def test_update_inverse_matches_dense_form(monkeypatch):
         calls.append(np.array_equal(binv, want))
 
     monkeypatch.setattr(qarylp.lp, "_update_inverse", both)
-    for lam in ldpc80_frames(5, seed=21):
+    for lam in ldpc80_frames(6, seed=21):
         lp_decode_exact(ldpc80_z4(), lam)
     assert len(calls) > 1000
     assert all(calls)
@@ -297,7 +298,7 @@ def test_invert_from_crash_start_matches_identity(monkeypatch):
         return invert(cols, basis, m, start)
 
     monkeypatch.setattr(qarylp.lp, "_invert", capture)
-    for lam in ldpc80_frames(2, seed=21):
+    for lam in ldpc80_frames(4, seed=21):
         lp_decode_exact(ldpc80_z4(), lam)
     assert len(captured) >= 2
     for cols, basis, m, start in captured:
@@ -467,7 +468,7 @@ def test_pricing_appends_the_most_negative_words(monkeypatch):
     monkeypatch.setattr(qarylp.lp, "_revised_phase2", capture)
     rng = np.random.default_rng(41)
     ragged = mixed_degree_codes()[0]
-    cases = [(ldpc80_z4(), lam) for lam in ldpc80_frames(2, seed=31)]
+    cases = [(ldpc80_z4(), lam) for lam in ldpc80_frames(3, seed=31)]
     cases += [(ragged, rng.normal(size=(ragged.n, 3)) * 1.5) for _ in range(6)]
     appended = 0
     for code, lam in cases:
@@ -496,6 +497,97 @@ def test_pricing_appends_the_most_negative_words(monkeypatch):
                     assert rest.min(initial=np.inf) >= -tol - slack
             appended += len(new)
     assert appended > 200
+
+
+def test_first_master_holds_the_cheapest_split_dual_words(monkeypatch):
+    # the first master holds the crash store plus, per check, exactly the
+    # _CG_ADDS_PER_CHECK cheapest words the crash does not hold, each word
+    # priced at the sum of its symbols' llr over the variable's degree;
+    # the oracle enumerates every check's words by brute force
+    engine = qarylp.lp._revised_phase2
+    masters = []
+
+    def capture(cols, *args, **kwargs):
+        masters.append(cols)
+        return engine(cols, *args, **kwargs)
+
+    monkeypatch.setattr(qarylp.lp, "_revised_phase2", capture)
+    rng = np.random.default_rng(61)
+    cases = [(ldpc80_z4(), lam) for lam in ldpc80_frames(2, seed=61)]
+    cases += [(code, rng.normal(0.3, 1.5, size=(code.n, code.q - 1)))
+              for code in mixed_degree_codes() for _ in range(2)]
+    adds = qarylp.lp._CG_ADDS_PER_CHECK
+    for code, lam in cases:
+        q = code.q
+        setup = qarylp.lp._exact_setup(code)
+        slot = {e: (j, t) for j in range(code.m)
+                for t, e in enumerate(check_edges(code, j))}
+        degree = [len(js) for js in code.columns]
+        masters.clear()
+        lp_decode_exact(code, lam)
+        rows, signs = masters[0]
+        # each word column as (check, word): its normalization row names
+        # the check, its coupling rows e(q-1) + a - 1 the symbols
+        words = []
+        for k in range(setup.n_ind, len(rows)):
+            norm = rows[k][(rows[k] >= setup.n_coupling)
+                           & (rows[k] < setup.n_rows)]
+            if norm.size == 0:
+                continue  # a unit column of the crash
+            j = int(norm[0]) - setup.n_coupling
+            word = [0] * len(code.rows[j])
+            for r, v in zip(rows[k], signs[k]):
+                if r < setup.n_coupling and v != 0:
+                    owner, t = slot[int(r) // (q - 1)]
+                    assert owner == j
+                    word[t] = int(r) % (q - 1) + 1
+            words.append((k < len(setup.crash_store[0]), j, tuple(word)))
+        assert len(set(words)) == len(words)
+        for j in range(code.m):
+            crash = {w for old, jj, w in words if old and jj == j}
+            seeded = {w for old, jj, w in words if not old and jj == j}
+            assert not crash & seeded
+            cols = code.row_cols[j]
+
+            def cost(word):
+                return sum(lam[i, a - 1] / degree[i]
+                           for i, a in zip(cols, word) if a)
+
+            rest = sorted((cost(w), w) for w in spc_words_bruteforce(code, j)
+                          if w not in crash)
+            assert seeded == {w for _, w in rest[:adds]}
+            if len(rest) > adds:
+                # a strict gap, so the cheapest words are well defined
+                assert rest[adds][0] > rest[adds - 1][0] + 1e-12
+
+
+def test_seeded_exact_decode_matches_highs():
+    # the optimum of column generation from the seeded first master is the
+    # full decoding LP's optimum, and where HiGHS finds an integral optimum
+    # the decoded symbols are that optimum's
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(67)
+    cases = [(ldpc80_z4(), lam) for ebno in (2.0, 3.0, 4.0)
+             for lam in ldpc80_frames(3, seed=67, ebno=ebno)]
+    # mixed degrees over Z_4, and zero-divisor coefficients over Z_6
+    cases += [(code, rng.normal(0.3, 1.5, size=(code.n, code.q - 1)))
+              for code in mixed_degree_codes()[:3] for _ in range(4)]
+    A, integral = {}, 0
+    for code, lam in cases:
+        c, A[code], b = decoding_lp(code, lam, A.get(code))
+        ref = optimize.linprog(c, A_eq=A[code], b_eq=b, bounds=(0, None),
+                               method="highs")
+        assert ref.status == 0
+        out = lp_decode_exact(code, lam)
+        assert out.dual_objective_trace[0] == pytest.approx(ref.fun, abs=1e-7)
+        f = ref.x[:code.n * (code.q - 1)].reshape(code.n, code.q - 1)
+        if np.minimum(np.abs(f), np.abs(f - 1.0)).max() <= 1e-6:
+            integral += 1
+            ones = f > 0.5
+            want = np.where(ones.any(axis=1), ones.argmax(axis=1) + 1, 0)
+            assert out.status is Status.CODEWORD_FOUND
+            assert np.array_equal(out.symbols, want)
+    assert integral > len(cases) // 2
 
 
 def test_exact_decode_matches_highs_on_ldpc80():
@@ -783,13 +875,15 @@ def test_exact_decode_round_guard(monkeypatch):
 
 def test_exact_decode_pivot_count_guard():
     # simulate's seed 1, point 0, frames 0-5 at 3 dB take 2590 pivots in all
-    # from the zero-codeword crash with no indicator basic, and 1187 from
-    # the crash with every covered indicator basic; 1246 is 1187 plus the
-    # 5% that the benchmark allows on its pivots per frame
+    # from the zero-codeword crash with no indicator basic, 1187 from the
+    # crash with every covered indicator basic, and 994 once the first
+    # master also holds each check's cheapest words under the
+    # channel-split duals; 1043 is 994 plus the 5% that the benchmark
+    # allows on its pivots per frame
     config = SimConfig(decoder="lp", ebno_list=(3.0,), max_frames=6, seed=1)
     point = run_point(config, 3.0)
     assert point.frames_run == 6
-    assert round(point.mean_iterations * point.frames_run) <= 1246
+    assert round(point.mean_iterations * point.frames_run) <= 1043
 
 
 def test_exact_decode_codeword_translation_symmetry():

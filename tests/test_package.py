@@ -53,3 +53,15 @@ def test_readme_quick_start_runs():
     found = [line for line in run.stdout.splitlines()
              if line.startswith("Status.CODEWORD_FOUND")]
     assert len(found) == 2, run.stdout
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only run_sweep with workers > 1 needs a process pool, and importing
+    # one pulls in multiprocessing, socket and subprocess
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = ("import sys, qarylp; "
+             "print('concurrent.futures.process' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

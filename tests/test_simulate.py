@@ -72,8 +72,11 @@ def test_config_refuses_non_integer_counts(name, bad):
 
 
 def test_config_refuses_bool_kappa():
-    with pytest.raises(ValueError, match="kappa must be a number"):
-        SimConfig(ebno_list=(3,), kappa=True)
+    # refused whatever the decoder, though only the soft one reads kappa
+    for decoder in ("soft", "hard", "lp"):
+        for bad in (True, "3", None):
+            with pytest.raises(ValueError, match="kappa must be a number"):
+                SimConfig(ebno_list=(3,), decoder=decoder, kappa=bad)
 
 
 def test_config_refuses_negative_seed(capsys):
