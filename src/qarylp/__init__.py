@@ -48,6 +48,7 @@ from .decoder import (
 from .lp import (
     CycleGuardTripped,
     TooLarge,
+    UnboundedRay,
     lp_decode_exact,
     ml_bruteforce,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "Status",
     "TannerCode",
     "TooLarge",
+    "UnboundedRay",
     "awgn_sample",
     "compute_llr",
     "decode",

@@ -14,28 +14,31 @@ primal-dual pair, and the exact solver builds no second row layout.
 
 The simplex core is a revised method that keeps only the basis inverse.
 Columns are held sparse, as padded (row ids, values) pairs: a decoding-LP
-column has at most max(d+1, d_v) nonzeros.  Pricing, the entering column's
-B^-1 a, the product-form update (on the rows where B^-1 a is nonzero) and
-the update of the running duals are gathers and ufunc sums, and the
-periodic refactorization replays product-form updates from the crash
-basis's inverse, so no BLAS or LAPACK routine runs and the pivot path does
-not depend on the thread count.  Column generation only appends the
-columns of priced-in words to its master, so one basis inverse is carried
-from round to round.  The crash basis it starts from, inverted once per
-code, is the zero codeword with every covered indicator already basic:
-the indicators would otherwise cost one pivot each to bring in, and a
-refactorization replays only the basis columns the crash does not hold.
-The first master also holds, per check, the cheapest words that the crash
-does not, priced by the same code as every later round against
-channel-split duals: each edge takes its variable's channel costs divided
-by the variable's degree, so every covered indicator prices at zero.
-These columns only start the master nearer its optimum, which column
-generation still certifies over the full codebooks.  Pivoting uses the
-Dantzig rule and falls back to Bland's after a degenerate stall: pure
-Dantzig can cycle on the degenerate decoding polytope, and pure Bland is
-far slower there.  The unit columns that complete a crash basis whose
-check's codebook columns cannot fill its block are fixed at zero, so every
-code decodes by column generation from the zero codeword.
+column has at most max(d+1, d_v) nonzeros.  A pivot prices every column in
+one slot-major pass (a vector add per slot of the store), forms the entering
+column's d = B^-1 a from as many columns of the inverse as a has nonzeros,
+and updates only the |nnz(d)| x |nnz(row)| inverse entries that can change,
+on the rows where d is nonzero and the columns where the new pivot row is.
+The running duals are updated with the same row, and the periodic
+refactorization replays the same product-form updates from the crash basis's
+inverse, so no BLAS or LAPACK routine runs and the pivot path does not
+depend on the thread count.  Column generation only appends the columns of
+priced-in words to its master, so one basis inverse is carried from round to
+round.  The crash basis it starts from, inverted once per code, is the zero
+codeword with every covered indicator already basic: the indicators would
+otherwise cost one pivot each to bring in, and a refactorization replays
+only the basis columns the crash does not hold.  The first master also
+holds, per check, the cheapest words that the crash does not, priced by the
+same code as every later round against channel-split duals: each edge takes
+its variable's channel costs divided by the variable's degree, so every
+covered indicator prices at zero.  These columns only start the master
+nearer its optimum, which column generation still certifies over the full
+codebooks.  Pivoting uses the Dantzig rule and falls back to Bland's after a
+degenerate stall: pure Dantzig can cycle on the degenerate decoding
+polytope, and pure Bland is far slower there.  The unit columns that
+complete a crash basis whose check's codebook columns cannot fill its block
+are fixed at zero, so every code decodes by column generation from the zero
+codeword.
 """
 
 from __future__ import annotations
@@ -70,6 +73,11 @@ class CycleGuardTripped(RuntimeError):
     """The simplex pivot budget was exhausted."""
 
 
+class UnboundedRay(RuntimeError):
+    """An entering column met no blocking row: the LP has no finite optimum
+    along it."""
+
+
 def _duals(cb, binv):
     """y = cb·binv over the rows of nonzero basic cost, plus a zero slot."""
     y = np.zeros(len(binv) + 1)
@@ -78,10 +86,15 @@ def _duals(cb, binv):
     return y
 
 
-def _price(y, cols):
-    """y·a for every column a of a store; y carries the zero slot."""
-    rows, vals = cols
-    return (vals * y[rows]).sum(axis=1)
+def _price(y, slots):
+    """y·a for every column a of a store; y carries the zero slot.
+
+    slots is the store slot-major, a (width, columns) pair of row ids and
+    values: each slot's terms for every column are one row, and the sum
+    over the leading axis adds them slot by slot, a vector add per slot.
+    """
+    rows, vals = slots
+    return (vals * y[rows]).sum(axis=0)
 
 
 def _ftran(binv, rows, vals):
@@ -98,13 +111,22 @@ def _matvec(binv, b):
 def _update_inverse(binv, d, r):
     """Update binv in place for the column a, d = binv·a, entering at r.
 
-    Only the rows where d is nonzero change: on every other row the dense
-    rank-one update would subtract an exact zero.
+    Only the |nnz(d)| x |nnz(row)| entries on the rows where d is nonzero
+    and the columns where the new row r is nonzero change: everywhere else
+    the dense rank-one update would subtract a zero, which at most flips
+    the sign of a zero entry.  Those entries are gathered and scattered
+    through flat offsets into binv, so binv must be C-contiguous
+    (ValueError otherwise: a flat copy would be updated instead).
     """
+    if not binv.flags.c_contiguous:
+        raise ValueError("the basis inverse must be C-contiguous")
     row = binv[r] / d[r]
     hit = np.flatnonzero(d)
     hit = hit[hit != r]
-    binv[hit] -= d[hit, None] * row
+    nz = np.flatnonzero(row)
+    at = (hit * len(binv))[:, None] + nz
+    flat = binv.reshape(-1)
+    flat[at] -= d[hit, None] * row[nz]
     binv[r] = row
 
 
@@ -150,32 +172,38 @@ def _revised_phase2(cols, b, c, basis, binv, max_pivots, fixed, spent=0,
     pointing at row len(b), the zero dual slot that _duals appends, with
     value 0.  No step calls BLAS or LAPACK, so the pivot path is the same
     whatever the thread count.  Each pivot prices every column with one
-    gather-sum over the duals, forms the entering column's d as a signed sum
-    of as many columns of binv as it has nonzeros, and updates binv on the
-    rows where d is nonzero.  The duals are running ones: _duals computes
-    them at the start and after each refactorization, and a pivot that
-    enters s at row r adds z[s] times the new row r of binv.  When they
-    price no column in, they are computed afresh and every column is priced
-    again, so drift in the running duals cannot end a call early.  The
-    entering column is the most negative reduced cost until more than
-    _REVISED_STALL_LIMIT consecutive degenerate pivots, then the first
-    negative one (Bland), below -_SIMPLEX_TOL either way.  Every
-    _REFACTOR_EVERY-th pivot, counted from spent, rebuilds binv with
-    _invert from start (see _invert; None starts from I), so a caller that
-    carries binv from one call to the next keeps one cadence.  binv is
-    updated in place.  A column of the boolean mask fixed stays at zero: it
-    is never priced in, and while basic it blocks the ratio test at ratio 0
-    wherever |d| > _SIMPLEX_TOL.  spent counts pivots the caller made
-    before this call; CycleGuardTripped fires once spent plus this call's
-    pivots exceed max_pivots, and an entering column with no blocking row
-    (an unbounded ray) raises RuntimeError.  Returns (x, y, pivots, basis,
-    binv): y the fresh duals that confirmed optimality, pivots counting
-    this call only.
+    gather-sum over the duals, slot-major (see _price: the store's
+    transpose, built once per call since columns change only between calls),
+    forms the entering column's d as a signed sum of as many columns of binv
+    as it has nonzeros, and updates the |nnz(d)| x |nnz(row)| entries of
+    binv on the rows where d is nonzero and the columns where the new row r
+    is (see _update_inverse).  The mask of fixed basic columns is kept pivot
+    by pivot.  The duals are running ones: _duals computes them at the start
+    and after each refactorization, and a pivot that enters s at row r adds
+    z[s] times the new row r of binv.  When they price no column in, they
+    are computed afresh and every column is priced again, so drift in the
+    running duals cannot end a call early.  The entering column is the most
+    negative reduced cost until more than _REVISED_STALL_LIMIT consecutive
+    degenerate pivots, then the first negative one (Bland), below
+    -_SIMPLEX_TOL either way.  Every _REFACTOR_EVERY-th pivot, counted from
+    spent, rebuilds binv with _invert from start (see _invert; None starts
+    from I), so a caller that carries binv from one call to the next keeps
+    one cadence.  binv, a C-contiguous array, is updated in place.  A column
+    of the boolean mask fixed stays at zero: it is never priced in, and
+    while basic it blocks the ratio test at ratio 0 wherever |d| >
+    _SIMPLEX_TOL.  spent counts pivots the caller made before this call;
+    CycleGuardTripped fires once spent plus this call's pivots exceed
+    max_pivots, and an entering column with no blocking row raises
+    UnboundedRay.  Returns (x, y, pivots, basis, binv): y the fresh duals
+    that confirmed optimality, pivots counting this call only.
     """
     tol = _SIMPLEX_TOL
     rows, vals = cols
+    # the store slot-major for pricing; columns change only between calls
+    slots = (np.ascontiguousarray(rows.T), np.ascontiguousarray(vals.T))
     m = len(b)
     basis = np.array(basis, dtype=np.intp)
+    held = fixed[basis]
     xb = np.clip(_matvec(binv, b), 0.0, None)
     y = _duals(c[basis], binv)
     # set when the running duals priced no column in and y was recomputed
@@ -184,7 +212,7 @@ def _revised_phase2(cols, b, c, basis, binv, max_pivots, fixed, spent=0,
     bland = False
     stall = 0
     while True:
-        z = c - _price(y, cols)
+        z = c - _price(y, slots)
         z[fixed] = 0.0
         if bland:
             negative = np.flatnonzero(z < -tol)
@@ -201,10 +229,9 @@ def _revised_phase2(cols, b, c, basis, binv, max_pivots, fixed, spent=0,
             continue
         confirmed = False
         d = _ftran(binv, rows[s], vals[s])
-        held = fixed[basis]
         candidates = np.flatnonzero((d > tol) | (held & (d < -tol)))
         if candidates.size == 0:
-            raise RuntimeError(f"column {s} enters along an unbounded ray")
+            raise UnboundedRay(f"column {s} enters along an unbounded ray")
         ratios = np.where(held[candidates], 0.0,
                           xb[candidates] / d[candidates])
         best = ratios.min()
@@ -223,6 +250,7 @@ def _revised_phase2(cols, b, c, basis, binv, max_pivots, fixed, spent=0,
         _update_inverse(binv, d, r)
         y[:-1] += z[s] * binv[r]
         basis[r] = s
+        held[r] = fixed[s]
         pivots += 1
         if (spent + pivots) % _REFACTOR_EVERY == 0:
             binv = _invert(cols, basis, m, start)
@@ -593,8 +621,9 @@ def lp_decode_exact(code: TannerCode, llr) -> DecodeOutcome:
     """Solve the decoding LP exactly and read off the optimum.
 
     A check whose codebook bound q^(d-1) exceeds _CODEBOOK_BUDGET (4096)
-    words raises BudgetExceeded, and more than _MAX_PIVOTS (200 000)
-    simplex pivots in all raise CycleGuardTripped.  An integral optimum
+    words raises BudgetExceeded, more than _MAX_PIVOTS (200 000) simplex
+    pivots in all raise CycleGuardTripped, and an entering column with no
+    blocking row raises UnboundedRay.  An integral optimum
     (every indicator within 1e-6 of 0 or 1, row sums at most 1) decodes to
     a codeword with CODEWORD_FOUND.  A fractional optimum is a decoding
     failure: fractional positions are ERASED and the status is

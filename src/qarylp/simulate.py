@@ -29,7 +29,7 @@ from .decoder import (
     Status,
     decode,
 )
-from .lp import lp_decode_exact
+from .lp import CycleGuardTripped, UnboundedRay, lp_decode_exact
 
 _DECODERS = ("soft", "hard", "lp")
 # frames evaluated per scheduling wave and per worker
@@ -92,6 +92,7 @@ class FerPoint:
     mean_iterations: float
     wall_time: float
     malformed_frames: int = 0
+    solver_failures: int = 0
 
 
 def resolve_code(spec: str) -> TannerCode:
@@ -156,12 +157,15 @@ class _FrameContext:
 
 def _frame_outcome(ctx: _FrameContext, point_index: int, frame_index: int,
                    sigma: float):
-    """Simulate one frame; returns (error, sym_errors, erasures, iters, bad).
+    """Simulate one frame; returns (error, sym_errors, erasures, iters, bad,
+    failed).
 
     The frame's randomness comes from a SeedSequence over (seed, point,
     frame), so the outcome is a pure function of those indices.  A decode
-    that ends on a malformed decision counts as a frame error with every
-    symbol wrong.
+    that ends on a malformed decision (bad) counts as a frame error with
+    every symbol wrong.  So does an exact-LP solve that fails (failed): one
+    that exhausts its pivot budget or meets an unbounded ray costs that
+    frame, with no iterations, and the sweep goes on.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence((ctx.seed, point_index, frame_index))
@@ -173,16 +177,20 @@ def _frame_outcome(ctx: _FrameContext, point_index: int, frame_index: int,
     y = awgn_sample(modulate(tx, ctx.constellation), sigma, rng)
     llr = compute_llr(y, ctx.constellation, sigma)
     if ctx.decoder == "lp":
-        outcome = lp_decode_exact(ctx.code, llr)
+        try:
+            outcome = lp_decode_exact(ctx.code, llr)
+        except (CycleGuardTripped, UnboundedRay):
+            return 1, ctx.code.n, 0, 0, 0, 1
     else:
         try:
             outcome = decode(ctx.code, llr, ctx.decoder_config)
         except MalformedDecision:
-            return 1, ctx.code.n, 0, ctx.max_iterations, 1
+            return 1, ctx.code.n, 0, ctx.max_iterations, 1, 0
     est = outcome.symbols
     sym_errors = int(np.count_nonzero(est != tx))
     erasures = int(np.count_nonzero(est == ERASED))
-    return int(sym_errors > 0), sym_errors, erasures, outcome.iterations_used, 0
+    return (int(sym_errors > 0), sym_errors, erasures, outcome.iterations_used,
+            0, 0)
 
 
 _WORKER_CTX: dict = {}
@@ -227,7 +235,7 @@ def run_point(config: SimConfig, ebno_db: float, point_index: int = None,
                           math.log2(ctx.code.q))
     started = time.perf_counter() if config.record_timing else 0.0
     wave = 1 if _pool is None else _WAVE_PER_WORKER * config.workers
-    frames = errors = sym_errors = erasures = malformed = 0
+    frames = errors = sym_errors = erasures = malformed = failures = 0
     iteration_sum = 0
     while frames < config.max_frames and errors < config.target_frame_errors:
         hi = min(frames + wave, config.max_frames)
@@ -238,13 +246,14 @@ def run_point(config: SimConfig, ebno_db: float, point_index: int = None,
             chunk = max(1, len(tasks) // config.workers)
             results = list(_pool.map(_worker_frame, tasks, chunksize=chunk))
         # judged in index order; frames after the target error are dropped
-        for err, sym, era, iters, bad in results:
+        for err, sym, era, iters, bad, failed in results:
             frames += 1
             errors += err
             sym_errors += sym
             erasures += era
             iteration_sum += iters
             malformed += bad
+            failures += failed
             if errors >= config.target_frame_errors:
                 break
     wall = time.perf_counter() - started if config.record_timing else 0.0
@@ -258,6 +267,7 @@ def run_point(config: SimConfig, ebno_db: float, point_index: int = None,
         mean_iterations=iteration_sum / frames,
         wall_time=wall,
         malformed_frames=malformed,
+        solver_failures=failures,
     )
 
 
@@ -330,7 +340,8 @@ def run_sweep(config: SimConfig, progress=print) -> list:
                 progress(
                     f"ebno {ebno} dB: frames {point.frames_run} "
                     f"errors {point.frame_errors} fer {point.fer:.3e} "
-                    f"malformed {point.malformed_frames}"
+                    f"malformed {point.malformed_frames} "
+                    f"solver failures {point.solver_failures}"
                 )
     finally:
         if pool is not None:

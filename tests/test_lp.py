@@ -52,6 +52,7 @@ from qarylp.lp import (
     BudgetExceeded,
     CycleGuardTripped,
     TooLarge,
+    UnboundedRay,
     lp_decode_exact,
     ml_bruteforce,
 )
@@ -155,7 +156,7 @@ def test_simplex_warm_start_reuses_basis():
 
 def test_simplex_unbounded():
     # min -x s.t. x - y = 0: x enters along the ray x = y -> inf
-    with pytest.raises(RuntimeError, match="unbounded"):
+    with pytest.raises(UnboundedRay, match="unbounded"):
         run_engine([-1.0, 0.0], [[1.0, -1.0]], [0.0], [0])
 
 
@@ -255,6 +256,50 @@ def test_update_inverse_matches_dense_form(monkeypatch):
         lp_decode_exact(ldpc80_z4(), lam)
     assert len(calls) > 1000
     assert all(calls)
+
+
+def test_update_inverse_matches_dense_form_on_random_sparse_inverses():
+    # the sparse update against the dense rank-one form on random sparse
+    # matrices; the modes force an empty hit (d nonzero only at r), a pivot
+    # row with one nonzero and a fully dense pivot row, and m = 1 is drawn
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(m=st.integers(1, 12),
+                      density=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+                      mode=st.sampled_from(["random", "empty hit",
+                                            "one nonzero", "dense row"]),
+                      seed=st.integers(0, 2**32 - 1))
+    @hypothesis.example(m=1, density=0.0, mode="random", seed=0)
+    @hypothesis.example(m=1, density=1.0, mode="dense row", seed=1)
+    def check(m, density, mode, seed):
+        rng = np.random.default_rng(seed)
+        binv = rng.normal(size=(m, m)) * (rng.random((m, m)) < density)
+        d = rng.normal(size=m) * (rng.random(m) < density)
+        r = int(rng.integers(m))
+        d[r] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        if mode == "empty hit":
+            d[np.arange(m) != r] = 0.0
+        elif mode == "one nonzero":
+            binv[r] = 0.0
+            binv[r, rng.integers(m)] = rng.normal() or 1.0
+        elif mode == "dense row":
+            binv[r] = rng.uniform(0.5, 2.0, size=m) * rng.choice([-1.0, 1.0],
+                                                                 size=m)
+        want = binv.copy()
+        update_inverse_dense(want, d, r)
+        qarylp.lp._update_inverse(binv, d, r)
+        assert np.array_equal(binv, want)
+
+    check()
+
+
+def test_update_inverse_refuses_a_strided_inverse():
+    # a flat view of a strided array would be a copy, and the update lost
+    binv = np.eye(4)[:, ::-1]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        qarylp.lp._update_inverse(binv, np.ones(4), 0)
 
 
 def test_invert_matches_linalg_inv():
@@ -419,7 +464,8 @@ def test_fresh_duals_resume_pivoting(monkeypatch):
 def test_gather_pricing_matches_dense(monkeypatch):
     # the reduced costs and entering columns of column-generation masters
     # against dense products; every master column must be a column of the
-    # full decoding LP
+    # full decoding LP.  _price takes the store slot-major, as the pivot
+    # loop passes it
     code = ldpc80_z4()
     full = decoding_lp_columns(code)
     known = {col.tobytes() for col in full.T}
@@ -443,7 +489,7 @@ def test_gather_pricing_matches_dense(monkeypatch):
         assert all(col.tobytes() in known for col in A.T)
         y = c[basis] @ binv
         got = c - qarylp.lp._price(qarylp.lp._duals(c[basis], binv),
-                                   (rows, signs))
+                                   (rows.T.copy(), signs.T.copy()))
         assert np.abs(got - (c - y @ A)).max() < 1e-12
         for s in range(0, len(rows), 97):
             d = qarylp.lp._ftran(binv, rows[s], signs[s])
@@ -884,6 +930,33 @@ def test_exact_decode_pivot_count_guard():
     point = run_point(config, 3.0)
     assert point.frames_run == 6
     assert round(point.mean_iterations * point.frames_run) <= 1043
+
+
+def simulate_frames(code, ebno, seed, point, frames):
+    """LLRs of all-zero frames drawn as run_point draws them, each from
+    SeedSequence((seed, point, frame))."""
+    cmap = psk(code.q)
+    sigma = ebno_to_sigma(ebno, (code.n - code.m) / code.n, math.log2(code.q))
+    tx = modulate(np.zeros(code.n, dtype=np.int64), cmap)
+    out = []
+    for f in frames:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, point, f)))
+        out.append(compute_llr(awgn_sample(tx, sigma, rng), cmap, sigma))
+    return out
+
+
+def test_exact_decode_pivot_path_is_pinned():
+    # the benchmark's exact-LP corpus (simulate's seed 1, point 0, frames
+    # 0-5 at 3 dB): pivots per frame and the optimum's bits.  A change that
+    # moves the pivot path updates these on purpose, with its argument; a
+    # change that only makes pivots cheaper leaves them as they are
+    code = ldpc80_z4()
+    outs = [lp_decode_exact(code, lam)
+            for lam in simulate_frames(code, 3.0, 1, 0, range(6))]
+    assert [o.iterations_used for o in outs] == [112, 273, 164, 160, 133, 152]
+    optima = [float(o.dual_objective_trace[0]).hex() for o in outs]
+    assert optima == ["0x0.0p+0", "0x0.0p+0", "-0x1.1603d0d37c410p+0",
+                      "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]
 
 
 def test_exact_decode_codeword_translation_symmetry():

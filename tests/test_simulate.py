@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import qarylp.lp
 import qarylp.simulate
 from qarylp.cli import build_parser, main
 from qarylp.codes import (
@@ -11,6 +12,7 @@ from qarylp.codes import (
     write_check_matrix,
 )
 from qarylp.decoder import MalformedDecision
+from qarylp.lp import UnboundedRay
 from qarylp.simulate import (
     FerPoint,
     SimConfig,
@@ -246,6 +248,37 @@ def test_malformed_frames_accounting(monkeypatch, small_code_file):
     assert p.symbol_errors == 4 * 6
     assert p.erasures == 0
     assert p.mean_iterations == 17.0
+
+
+def test_lp_solver_failures_cost_one_frame_each(monkeypatch):
+    # simulate's seed 1, point 0, frames 0-5 at 3 dB take 112, 273, 164,
+    # 160, 133 and 152 pivots: under a budget of 150 the four frames above
+    # it trip the cycle guard, each counts as a frame error with every
+    # symbol wrong and no iterations, and the frames after them still decode
+    monkeypatch.setattr(qarylp.lp, "_MAX_PIVOTS", 150)
+    cfg = SimConfig(decoder="lp", ebno_list=(3.0,), target_frame_errors=100,
+                    max_frames=6, seed=1)
+    p = run_point(cfg, 3.0)
+    assert p.frames_run == 6
+    assert p.solver_failures == 4
+    assert p.frame_errors == 4
+    assert p.symbol_errors == 4 * 80
+    assert p.erasures == 0
+    assert p.mean_iterations == (112 + 133) / 6
+    assert p.malformed_frames == 0
+
+
+def test_lp_unbounded_ray_costs_one_frame(monkeypatch, small_code_file):
+    def unbounded(code, llr):
+        raise UnboundedRay("column 0 enters along an unbounded ray")
+
+    monkeypatch.setattr(qarylp.simulate, "lp_decode_exact", unbounded)
+    cfg = SimConfig(code=small_code_file, decoder="lp", ebno_list=(2.0,),
+                    target_frame_errors=3, max_frames=50)
+    p = run_point(cfg, 2.0)
+    assert (p.frames_run, p.frame_errors, p.solver_failures) == (3, 3, 3)
+    assert p.symbol_errors == 3 * 6
+    assert p.mean_iterations == 0.0
 
 
 def test_random_codeword_mode(tmp_path, small_code_file):
