@@ -11,6 +11,7 @@ code generator and a plain-text check-matrix file format.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -63,6 +64,11 @@ class TannerCode:
     edges: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        for name in ("q", "n"):
+            value = getattr(self, name)
+            # bool is an Integral, but True is no ring size or length
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.q < 2:
             raise ValueError(f"q must be >= 2, got {self.q}")
         if self.n < 1:

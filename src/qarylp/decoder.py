@@ -43,9 +43,10 @@ earlier waves, so the row has received exactly the writes, in the same
 order, that check-major order would have made.  Every kernel operation
 is elementwise or a reduction over a leading axis of terms, column by
 column, so the wave sweep is bit-identical to the edge-by-edge path of
-update_edge_soft/update_edge_hard, which runs the same kernel on one
-check.  The kernel and the passes over all checks gather and scatter
-through flat offsets that _CodeCache computes once per code.
+update_edge_soft/update_edge_hard, which replays the sweep's own steps up
+to the edge's wave, writing nothing, and updates that one edge.  The
+kernel and the passes over all checks gather and scatter through flat
+offsets that _CodeCache computes once per code.
 """
 
 from __future__ import annotations
@@ -92,6 +93,12 @@ class Status(enum.Enum):
     MAX_ITERATIONS = "max_iterations"
 
 
+def _check_kappa_type(kappa) -> None:
+    # bool is a Real, but True is no smoothing
+    if isinstance(kappa, bool) or not isinstance(kappa, numbers.Real):
+        raise ValueError(f"kappa must be a number, got {kappa!r}")
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
     """Knobs for decode(): the sweep budget and the smoothing kappa.
@@ -115,10 +122,7 @@ class DecoderConfig:
             raise ValueError(
                 f"max_iterations must be >= 1, got {self.max_iterations}"
             )
-        # bool is a Real, but True is no smoothing
-        if (isinstance(self.kappa, bool)
-                or not isinstance(self.kappa, numbers.Real)):
-            raise ValueError(f"kappa must be a number, got {self.kappa!r}")
+        _check_kappa_type(self.kappa)
         if not self.kappa > 0:
             raise ValueError(f"kappa must be > 0 or math.inf, got {self.kappa}")
 
@@ -184,12 +188,6 @@ def _waves(code: TannerCode) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _row_offsets(ids, width: int) -> np.ndarray:
-    # flat offsets of rows ids of a C-ordered array with rows of width
-    # entries, one row of offsets per id
-    return np.asarray(ids)[:, None] * width + np.arange(width)
-
-
 class _Step(NamedTuple):
     """One kernel step of _visit_waves: flat offsets for a wave of k edges.
 
@@ -210,27 +208,26 @@ class _Step(NamedTuple):
 class _CodeCache:
     """Edge indexing, trellis offsets and the wave schedule of one code.
 
-    check_edges[j, t] is the edge id of slot t of check j; short checks
-    are padded with edge n_edges, whose slot costs 0 for symbol 0 and +inf
-    for the others, which makes a padding slot (coefficient 0) an exact
-    identity section.  Check j's _trellis block is row j of a (count,
-    width + 1, q) array; trellis holds the flat offsets that the pass of
-    every check gathers through (see trellis_offsets), and message_sums
-    those of each variable's edge messages, (n, column width, q-1), where a
-    padding slot names one row of -0.0 past the messages.
+    Edge ids are check-major: edge e is code.edges[e].  check_edges[j, t]
+    is the edge id of slot t of check j; short checks are padded with edge
+    n_edges, whose slot costs 0 for symbol 0 and +inf for the others, which
+    makes a padding slot (coefficient 0) an exact identity section.  Check
+    j's _trellis block is row j of an (m, width + 1, q) array; trellis
+    holds the flat offsets that this pass gathers through, and
+    message_sums those of each variable's edge messages, (n, column width,
+    q-1), where a padding slot names one row of -0.0 past the messages.
 
     steps holds the kernel steps of a sweep, one _Step per wave (see _waves
     and plan): a wave's edges lie in distinct checks and distinct
     variables, and each edge comes after its check's previous slot and its
     variable's previous edge in check-major order (the module docstring says
-    why a wave sweep is bit-identical to check-major order).  Every array
-    here holds O(q^2) entries per edge; none grows with the local codebook.
+    why a wave sweep is bit-identical to check-major order).  The per-edge
+    updates replay these same steps.  Every array here holds O(q^2) entries
+    per edge; none grows with the local codebook.
     """
 
     def __init__(self, code: TannerCode):
         q = self.q = code.q
-        # edge ids are check-major: code.edges lists each check's row in turn
-        self.edge_index = {edge: e for e, edge in enumerate(code.edges)}
         self.n_edges = len(code.edges)
         # position of each edge's variable inside its check's column list
         self.edge_slot = np.concatenate([np.arange(len(row)) for row in code.rows])
@@ -248,50 +245,41 @@ class _CodeCache:
         self.degree = np.array([len(row) for row in code.rows])
         # a check's suffix block is block_rows rows of q entries
         self.block_rows = width + 1
-        self.trellis = self.trellis_offsets(np.arange(code.m))
-        wave = _waves(code)
-        waves = np.split(np.argsort(wave, kind="stable"),
-                         np.cumsum(np.bincount(wave))[:-1])
-        self.steps = self.plan(waves, np.arange(code.m))
-
-    def trellis_offsets(self, checks) -> tuple:
-        """(index, weights): the flat offsets of _trellis over checks.
-
-        index[t, b, k, r] is the offset, in the (count, width + 1, q)
-        output, of B_{t+1}(r - h_t b) of the k-th check: the suffix
-        syndrome after slot t when the slots from t on sum to r and slot t
-        holds b.  weights[t, b, k] is the offset of that slot's cost of b
-        in the messages, flattened and followed by a 0 (symbol 0, and every
-        symbol's offset past the messages) and a +inf (a padding slot's
-        nonzero symbols).
-        """
-        q = self.q
-        edges = self.check_edges[checks]
-        count, width = edges.shape
-        coefs = np.append(self.edge_coef, 0)[edges]
+        # trellis = (index, weights): index[t, b, j, r] is the offset, in
+        # the (m, width + 1, q) output, of B_{t+1}(r - h_t b) of check j,
+        # the suffix syndrome after slot t when the slots from t on sum to
+        # r and slot t holds b; weights[t, b, j] that of the slot's cost of
+        # b in the messages, flattened and followed by a 0 (symbol 0, and
+        # every symbol's offset past the messages) and a +inf (a padding
+        # slot's nonzero symbols)
+        coefs = np.append(self.edge_coef, 0)[self.check_edges]
         r = np.arange(q)
         index = ((r - coefs.T[:, None, :, None] * r[:, None, None]) % q
                  + q * (np.arange(1, width + 1)[:, None, None, None]
-                        + self.block_rows * np.arange(count)[:, None]))
+                        + self.block_rows * np.arange(code.m)[:, None]))
         zero = self.n_edges * (q - 1)
         b = r[:, None]
-        slots = edges.T[:, None, :]
+        slots = self.check_edges.T[:, None, :]
         weights = np.where(b == 0, zero,
                            np.where(slots < self.n_edges,
                                     slots * (q - 1) + b - 1, zero + 1))
-        return index, weights
+        self.trellis = index, weights
+        wave = _waves(code)
+        waves = np.split(np.argsort(wave, kind="stable"),
+                         np.cumsum(np.bincount(wave))[:-1])
+        self.steps = self.plan(waves)
 
-    def plan(self, waves, rows: np.ndarray) -> tuple:
+    def plan(self, waves) -> tuple:
         """Kernel steps of _visit_waves, one _Step per wave of edges.
 
         Each wave lists edges of distinct checks and distinct variables;
-        rows[j] is check j's row in the suffix array and in the prefix
-        buffer that the kernel is given.  A step orders the wave's edges
-        with those before their check's last slot first, and carries the
-        prefix of those first edges' checks on.  For the i-th edge, at slot
-        t of its check with coefficient h_t: ext[s, i, c] is the offset of
-        B_{t+1}(-s - h_t c) in the suffix array, and prefix[b, i, s] that
-        of F_{t-1}(s - h_t b) in the prefix buffer.
+        check j owns row j of the suffix array and of the prefix buffer.
+        A step orders the wave's edges with those before their check's last
+        slot first, and carries the prefix of those first edges' checks on.
+        For the i-th edge, at slot t of its check with coefficient h_t:
+        ext[s, i, c] is the offset of B_{t+1}(-s - h_t c) in the suffix
+        array, and prefix[b, i, s] that of F_{t-1}(s - h_t b) in the prefix
+        buffer.
         """
         q = self.q
         a = np.arange(q)
@@ -302,12 +290,12 @@ class _CodeCache:
             edges = np.concatenate([edges[later], edges[~later]])
             t = self.edge_slot[edges, None]
             h = self.edge_coef[edges, None]
-            row = rows[self.edge_check[edges], None]
+            row = self.edge_check[edges, None]
             ext = ((row * self.block_rows + t + 1) * q
                    + (-a[:, None, None] - h * a) % q)
             prefix = row * q + (a - h * a[:, None, None]) % q
-            steps.append(_Step(ext, prefix, _row_offsets(edges, q - 1),
-                               _row_offsets(self.edge_var[edges], q - 1),
+            steps.append(_Step(ext, prefix, edges[:, None] * (q - 1) + a[:-1],
+                               self.edge_var[edges, None] * (q - 1) + a[:-1],
                                row[:later.sum()] * q + a))
         return tuple(steps)
 
@@ -364,11 +352,13 @@ def soft_min(values, kappa: float) -> float:
     Computed in shifted form, so it stays finite for kappa up to 1e3 and
     values of either sign.  Satisfies min - log(L)/kappa <= result <= min
     for a list of length L.  +inf entries add nothing; a -inf entry gives
-    -inf.  A NaN entry raises ValueError.
+    -inf.  A NaN entry, or a kappa that DecoderConfig refuses, raises
+    ValueError.
     """
     arr = np.asarray(values, dtype=np.float64).reshape(-1, 1)
     if arr.size == 0:
         raise EmptyList("soft_min of an empty collection")
+    _check_kappa_type(kappa)
     if not kappa > 0:
         raise ValueError(f"kappa must be > 0 or math.inf, got {kappa}")
     lo = arr.min()
@@ -414,21 +404,18 @@ def init_state(code: TannerCode, llr, config: DecoderConfig) -> DualState:
 
 
 # appended to the flattened messages: a slot's cost of symbol 0 and a
-# padding slot's cost of the others (see _CodeCache.trellis_offsets)
+# padding slot's cost of the others (see _CodeCache.trellis)
 _SLOT_TAIL = np.array([0.0, math.inf])
 
 
-def _trellis(costs: np.ndarray, kappa: float, cache: _CodeCache,
-             checks=None) -> np.ndarray:
-    # out[k, t, r] = B_t(r) of the k-th given check (every check when
-    # checks is None): the soft minimum, over the symbols of slots t, t+1,
-    # ... of syndrome r, of their summed costs, costs[e, b-1] for symbol
-    # b != 0 on edge e and 0 for symbol 0.  B_0(0) is the check's (soft)
-    # minimum over its local words, theta_j when the costs are the
-    # messages.  Each step works elementwise or row by row, so no check's
-    # rows depend on the other checks passed.
-    index, weights = (cache.trellis if checks is None
-                      else cache.trellis_offsets(checks))
+def _trellis(costs: np.ndarray, kappa: float, cache: _CodeCache) -> np.ndarray:
+    # out[j, t, r] = B_t(r) of check j: the soft minimum, over the symbols
+    # of slots t, t+1, ... of syndrome r, of their summed costs, costs[e,
+    # b-1] for symbol b != 0 on edge e and 0 for symbol 0.  B_0(0) is the
+    # check's (soft) minimum over its local words, theta_j when the costs
+    # are the messages.  Each step works elementwise or row by row, so no
+    # check's rows depend on the other checks.
+    index, weights = cache.trellis
     width, q, count = weights.shape
     w = np.concatenate((costs.reshape(-1), _SLOT_TAIL))[weights]
     out = np.zeros((count, width + 1, q))
@@ -514,14 +501,25 @@ def _visit_waves(state: DualState, steps: tuple, suffix: np.ndarray,
             prefix[step.carry] = _softmin(shifted, state.kappa)
 
 
-def _slot_ext(state: DualState, j: int, t: int) -> np.ndarray:
-    # slot t's ext row of check j: its kernel replayed up to the slot, one
-    # slot per wave
+def _edge_ext(state: DualState, i: int, j: int) -> tuple:
+    # (ext, step, k): edge (i, j) is row k of step, the kernel step of its
+    # wave, and ext that row's ext, from the sweep's own steps replayed up
+    # to the wave with nothing written.  The row reads only its check's
+    # prefix over the earlier slots, advanced one slot per earlier wave
+    # from the current messages, and that check's suffix row; no kernel
+    # column depends on another edge, so these are the bits that
+    # check-major order gives the edge.
+    edges = state.code.edges
+    if (i, j) not in edges:
+        raise ValueError(f"({i}, {j}) is not an edge of the code")
+    offset = edges.index((i, j)) * (state.code.q - 1)
     cache = state.cache
-    steps = cache.plan(cache.check_edges[j, :t + 1, None],
-                       np.zeros(state.code.m, dtype=np.int64))
-    suffix = _trellis(state.messages, state.kappa, cache, [j])
-    return _visit_waves(state, steps, suffix, stop=t)[0]
+    suffix = _trellis(state.messages, state.kappa, cache)
+    for wave, step in enumerate(cache.steps):
+        k = np.flatnonzero(step.messages[:, 0] == offset)
+        if k.size:
+            ext = _visit_waves(state, cache.steps, suffix, stop=wave)
+            return ext[k[0]], step, k[0]
 
 
 def dual_objective(state: DualState) -> float:
@@ -562,23 +560,20 @@ def _maximize_edges(messages: np.ndarray, node_sum: np.ndarray,
     return new
 
 
-def _update_edge(state: DualState, i: int, j: int) -> None:
-    # check j's kernel replayed up to the edge: the sweep's operations
-    e = state.cache.edge_index[(i, j)]
+def _update_edge(state: DualState, i: int, j: int) -> DualState:
+    # the sweep's operations on the edge, through its step's own offsets
     with np.errstate(divide="ignore", under="ignore"):
-        ext = _slot_ext(state, j, int(state.cache.edge_slot[e]))
-    q = state.code.q
+        ext, step, k = _edge_ext(state, i, j)
     _maximize_edges(_flat_view(state.messages), _flat_view(state.node_sum),
-                    _row_offsets([e], q - 1), _row_offsets([i], q - 1),
-                    ext[None])
+                    step.messages[k, None], step.node_sum[k, None], ext[None])
+    return state
 
 
 def update_edge_soft(state: DualState, i: int, j: int) -> DualState:
     """Maximize the edge-local dual objective over edge (i, j), finite kappa."""
     if math.isinf(state.kappa):
         raise ValueError("update_edge_soft requires finite kappa")
-    _update_edge(state, i, j)
-    return state
+    return _update_edge(state, i, j)
 
 
 def update_edge_hard(state: DualState, i: int, j: int) -> DualState:
@@ -589,8 +584,7 @@ def update_edge_hard(state: DualState, i: int, j: int) -> DualState:
     """
     if not math.isinf(state.kappa):
         raise ValueError("update_edge_hard requires kappa = math.inf")
-    _update_edge(state, i, j)
-    return state
+    return _update_edge(state, i, j)
 
 
 # ---- decisions ----

@@ -163,8 +163,7 @@ def _invert(cols, basis, m, start=None):
     return binv[order]
 
 
-def _revised_phase2(cols, b, c, basis, binv, max_pivots, fixed, spent=0,
-                    start=None):
+def _revised_phase2(cols, b, c, basis, binv, fixed, spent=0, start=None):
     """Simplex pivots from a feasible basis, keeping only the basis inverse.
 
     The constraint matrix is a padded column store: one line of (row ids,
@@ -193,7 +192,7 @@ def _revised_phase2(cols, b, c, basis, binv, max_pivots, fixed, spent=0,
     while basic it blocks the ratio test at ratio 0 wherever |d| >
     _SIMPLEX_TOL.  spent counts pivots the caller made before this call;
     CycleGuardTripped fires once spent plus this call's pivots exceed
-    max_pivots, and an entering column with no blocking row raises
+    _MAX_PIVOTS, and an entering column with no blocking row raises
     UnboundedRay.  Returns (x, y, pivots, basis, binv): y the fresh duals
     that confirmed optimality, pivots counting this call only.
     """
@@ -256,8 +255,8 @@ def _revised_phase2(cols, b, c, basis, binv, max_pivots, fixed, spent=0,
             binv = _invert(cols, basis, m, start)
             xb = np.clip(_matvec(binv, b), 0.0, None)
             y = _duals(c[basis], binv)
-        if spent + pivots > max_pivots:
-            raise CycleGuardTripped(f"exceeded {max_pivots} pivots")
+        if spent + pivots > _MAX_PIVOTS:
+            raise CycleGuardTripped(f"exceeded {_MAX_PIVOTS} pivots")
     x = np.zeros(len(c))
     x[basis] = xb
     return x, y, pivots, basis.tolist(), binv
@@ -588,7 +587,7 @@ def _column_generation(setup: _ExactSetup, c_ind):
             c = np.concatenate([c, np.zeros(len(new_rows))])
             fixed = np.concatenate([fixed, np.zeros(len(new_rows), bool)])
         x, y, pivots, basis, binv = _revised_phase2(
-            (rows, signs), b, c, basis, binv, _MAX_PIVOTS, fixed,
+            (rows, signs), b, c, basis, binv, fixed,
             spent=total_pivots, start=start,
         )
         total_pivots += pivots

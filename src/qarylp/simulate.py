@@ -27,6 +27,7 @@ from .decoder import (
     DecoderConfig,
     MalformedDecision,
     Status,
+    _check_kappa_type,
     decode,
 )
 from .lp import CycleGuardTripped, UnboundedRay, lp_decode_exact
@@ -72,9 +73,7 @@ class SimConfig:
             if count < low:
                 raise ValueError(f"{name} must be >= {low}, got {count}")
         # refused whatever the decoder, although only the soft one reads it
-        if (isinstance(self.kappa, bool)
-                or not isinstance(self.kappa, numbers.Real)):
-            raise ValueError(f"kappa must be a number, got {self.kappa!r}")
+        _check_kappa_type(self.kappa)
         if self.decoder == "soft" and not self.kappa > 0.0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
 

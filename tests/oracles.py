@@ -245,7 +245,7 @@ def codewords_vectorized(code, chunk=1 << 20):
 
 def set_message(state: D.DualState, i: int, j: int, values) -> None:
     """Assign the message on edge (i, j), keeping node_sum consistent."""
-    e = state.cache.edge_index[(i, j)]
+    e = state.code.edges.index((i, j))
     new = np.asarray(values, dtype=np.float64)
     state.node_sum[i] += new - state.messages[e]
     state.messages[e] = new
@@ -259,7 +259,7 @@ def compute_v_terms(state: D.DualState, i: int, j: int, alpha: int):
     negates the score of the constant-alpha word with the check-j slot left
     out.  Returns (V_bar, V_eq).
     """
-    e = state.cache.edge_index[(i, j)]
+    e = state.code.edges.index((i, j))
     scores = np.concatenate(([0.0], -state.node_sum[i]))
     keep = np.arange(state.code.q) != alpha
     v_bar = -D.soft_min(scores[keep], state.kappa)
@@ -275,9 +275,9 @@ def compute_c_terms(state: D.DualState, j: int, i: int, alpha: int):
     over words with that slot equal to alpha, scored with variable i's
     position excluded.  Returns (C_bar, C_eq).
     """
-    e = state.cache.edge_index[(i, j)]
+    e = state.code.edges.index((i, j))
     with np.errstate(divide="ignore"):
-        ext = D._slot_ext(state, j, int(state.cache.edge_slot[e]))
+        ext, _, _ = D._edge_ext(state, i, j)
     # bucket(b) = w(b) + ext(b) covers the words with b in variable i's slot
     bucket = np.concatenate(([0.0], state.messages[e])) + ext
     c_bar = -D.soft_min(bucket[np.arange(state.code.q) != alpha], state.kappa)
@@ -287,10 +287,10 @@ def compute_c_terms(state: D.DualState, j: int, i: int, alpha: int):
 
 def local_function(state: D.DualState, i: int, j: int) -> float:
     """Edge-local part of the dual objective: phi_i + theta_j, phi_i from
-    node_sum and theta_j from a trellis pass of check j alone."""
+    node_sum and theta_j from the trellis pass."""
     with np.errstate(divide="ignore"):
-        theta = D._trellis(state.messages, state.kappa, state.cache, [j])
-    return float(D._variable_potentials(state)[i] + theta[0, 0, 0])
+        theta = D._trellis(state.messages, state.kappa, state.cache)[j, 0, 0]
+    return float(D._variable_potentials(state)[i] + theta)
 
 
 def potentials(state: D.DualState):
@@ -428,7 +428,7 @@ def merged_slot_ext(state, j, stop):
     vals = state.code.row_vals[j]
     edges = check_edges(state.code, j)
     with np.errstate(divide="ignore"):
-        suffix = D._trellis(state.messages, state.kappa, state.cache, [j])[0]
+        suffix = D._trellis(state.messages, state.kappa, state.cache)[j]
     # each suffix row B_t followed by the 0 and +inf the tables point at
     g = np.column_stack([suffix, np.zeros(len(suffix)),
                          np.full(len(suffix), math.inf)])

@@ -132,7 +132,7 @@ def test_criterion_03_stationarity_and_argmax(small_code, capsys):
             set_message(state, i, j, rng.normal(0.0, 1.5, size=code.q - 1))
         i, j = code.edges[int(rng.integers(len(code.edges)))]
         update_edge_soft(state, i, j)
-        e = state.cache.edge_index[(i, j)]
+        e = code.edges.index((i, j))
         u = state.messages[e].copy()
         h = _edge_objective(state, i, j, e)
         grad = central_difference_gradient(h, u, step=1e-5)

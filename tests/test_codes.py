@@ -83,6 +83,19 @@ def test_tanner_code_rejects_bad_rows():
         TannerCode(q=4, n=3, rows=())
 
 
+def test_tanner_code_refuses_non_integer_sizes():
+    # bool is an Integral, but True is no ring size or length; a float q
+    # would make the syndrome a float array
+    rows = (((0, 1), (1, 1)),)
+    for field in ("q", "n"):
+        for bad in (4.0, "4", True):
+            sizes = {"q": 4, "n": 2, field: bad}
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                TannerCode(rows=rows, **sizes)
+    code = TannerCode(q=np.int64(4), n=np.int64(2), rows=rows)
+    assert code.syndrome([1, 3]).tolist() == [0]
+
+
 # ---- local codebook enumeration ----
 
 

@@ -114,10 +114,10 @@ def zero_divisor_codes():
 
 def trellis_buckets(state, j, t):
     """Slot t's bucket row of check j from the decoder's trellis: the
-    wave kernel run on check j alone up to slot t, nothing written."""
+    sweep's wave steps replayed up to the slot's wave, nothing written."""
     e = check_edges(state.code, j)[t]
     with np.errstate(divide="ignore"):
-        ext = D._slot_ext(state, j, t)
+        ext, _, _ = D._edge_ext(state, *state.code.edges[e])
     return np.concatenate(([0.0], state.messages[e])) + ext
 
 
@@ -350,9 +350,12 @@ def test_config_refuses_non_integer_max_iterations(bad):
 
 
 def test_config_refuses_bool_kappa():
+    # soft_min refuses the same kappas through the same check
     for bad in (True, "3", None):
         with pytest.raises(ValueError, match="kappa must be a number"):
             DecoderConfig(kappa=bad)
+        with pytest.raises(ValueError, match="kappa must be a number"):
+            soft_min([1.0, 2.0], bad)
 
 
 # ---- init_state ----
@@ -449,13 +452,13 @@ def test_v_terms_match_bruteforce():
     for kappa in (1.0, 10.0, math.inf):
         code, state = random_state(kappa, rng)
         for i, j in [code.edges[k] for k in rng.integers(0, len(code.edges), 4)]:
-            e = state.cache.edge_index[(i, j)]
+            e = code.edges.index((i, j))
             slots = list(code.columns[i])
             # full score of the constant-b word, channel slot included
             def full(b):
                 total = -state.llr[i, b - 1]
                 for j2 in slots:
-                    total += state.messages[state.cache.edge_index[(i, j2)], b - 1]
+                    total += state.messages[code.edges.index((i, j2)), b - 1]
                 return -total
             for alpha in range(1, code.q):
                 scores = [0.0 if b == 0 else full(b)
@@ -564,7 +567,7 @@ def test_update_soft_stationary():
             code, state = random_state(kappa, rng)
             i, j = code.edges[int(rng.integers(len(code.edges)))]
             update_edge_soft(state, i, j)
-            e = state.cache.edge_index[(i, j)]
+            e = code.edges.index((i, j))
             u = state.messages[e].copy()
             grad = central_difference_gradient(
                 lambda v: h_of(state, i, j, v), u, step=1e-5)
@@ -577,7 +580,7 @@ def test_update_soft_matches_numerical_argmax():
         code, state = random_state(kappa, rng)
         i, j = code.edges[int(rng.integers(len(code.edges)))]
         update_edge_soft(state, i, j)
-        e = state.cache.edge_index[(i, j)]
+        e = code.edges.index((i, j))
         u = state.messages[e].copy()
         h_star = h_of(state, i, j, u)
         for a in range(code.q - 1):
@@ -612,7 +615,7 @@ def test_update_self_exclusion():
     for kappa in (1.0, math.inf):
         code, state = random_state(kappa, rng)
         i, j = code.edges[int(rng.integers(len(code.edges)))]
-        e = state.cache.edge_index[(i, j)]
+        e = code.edges.index((i, j))
         twin = copy.deepcopy(state)
         set_message(twin, i, j, twin.messages[e] + np.array([5.0, -7.0, 3.0]))
         update = update_edge_hard if math.isinf(kappa) else update_edge_soft
@@ -627,7 +630,7 @@ def test_update_hard_local_max_probe():
         code, state = random_state(math.inf, rng)
         i, j = code.edges[int(rng.integers(len(code.edges)))]
         update_edge_hard(state, i, j)
-        e = state.cache.edge_index[(i, j)]
+        e = code.edges.index((i, j))
         u = state.messages[e].copy()
         h0 = h_of(state, i, j, u)
         for a in range(code.q - 1):
@@ -645,6 +648,25 @@ def test_update_kappa_dispatch_guards():
     code, hard_state = random_state(math.inf, rng)
     with pytest.raises(ValueError):
         update_edge_soft(hard_state, *code.edges[0])
+
+
+@pytest.mark.parametrize("kappa", [100.0, math.inf])
+def test_update_refuses_a_pair_that_is_no_edge(kappa):
+    # variable 0 is not in check 5: the update names the pair and writes
+    # nothing
+    code = ldpc80_z4()
+    assert (0, 5) not in code.edges
+    rng = np.random.default_rng(37)
+    state = init_state(code, rng.normal(0.0, 1.5, size=(code.n, code.q - 1)),
+                       DecoderConfig(kappa=kappa))
+    state.messages[:] = rng.normal(0.0, 2.0, size=state.messages.shape)
+    refresh_node_sum(state)
+    messages, node_sum = state.messages.copy(), state.node_sum.copy()
+    update = update_edge_hard if math.isinf(kappa) else update_edge_soft
+    with pytest.raises(ValueError, match=r"^\(0, 5\) is not an edge"):
+        update(state, 0, 5)
+    assert np.array_equal(state.messages, messages)
+    assert np.array_equal(state.node_sum, node_sum)
 
 
 def test_update_clamps_unreachable_symbol():
@@ -960,7 +982,7 @@ def test_slot_ext_matches_merged_step(kappa):
         for j in range(code.m):
             for t in range(len(code.rows[j])):
                 with np.errstate(divide="ignore"):
-                    got = D._slot_ext(state, j, t)
+                    got, _, _ = D._edge_ext(state, int(code.row_cols[j][t]), j)
                 want = merged_slot_ext(state, j, t)
                 if math.isinf(kappa):
                     assert np.array_equal(got, want)
@@ -1025,8 +1047,10 @@ def test_vectorized_bookkeeping_matches_loops():
 
 @pytest.mark.parametrize("kappa", [1.0, 100.0, math.inf])
 def test_suffix_pass_matches_per_check_pass(kappa):
-    # one pass vectorized over all checks equals each check's own pass bit
-    # for bit, padded short checks included; decode() relies on it
+    # one pass vectorized over all checks gives each check the bits of the
+    # pass of a code holding that check alone, and its padding slots after
+    # the last are identity sections; decode() and the per-edge replay
+    # rely on it
     rng = np.random.default_rng(45)
     codes = (ldpc80_z4(), ragged_code(), *zero_divisor_codes(),
              random_regular_code(32, 4, 8, 16, rng))
@@ -1037,8 +1061,12 @@ def test_suffix_pass_matches_per_check_pass(kappa):
         with np.errstate(divide="ignore"):
             whole = D._trellis(state.messages, kappa, state.cache)
             for j in range(code.m):
-                alone = D._trellis(state.messages, kappa, state.cache, [j])
-                assert np.array_equal(whole[j], alone[0])
+                single = TannerCode(q=code.q, n=code.n, rows=(code.rows[j],))
+                alone = D._trellis(state.messages[check_edges(code, j)],
+                                   kappa, D._CodeCache(single))[0]
+                degree = len(code.rows[j])
+                assert np.array_equal(whole[j, :degree + 1], alone)
+                assert np.all(whole[j, degree:] == alone[-1])
 
 
 def schedule_codes():
@@ -1120,8 +1148,7 @@ def test_wave_visit_matches_check_by_check(kappa):
             D._visit_waves(state, cache.steps, suffix)
             for j in range(code.m):
                 slots = cache.check_edges[j, :len(code.rows[j]), None]
-                D._visit_waves(alone, cache.plan(slots, np.arange(code.m)),
-                               suffix)
+                D._visit_waves(alone, cache.plan(slots), suffix)
         assert np.array_equal(state.messages, alone.messages)
         assert np.array_equal(state.node_sum, alone.node_sum)
 

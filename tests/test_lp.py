@@ -109,14 +109,17 @@ def word_cost(llr, word):
 
 def run_engine(c, A, b, basis, max_pivots=10_000, fixed=()):
     """_revised_phase2 on a dense program from a feasible basis, with the
-    columns listed in fixed held at zero: (x, y, pivots, basis, binv)."""
+    columns listed in fixed held at zero and _MAX_PIVOTS set to
+    max_pivots: (x, y, pivots, basis, binv)."""
     c = np.asarray(c, dtype=np.float64)
     A = np.asarray(A, dtype=np.float64)
     mask = np.zeros(len(c), dtype=bool)
     mask[list(fixed)] = True
-    return qarylp.lp._revised_phase2(
-        padded_store(A), np.asarray(b, dtype=np.float64), c, basis,
-        np.linalg.inv(A[:, basis]), max_pivots, mask)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qarylp.lp, "_MAX_PIVOTS", max_pivots)
+        return qarylp.lp._revised_phase2(
+            padded_store(A), np.asarray(b, dtype=np.float64), c, basis,
+            np.linalg.inv(A[:, basis]), mask)
 
 
 # the textbook program max 3x + 2y s.t. x + y <= 4, x <= 2, with slacks
@@ -148,7 +151,7 @@ def test_simplex_warm_start_reuses_basis():
     x, _, _, basis, binv = run_engine(c, A, b, [2, 3])
     again, _, pivots, warm, _ = qarylp.lp._revised_phase2(
         padded_store(A), np.asarray(b), np.asarray(c), basis, binv.copy(),
-        10_000, np.zeros(4, dtype=bool))
+        np.zeros(4, dtype=bool))
     assert pivots == 0
     assert warm == basis
     assert np.array_equal(again, x)
