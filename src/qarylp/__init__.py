@@ -3,8 +3,7 @@
 Subpackages: codes (Tanner graphs, local codebooks, code constructions),
 channel (PSK modulation and AWGN log-likelihood ratios), decoder (dual
 coordinate-ascent decoding), lp (exact LP decoding by column generation
-over a revised simplex, and an exhaustive ML oracle), and simulate
-(frame-error-rate sweeps).
+over a revised simplex), and simulate (frame-error-rate sweeps).
 """
 
 from .channel import (
@@ -16,7 +15,6 @@ from .channel import (
     ebno_to_sigma,
     modulate,
     psk,
-    qpsk,
 )
 from .codes import (
     BudgetExceeded,
@@ -47,10 +45,8 @@ from .decoder import (
 )
 from .lp import (
     CycleGuardTripped,
-    TooLarge,
     UnboundedRay,
     lp_decode_exact,
-    ml_bruteforce,
 )
 from .simulate import (
     FerPoint,
@@ -84,7 +80,6 @@ __all__ = [
     "SpcCodebook",
     "Status",
     "TannerCode",
-    "TooLarge",
     "UnboundedRay",
     "awgn_sample",
     "compute_llr",
@@ -97,10 +92,8 @@ __all__ = [
     "ldpc80_z4",
     "load_codeword_list",
     "lp_decode_exact",
-    "ml_bruteforce",
     "modulate",
     "psk",
-    "qpsk",
     "random_regular_code",
     "read_check_matrix",
     "resolve_code",

@@ -46,21 +46,12 @@ class ConstellationMap:
             raise ValueError(f"average energy must be 1, got {es}")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def energy(self) -> float:
-        return float(np.mean(np.abs(self.points) ** 2))
-
 
 def psk(q: int) -> ConstellationMap:
     """Phase-shift keying with natural labeling: a -> exp(2*pi*i*a/q)."""
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     return ConstellationMap(q=q, points=np.exp(2j * np.pi * np.arange(q) / q))
-
-
-def qpsk() -> ConstellationMap:
-    """Quaternary PSK: 0 -> 1, 1 -> i, 2 -> -1, 3 -> -i."""
-    return psk(4)
 
 
 def modulate(word, cmap: ConstellationMap) -> np.ndarray:

@@ -36,6 +36,18 @@ class ParseError(ValueError):
         self.line = line
 
 
+def _check_integer(name: str, value, low=None) -> None:
+    """Refuse a value that is no integer, or that lies below low.
+
+    bool is an Integral, but True is no size, count or matrix entry; numpy
+    integers are Integral and pass.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 # ---- Tanner-graph view of a parity-check matrix ----
 
 
@@ -64,19 +76,15 @@ class TannerCode:
     edges: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        for name in ("q", "n"):
-            value = getattr(self, name)
-            # bool is an Integral, but True is no ring size or length
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.q < 2:
-            raise ValueError(f"q must be >= 2, got {self.q}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        _check_integer("q", self.q, 2)
+        _check_integer("n", self.n, 1)
         if not self.rows:
             raise ValueError("m must be >= 1, got 0")
         norm = []
         for j, row in enumerate(self.rows):
+            for i, v in row:
+                _check_integer(f"check {j}: column", i)
+                _check_integer(f"check {j}: value", v)
             pairs = sorted((int(i), int(v)) for i, v in row)
             if len(pairs) < 2:
                 raise ValueError(
@@ -120,24 +128,6 @@ class TannerCode:
     @property
     def m(self) -> int:
         return len(self.rows)
-
-    @classmethod
-    def from_dense(cls, H, q: int) -> "TannerCode":
-        """Build from a dense (m, n) integer matrix; zeros are absent edges."""
-        H = np.asarray(H)
-        rows = tuple(
-            tuple((int(i), int(H[j, i])) for i in np.flatnonzero(H[j]))
-            for j in range(H.shape[0])
-        )
-        return cls(q=q, n=H.shape[1], rows=rows)
-
-    def dense(self) -> np.ndarray:
-        """The (m, n) parity-check matrix as a dense integer array."""
-        H = np.zeros((self.m, self.n), dtype=np.int64)
-        for j, row in enumerate(self.rows):
-            for i, v in row:
-                H[j, i] = v
-        return H
 
     def syndrome(self, word) -> np.ndarray:
         """Per-check residuals sum_i c_i H[j,i] mod q, shape (m,)."""

@@ -60,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codes import TannerCode
+from .codes import TannerCode, _check_integer
 
 # messages are clipped here; a bucket with no local word would otherwise
 # push its message to infinity
@@ -99,6 +99,14 @@ def _check_kappa_type(kappa) -> None:
         raise ValueError(f"kappa must be a number, got {kappa!r}")
 
 
+def _check_kappa(kappa) -> None:
+    """Refuse a kappa that is no number, or not > 0 (math.inf is hard
+    minima), with ValueError."""
+    _check_kappa_type(kappa)
+    if not kappa > 0:
+        raise ValueError(f"kappa must be > 0 or math.inf, got {kappa}")
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
     """Knobs for decode(): the sweep budget and the smoothing kappa.
@@ -112,19 +120,8 @@ class DecoderConfig:
     kappa: float = 100.0
 
     def __post_init__(self):
-        # bool is an Integral, but True is no sweep budget or kappa
-        if (isinstance(self.max_iterations, bool)
-                or not isinstance(self.max_iterations, numbers.Integral)):
-            raise ValueError(
-                f"max_iterations must be an integer, got {self.max_iterations!r}"
-            )
-        if self.max_iterations < 1:
-            raise ValueError(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
-            )
-        _check_kappa_type(self.kappa)
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be > 0 or math.inf, got {self.kappa}")
+        _check_integer("max_iterations", self.max_iterations, 1)
+        _check_kappa(self.kappa)
 
 
 @dataclass
@@ -358,9 +355,7 @@ def soft_min(values, kappa: float) -> float:
     arr = np.asarray(values, dtype=np.float64).reshape(-1, 1)
     if arr.size == 0:
         raise EmptyList("soft_min of an empty collection")
-    _check_kappa_type(kappa)
-    if not kappa > 0:
-        raise ValueError(f"kappa must be > 0 or math.inf, got {kappa}")
+    _check_kappa(kappa)
     lo = arr.min()
     if math.isnan(lo):
         raise ValueError("soft_min of a collection holding NaN")

@@ -43,7 +43,6 @@ codeword.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -63,10 +62,6 @@ _INTEGRALITY_TOL = 1e-6
 _REVISED_STALL_LIMIT = 200
 # basis-inverse refactorization cadence for the revised loop
 _REFACTOR_EVERY = 128
-
-
-class TooLarge(ValueError):
-    """The code is too large for exhaustive ML search."""
 
 
 class CycleGuardTripped(RuntimeError):
@@ -385,10 +380,10 @@ class _ExactSetup:
     _crash_basis), and crash_binv is its inverse; b_pert is the rhs b
     perturbed so that the crash solution stays feasible.  uncovered lists
     the variables that no check covers, whose indicator columns touch no
-    row.  words, word_index and crash_held serve the pricing of every
-    check's words at once (see _add_cheapest_words).  A check whose
-    codebook bound q^(d-1) exceeds _CODEBOOK_BUDGET
-    words raises BudgetExceeded.
+    row.  word_index and crash_held serve the pricing of every check's
+    words at once (see _add_cheapest_words), and word_index % q gives back
+    the words' symbols.  A check whose codebook bound q^(d-1) exceeds
+    _CODEBOOK_BUDGET words raises BudgetExceeded.
     """
 
     def __init__(self, code: TannerCode):
@@ -397,7 +392,7 @@ class _ExactSetup:
             if size > _CODEBOOK_BUDGET:
                 raise BudgetExceeded(f"check {j}: codebook bound {size} "
                                      f"exceeds budget {_CODEBOOK_BUDGET}")
-        self.books = tuple(enumerate_spc(code, j) for j in range(code.m))
+        books = [enumerate_spc(code, j) for j in range(code.m)]
         cache = _code_cache(code)
         self.check_edges = cache.check_edges
         # each edge's variable and that variable's degree, for the
@@ -428,19 +423,19 @@ class _ExactSetup:
         # codebook; word_index holds the flat offsets of each word's
         # symbols into an (n_edges + 1, q) array of edge messages whose last
         # row, the padding edge's, is zero
-        count = max(len(book) for book in self.books)
-        self.words = np.zeros((code.m, count, self.check_edges.shape[1]),
-                              dtype=np.intp)
+        count = max(map(len, books))
+        words = np.zeros((code.m, count, self.check_edges.shape[1]),
+                         dtype=np.intp)
         self.check_degree = cache.degree
-        self.crash_words, self.crash_units = _crash_words(code, self.books)
+        self.crash_words, self.crash_units = _crash_words(code, books)
         # the words a first master holds: the crash words, and the padding
         # past each codebook so that it is never priced in
         self.crash_held = np.ones((code.m, count), dtype=bool)
-        for j, book in enumerate(self.books):
-            self.words[j, :len(book), :book.words.shape[1]] = book.words
+        for j, book in enumerate(books):
+            words[j, :len(book), :book.words.shape[1]] = book.words
             self.crash_held[j, :len(book)] = False
             self.crash_held[j, self.crash_words[j]] = True
-        self.word_index = self.check_edges[:, None, :] * q + self.words
+        self.word_index = self.check_edges[:, None, :] * q + words
         # a unit column's block row k is slot k // (q-1), symbol k % (q-1) + 1;
         # none is a normalization row, which the zero word's column is
         units = np.full((sum(map(len, self.crash_units)), self.width),
@@ -490,7 +485,7 @@ class _ExactSetup:
         checks = np.repeat(np.arange(len(word_ids)),
                            [len(ws) for ws in word_ids])
         ids = np.concatenate([np.asarray(ws, np.intp) for ws in word_ids])
-        words = self.word_store(checks, self.words[checks, ids])
+        words = self.word_store(checks, self.word_index[checks, ids] % self.q)
         return tuple(np.concatenate(arrays)
                      for arrays in zip((self.ind_rows, self.ind_signs), words))
 
@@ -536,7 +531,7 @@ def _add_cheapest_words(setup: _ExactSetup, held, y, below):
         np.take_along_axis(scores, order, axis=1) < np.inf)
     picked = order[checks, rank]
     held[checks, picked] = True
-    return setup.word_store(checks, setup.words[checks, picked])
+    return setup.word_store(checks, setup.word_index[checks, picked] % q)
 
 
 def _column_generation(setup: _ExactSetup, c_ind):
@@ -669,32 +664,3 @@ def lp_decode_exact(code: TannerCode, llr) -> DecodeOutcome:
         iterations_used=pivots,
         dual_objective_trace=(value,),
     )
-
-
-# ---- exhaustive ML oracle ----
-
-
-def ml_bruteforce(code: TannerCode, llr) -> np.ndarray:
-    """Exhaustive minimum-cost codeword; ties break lexicographically.
-
-    Only for tiny codes: refuses when the full search space q^n exceeds
-    2^20 words.
-    """
-    q, n = code.q, code.n
-    if n * math.log2(q) > 20.0 + 1e-9:
-        raise TooLarge(f"q^n = {q}^{n} exceeds the exhaustive search bound")
-    lam = validate_llr(code, llr)
-    total = q ** n
-    ids = np.arange(total)
-    words = np.empty((total, n), dtype=np.int64)
-    for t in range(n):
-        words[:, t] = (ids // q ** (n - 1 - t)) % q
-    H = code.dense()
-    mask = ~np.any(words @ H.T % q, axis=1)
-    codewords = words[mask]
-    costs = np.zeros(codewords.shape[0])
-    for t in range(n):
-        padded = np.concatenate(([0.0], lam[t]))
-        costs += padded[codewords[:, t]]
-    # np.argmin returns the first minimum, which is the lex-least codeword
-    return codewords[int(np.argmin(costs))].copy()

@@ -14,19 +14,19 @@ requested, keeping output bytes reproducible.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import awgn_sample, compute_llr, ebno_to_sigma, modulate, psk
-from .codes import TannerCode, ldpc80_z4, read_check_matrix
+from .codes import TannerCode, _check_integer, ldpc80_z4, read_check_matrix
 from .decoder import (
     ERASED,
     DecoderConfig,
     MalformedDecision,
     Status,
+    _check_kappa,
     _check_kappa_type,
     decode,
 )
@@ -65,17 +65,13 @@ class SimConfig:
         object.__setattr__(self, "ebno_list", ebno)
         for name, low in (("target_frame_errors", 1), ("max_frames", 1),
                           ("max_iterations", 1), ("workers", 1), ("seed", 0)):
-            count = getattr(self, name)
-            # bool is an Integral, but True is no count
-            if (isinstance(count, bool)
-                    or not isinstance(count, numbers.Integral)):
-                raise ValueError(f"{name} must be an integer, got {count!r}")
-            if count < low:
-                raise ValueError(f"{name} must be >= {low}, got {count}")
-        # refused whatever the decoder, although only the soft one reads it
-        _check_kappa_type(self.kappa)
-        if self.decoder == "soft" and not self.kappa > 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+            _check_integer(name, getattr(self, name), low)
+        # a non-number is refused whatever the decoder, although only the
+        # soft one reads kappa
+        if self.decoder == "soft":
+            _check_kappa(self.kappa)
+        else:
+            _check_kappa_type(self.kappa)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here trades speed for obviousness: exhaustive enumeration,
+the exhaustive ML search (ml_bruteforce, refusing with TooLarge past
+q^n = 2^20) and the dense parity-check matrix it filters with (dense),
 Smith normal forms, finite differences, scalar golden-section search,
 edge-by-edge and loop forms of the decoder's sweep and bookkeeping, and the
 merged O(q^3) trellis step that the decoder's O(q^2) kernel regroups.  The
@@ -26,6 +28,15 @@ from qarylp import lp as L
 from qarylp.codes import enumerate_spc
 
 
+def dense(code):
+    """The (m, n) parity-check matrix of a code as a dense integer array."""
+    H = np.zeros((code.m, code.n), dtype=np.int64)
+    for j, row in enumerate(code.rows):
+        for i, v in row:
+            H[j, i] = v
+    return H
+
+
 def spc_words_bruteforce(code, j):
     """All local words of check j by filtering the full q^d grid."""
     cols = code.row_cols[j]
@@ -41,7 +52,7 @@ def spc_words_bruteforce(code, j):
 def codewords_bruteforce(code):
     """All codewords of a tiny code by filtering the full q^n grid."""
     q, n = code.q, code.n
-    H = code.dense()
+    H = dense(code)
     out = []
     for word in itertools.product(range(q), repeat=n):
         if not np.any(np.dot(H, word) % q):
@@ -231,7 +242,7 @@ def codewords_vectorized(code, chunk=1 << 20):
     syndromes are computed by one matrix product per chunk.
     """
     q, n = code.q, code.n
-    H = code.dense().astype(np.int64)
+    H = dense(code)
     total = q ** n
     powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     out = []
@@ -241,6 +252,35 @@ def codewords_vectorized(code, chunk=1 << 20):
         keep = ~np.any(words @ H.T % q, axis=1)
         out.append(words[keep])
     return np.concatenate(out)
+
+
+class TooLarge(ValueError):
+    """The code is too large for exhaustive ML search."""
+
+
+def ml_bruteforce(code, llr):
+    """Exhaustive minimum-cost codeword; ties break lexicographically.
+
+    Only for tiny codes: refuses with TooLarge when the full search space
+    q^n exceeds 2^20 words.  LLRs are checked as the decoders check them.
+    """
+    q, n = code.q, code.n
+    if n * math.log2(q) > 20.0 + 1e-9:
+        raise TooLarge(f"q^n = {q}^{n} exceeds the exhaustive search bound")
+    lam = D.validate_llr(code, llr)
+    total = q ** n
+    ids = np.arange(total)
+    words = np.empty((total, n), dtype=np.int64)
+    for t in range(n):
+        words[:, t] = (ids // q ** (n - 1 - t)) % q
+    mask = ~np.any(words @ dense(code).T % q, axis=1)
+    codewords = words[mask]
+    costs = np.zeros(codewords.shape[0])
+    for t in range(n):
+        padded = np.concatenate(([0.0], lam[t]))
+        costs += padded[codewords[:, t]]
+    # np.argmin returns the first minimum, which is the lex-least codeword
+    return codewords[int(np.argmin(costs))].copy()
 
 
 def set_message(state: D.DualState, i: int, j: int, values) -> None:
@@ -677,10 +717,13 @@ def padded_store(A):
     return rows, vals
 
 
-def full_columns(setup):
-    """The dense constraint matrix of every local word of an _ExactSetup."""
-    return dense_store(
-        *setup.store([range(len(book)) for book in setup.books]), setup.n_rows)
+def full_columns(code):
+    """The dense constraint matrix of every local word of a code, from the
+    exact LP's own column store (_ExactSetup.store)."""
+    setup = L._exact_setup(code)
+    return dense_store(*setup.store(
+        [range(len(enumerate_spc(code, j))) for j in range(code.m)]),
+        setup.n_rows)
 
 
 # the exact LP's variables: indicators (n, q-1) and per check j weights over
@@ -694,10 +737,10 @@ FactorPoint = namedtuple("FactorPoint",
 def check_marginal(point, code):
     """Worst violation of each marginal-form constraint family: |A x - b| on
     the exact LP's coupling rows and on its normalization rows, A the
-    full_columns of its setup, and the most negative check weight."""
+    full_columns of the code, and the most negative check weight."""
     setup = L._exact_setup(code)
     w = np.concatenate(point.check_weights)
-    gap = np.abs(full_columns(setup) @ np.concatenate(
+    gap = np.abs(full_columns(code) @ np.concatenate(
         [np.ravel(point.indicators), w]) - setup.b)
     return {"coupling": float(gap[:setup.n_coupling].max()),
             "check_weight_nonneg": float(np.maximum(-w, 0.0).max()),
@@ -737,8 +780,8 @@ def codeword_vertex(code, word):
     f = np.zeros((code.n, code.q - 1))
     f[np.flatnonzero(w), w[w != 0] - 1] = 1.0
     return MarginalPoint(f, tuple(
-        (book.words == w[cols]).all(axis=1) * 1.0
-        for book, cols in zip(L._exact_setup(code).books, code.row_cols)))
+        (enumerate_spc(code, j).words == w[cols]).all(axis=1) * 1.0
+        for j, cols in enumerate(code.row_cols)))
 
 
 def lp_cost(llr, point):

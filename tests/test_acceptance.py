@@ -29,7 +29,6 @@ from qarylp import (
     format_csv,
     ldpc80_z4,
     lp_decode_exact,
-    ml_bruteforce,
     modulate,
     psk,
     random_regular_code,
@@ -56,6 +55,7 @@ from oracles import (
     local_function,
     lp_cost,
     marginal_to_factor,
+    ml_bruteforce,
     set_message,
     spc_words_bruteforce,
 )

@@ -16,7 +16,7 @@ from qarylp import (
     write_check_matrix,
 )
 
-from oracles import log_codebook_size_snf, spc_words_bruteforce, syndrome_loop
+from oracles import dense, log_codebook_size_snf, spc_words_bruteforce, syndrome_loop
 
 
 # ---- Tanner code structure ----
@@ -29,12 +29,11 @@ def test_tanner_code_structure():
     assert code.m == 2
     assert code.columns == ((0,), (0, 1), (1,))
     assert code.edges == ((0, 0), (1, 0), (1, 1), (2, 1))
-    assert code.dense().tolist() == [[1, 2, 0], [0, 3, 1]]
-    assert TannerCode.from_dense(code.dense(), q=4) == code
+    assert dense(code).tolist() == [[1, 2, 0], [0, 3, 1]]
 
 
 def test_tanner_code_syndrome():
-    code = TannerCode.from_dense([[1, 2, 0], [0, 3, 1]], q=4)
+    code = TannerCode(q=4, n=3, rows=(((0, 1), (1, 2)), ((1, 3), (2, 1))))
     assert code.syndrome([2, 1, 0]).tolist() == [0, 3]
     assert not code.is_codeword([2, 1, 0])
     assert code.is_codeword([2, 1, 1])
@@ -94,6 +93,22 @@ def test_tanner_code_refuses_non_integer_sizes():
                 TannerCode(rows=rows, **sizes)
     code = TannerCode(q=np.int64(4), n=np.int64(2), rows=rows)
     assert code.syndrome([1, 3]).tolist() == [0]
+
+
+@pytest.mark.parametrize("row", [((0, 1), (1.7, 2.9)), ((0, True), (1, 1)),
+                                 ((0, 1), (1, np.bool_(True)))])
+def test_tanner_code_refuses_non_integer_entries(row):
+    # int() alone would truncate a float entry and take a bool as 1
+    with pytest.raises(ValueError, match="^check 0: (column|value) must be an integer"):
+        TannerCode(q=4, n=2, rows=(row,))
+
+
+def test_tanner_code_takes_numpy_integer_entries():
+    rows = (((0, 1), (1, 3)), ((1, 2), (2, 2)))
+    numpy_code = TannerCode(q=4, n=3, rows=tuple(
+        tuple((np.int64(i), np.int64(v)) for i, v in row) for row in rows))
+    assert numpy_code == TannerCode(q=4, n=3, rows=rows)
+    assert {type(x) for row in numpy_code.rows for pair in row for x in pair} == {int}
 
 
 # ---- local codebook enumeration ----
@@ -173,7 +188,7 @@ def test_ldpc80_shape():
 
 def test_ldpc80_rate():
     code = ldpc80_z4()
-    logq_size = log_codebook_size_snf(code.dense(), code.q)
+    logq_size = log_codebook_size_snf(dense(code), code.q)
     assert logq_size == pytest.approx(48.0, abs=1e-12)
     assert logq_size / code.n == pytest.approx(0.6, abs=1e-12)
 

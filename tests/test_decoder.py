@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qarylp import decoder as D
-from qarylp.channel import awgn_sample, compute_llr, ebno_to_sigma, modulate, psk, qpsk
+from qarylp.channel import awgn_sample, compute_llr, ebno_to_sigma, modulate, psk
 from qarylp.codes import (
     TannerCode,
     enumerate_spc,
@@ -866,7 +866,7 @@ def test_decide_codeword_status():
 
 
 def _noiseless_llr(code, sigma=0.3):
-    cmap = qpsk()
+    cmap = psk(4)
     y = modulate(np.zeros(code.n, dtype=int), cmap)
     return compute_llr(y, cmap, sigma)
 
