@@ -78,7 +78,7 @@ class TannerCode:
     def __post_init__(self):
         _check_integer("q", self.q, 2)
         _check_integer("n", self.n, 1)
-        if not self.rows:
+        if len(self.rows) == 0:
             raise ValueError("m must be >= 1, got 0")
         norm = []
         for j, row in enumerate(self.rows):

@@ -19,26 +19,32 @@ one slot-major pass (a vector add per slot of the store), forms the entering
 column's d = B^-1 a from as many columns of the inverse as a has nonzeros,
 and updates only the |nnz(d)| x |nnz(row)| inverse entries that can change,
 on the rows where d is nonzero and the columns where the new pivot row is.
-The running duals are updated with the same row, and the periodic
-refactorization replays the same product-form updates from the crash basis's
-inverse, so no BLAS or LAPACK routine runs and the pivot path does not
-depend on the thread count.  Column generation only appends the columns of
-priced-in words to its master, so one basis inverse is carried from round to
-round.  The crash basis it starts from, inverted once per code, is the zero
-codeword with every covered indicator already basic: the indicators would
-otherwise cost one pivot each to bring in, and a refactorization replays
-only the basis columns the crash does not hold.  The first master also
-holds, per check, the cheapest words that the crash does not, priced by the
-same code as every later round against channel-split duals: each edge takes
-its variable's channel costs divided by the variable's degree, so every
-covered indicator prices at zero.  These columns only start the master
-nearer its optimum, which column generation still certifies over the full
-codebooks.  Pivoting uses the Dantzig rule and falls back to Bland's after a
-degenerate stall: pure Dantzig can cycle on the degenerate decoding
-polytope, and pure Bland is far slower there.  The unit columns that
-complete a crash basis whose check's codebook columns cannot fill its block
-are fixed at zero, so every code decodes by column generation from the zero
-codeword.
+Entries of d and of the inverse below _DROP_TOL (1e-12) in magnitude are
+stored as exact zeros: they are round-off residue of zeros, which would
+otherwise fill the inverse and be carried by every later pivot.  On
+ldpc80_z4 and its Z_8 twin no entry lies in [1e-12, 1e-6), so the drop takes
+residue only.  The running duals are updated with the same row, and the
+periodic refactorization replays the same product-form updates from the
+crash basis's inverse, so no BLAS or LAPACK routine runs and the pivot path
+does not depend on the thread count.  Column generation only appends the
+columns of priced-in words to its master, so one basis inverse is carried
+from round to round.  The crash basis it starts from, inverted once per
+code, is the zero codeword with every covered indicator already basic: the
+indicators would otherwise cost one pivot each to bring in, and a
+refactorization replays only the basis columns the crash does not hold.  The
+first master also holds, per check, the cheapest words that the crash does
+not, priced by the same code as every later round against channel-split
+duals: each edge takes its variable's channel costs divided by the
+variable's degree, so every covered indicator prices at zero.  These columns
+only start the master nearer its optimum, which column generation still
+certifies over the full codebooks.  Pivoting uses the Dantzig rule priced
+per nonzero, the most negative reduced cost divided by the column's nonzero
+count, so a word column with d+1 nonzeros does not outrank an indicator on
+raw cost alone.  It falls back to Bland's rule after a degenerate stall:
+Dantzig can cycle on the degenerate decoding polytope, and pure Bland is far
+slower there.  The unit columns that complete a crash basis whose check's
+codebook columns cannot fill its block are fixed at zero, so every code
+decodes by column generation from the zero codeword.
 """
 
 from __future__ import annotations
@@ -52,6 +58,9 @@ from .decoder import ERASED, DecodeOutcome, Status, _code_cache, validate_llr
 
 # reduced-cost and pivot-element threshold for the simplex core
 _SIMPLEX_TOL = 1e-9
+# FTRAN results and basis-inverse entries below this in magnitude are
+# round-off residue of exact zeros, and are stored as 0
+_DROP_TOL = 1e-12
 # the perturbed optimal basis stays optimal for the true rhs when its basic
 # values there are at least -_FEAS_TOL (fixed columns at most _FEAS_TOL)
 _FEAS_TOL = 1e-7
@@ -92,10 +101,17 @@ def _price(y, slots):
     return (vals * y[rows]).sum(axis=0)
 
 
+def _drop(a):
+    """a with every entry below _DROP_TOL in magnitude set to 0, in place."""
+    a[np.abs(a) < _DROP_TOL] = 0.0
+    return a
+
+
 def _ftran(binv, rows, vals):
-    """d = binv·a for one stored column: a signed sum of columns of binv."""
+    """d = binv·a for one stored column: a signed sum of columns of binv,
+    with every entry below _DROP_TOL in magnitude set to 0."""
     live = vals != 0
-    return (binv[:, rows[live]] * vals[live]).sum(axis=1)
+    return _drop((binv[:, rows[live]] * vals[live]).sum(axis=1))
 
 
 def _matvec(binv, b):
@@ -109,8 +125,10 @@ def _update_inverse(binv, d, r):
     Only the |nnz(d)| x |nnz(row)| entries on the rows where d is nonzero
     and the columns where the new row r is nonzero change: everywhere else
     the dense rank-one update would subtract a zero, which at most flips
-    the sign of a zero entry.  Those entries are gathered and scattered
-    through flat offsets into binv, so binv must be C-contiguous
+    the sign of a zero entry.  Every entry written, on the new row r and in
+    that block, becomes 0 when its magnitude is below _DROP_TOL: it is
+    round-off residue of an exact zero.  The entries are gathered and
+    scattered through flat offsets into binv, so binv must be C-contiguous
     (ValueError otherwise: a flat copy would be updated instead).
     """
     if not binv.flags.c_contiguous:
@@ -121,8 +139,8 @@ def _update_inverse(binv, d, r):
     nz = np.flatnonzero(row)
     at = (hit * len(binv))[:, None] + nz
     flat = binv.reshape(-1)
-    flat[at] -= d[hit, None] * row[nz]
-    binv[r] = row
+    flat[at] = _drop(flat[at] - d[hit, None] * row[nz])
+    binv[r] = _drop(row)
 
 
 def _invert(cols, basis, m, start=None):
@@ -135,8 +153,8 @@ def _invert(cols, basis, m, start=None):
     pivoting); a column listed twice enters the second time.  The rows are
     then put back in basis order.  Raises ValueError when a column has no
     entry above _SIMPLEX_TOL in magnitude left on the free rows, that is,
-    the basis is singular: rounding leaves entries near 1e-16 where a
-    column listed twice has exact zeros.
+    the basis is singular: a column listed twice has exact zeros there, up
+    to rounding.
     """
     rows, vals = cols
     held, inverse = start or ((), None)
@@ -171,15 +189,18 @@ def _revised_phase2(cols, b, c, basis, binv, fixed, spent=0, start=None):
     forms the entering column's d as a signed sum of as many columns of binv
     as it has nonzeros, and updates the |nnz(d)| x |nnz(row)| entries of
     binv on the rows where d is nonzero and the columns where the new row r
-    is (see _update_inverse).  The mask of fixed basic columns is kept pivot
-    by pivot.  The duals are running ones: _duals computes them at the start
+    is (see _update_inverse); entries of d and binv below _DROP_TOL in
+    magnitude become 0.  The mask of fixed basic columns is kept pivot by
+    pivot.  The duals are running ones: _duals computes them at the start
     and after each refactorization, and a pivot that enters s at row r adds
     z[s] times the new row r of binv.  When they price no column in, they
     are computed afresh and every column is priced again, so drift in the
-    running duals cannot end a call early.  The entering column is the most
-    negative reduced cost until more than _REVISED_STALL_LIMIT consecutive
-    degenerate pivots, then the first negative one (Bland), below
-    -_SIMPLEX_TOL either way.  Every _REFACTOR_EVERY-th pivot, counted from
+    running duals cannot end a call early.  Among the columns whose
+    reduced cost z_j is below -_SIMPLEX_TOL, the entering one has the most
+    negative z_j / nnz(a_j), nnz the stored column's nonzero count (counted
+    once per call, as the slot-major store is built), until more than
+    _REVISED_STALL_LIMIT consecutive degenerate pivots; then it is the
+    first of them (Bland).  Every _REFACTOR_EVERY-th pivot, counted from
     spent, rebuilds binv with _invert from start (see _invert; None starts
     from I), so a caller that carries binv from one call to the next keeps
     one cadence.  binv, a C-contiguous array, is updated in place.  A column
@@ -195,6 +216,8 @@ def _revised_phase2(cols, b, c, basis, binv, fixed, spent=0, start=None):
     rows, vals = cols
     # the store slot-major for pricing; columns change only between calls
     slots = (np.ascontiguousarray(rows.T), np.ascontiguousarray(vals.T))
+    # each column's nonzero count, at least 1, for pricing per nonzero
+    nnz = np.maximum(np.count_nonzero(vals, axis=1), 1)
     m = len(b)
     basis = np.array(basis, dtype=np.intp)
     held = fixed[basis]
@@ -212,7 +235,7 @@ def _revised_phase2(cols, b, c, basis, binv, fixed, spent=0, start=None):
             negative = np.flatnonzero(z < -tol)
             s = int(negative[0]) if negative.size else -1
         else:
-            s = int(np.argmin(z))
+            s = int(np.argmin(np.where(z < -tol, z / nnz, 0.0)))
             if z[s] >= -tol:
                 s = -1
         if s < 0:

@@ -632,12 +632,14 @@ def decide_symbols_loop(state):
 
 def update_inverse_dense(binv, d, r):
     """Product-form update of binv in place as one dense rank-one outer
-    product over every row; d = binv @ a for the column a entering at r."""
+    product over every row, d = binv @ a for the column a entering at r;
+    then every entry below lp._DROP_TOL in magnitude is set to 0."""
     row = binv[r] / d[r]
     scale = d.copy()
     scale[r] = 0.0
     binv -= np.outer(scale, row)
     binv[r] = row
+    binv[np.abs(binv) < L._DROP_TOL] = 0.0
 
 
 def decoding_lp_columns(code):

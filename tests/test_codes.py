@@ -111,6 +111,19 @@ def test_tanner_code_takes_numpy_integer_entries():
     assert {type(x) for row in numpy_code.rows for pair in row for x in pair} == {int}
 
 
+def test_tanner_code_takes_rows_as_an_array():
+    # an (m, d, 2) array of (column, value) pairs builds the same code as
+    # the tuple form; the emptiness test reads its length, not its truth
+    rows = (((0, 1), (1, 3)), ((1, 2), (2, 2)))
+    array_code = TannerCode(q=4, n=3, rows=np.array(rows))
+    tuple_code = TannerCode(q=4, n=3, rows=rows)
+    assert array_code == tuple_code
+    assert hash(array_code) == hash(tuple_code)
+    assert array_code.rows == rows
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        TannerCode(q=4, n=3, rows=np.zeros((0, 2, 2), dtype=np.int64))
+
+
 # ---- local codebook enumeration ----
 
 

@@ -59,6 +59,10 @@ from qarylp.lp import (
 from qarylp.simulate import SimConfig, run_point
 
 
+Z8_CODE = (Path(__file__).resolve().parents[1]
+           / "perfbench" / "codes" / "ldpc80_z8.txt")
+
+
 def single_check_code():
     return TannerCode(q=4, n=2, rows=(((0, 1), (1, 1)),))
 
@@ -164,21 +168,29 @@ def test_simplex_unbounded():
 
 
 def test_simplex_degenerate_terminates():
-    # Beale's degenerate program: pure Dantzig pricing cycles on it, so the
-    # engine must fall back to Bland after _REVISED_STALL_LIMIT degenerate
-    # pivots and end at the optimum
-    c = [0.0, 0.0, 0.0, -0.75, 150.0, -0.02, 6.0]
-    A = [
+    # Beale's degenerate program, on which pure Dantzig pricing cycles.
+    # Priced per nonzero it ends at the optimum in a few pivots; with every
+    # column (c and A) multiplied by its nonzero count, the per-nonzero
+    # rule makes Dantzig's choices on the original, so the engine must fall
+    # back to Bland after _REVISED_STALL_LIMIT degenerate pivots and still
+    # end at the optimum, which the scaling does not move
+    c = np.array([0.0, 0.0, 0.0, -0.75, 150.0, -0.02, 6.0])
+    A = np.array([
         [1.0, 0.0, 0.0, 0.25, -60.0, -1.0 / 25.0, 9.0],
         [0.0, 1.0, 0.0, 0.5, -90.0, -1.0 / 50.0, 3.0],
         [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
-    ]
+    ])
     b = [0.0, 0.0, 1.0]
     expected, _ = lp_vertex_enumeration(c, A, b)
-    x, _, pivots, _, _ = run_engine(c, A, b, [0, 1, 2])
-    assert pivots > qarylp.lp._REVISED_STALL_LIMIT
+    assert expected == pytest.approx(-0.05, abs=1e-12)
+    x, _, _, _, _ = run_engine(c, A, b, [0, 1, 2])
     assert np.dot(c, x) == pytest.approx(expected, abs=1e-9)
     assert np.abs(np.dot(A, x) - b).max() < 1e-9
+    scale = np.count_nonzero(A, axis=0)
+    x, _, pivots, _, _ = run_engine(c * scale, A * scale, b, [0, 1, 2])
+    assert pivots > qarylp.lp._REVISED_STALL_LIMIT
+    assert np.dot(c * scale, x) == pytest.approx(expected, abs=1e-9)
+    assert np.abs(np.dot(A * scale, x) - b).max() < 1e-9
 
 
 def test_simplex_matches_vertex_enumeration():
@@ -259,6 +271,34 @@ def test_update_inverse_matches_dense_form(monkeypatch):
         lp_decode_exact(ldpc80_z4(), lam)
     assert len(calls) > 1000
     assert all(calls)
+
+
+def test_inverse_entries_leave_a_gap_above_the_drop_tolerance(monkeypatch):
+    # _DROP_TOL = 1e-12 only drops round-off residue of exact zeros: over
+    # the six frames-lp-z4-3db corpus frames and frame 0 of the Z_8 file at
+    # 6 dB, no FTRAN result and no inverse entry that an update writes
+    # (rows where d is nonzero) has a magnitude in [_DROP_TOL, 1e-6).
+    # Without the drop, 1e-12 was the residue's upper end: 7.9M written
+    # entries below it on Z_4 and 269M on Z_8, and none in the gap
+    update = qarylp.lp._update_inverse
+    counts = {"written": 0, "gap": 0}
+
+    def watched(binv, d, r):
+        update(binv, d, r)
+        for entries in (d, binv[np.flatnonzero(d)]):
+            mag = np.abs(entries)
+            counts["written"] += mag.size
+            counts["gap"] += int(((mag >= qarylp.lp._DROP_TOL)
+                                  & (mag < 1e-6)).sum())
+
+    monkeypatch.setattr(qarylp.lp, "_update_inverse", watched)
+    z4 = ldpc80_z4()
+    for lam in simulate_frames(z4, 3.0, 1, 0, range(6)):
+        lp_decode_exact(z4, lam)
+    z8 = read_check_matrix(Z8_CODE)
+    lp_decode_exact(z8, simulate_frames(z8, 6.0, 1, 0, [0])[0])
+    assert counts["written"] > 10**8
+    assert counts["gap"] == 0
 
 
 def test_update_inverse_matches_dense_form_on_random_sparse_inverses():
@@ -725,8 +765,7 @@ def test_decoding_lp_matches_entrywise_build():
 def crash_codes():
     """ldpc80_z4, the Z_8 benchmark code, small unit and non-unit codes and
     the mixed-degree codes."""
-    z8 = Path(__file__).resolve().parents[1] / "perfbench" / "codes" / "ldpc80_z8.txt"
-    codes = [ldpc80_z4(), read_check_matrix(z8), single_check_code(),
+    codes = [ldpc80_z4(), read_check_matrix(Z8_CODE), single_check_code(),
              four_cycle_code(),
              TannerCode(q=4, n=3, rows=(((0, 1), (1, 1)), ((0, 1), (2, 1)))),
              TannerCode(q=4, n=2, rows=(((0, 1), (1, 3)),))]
@@ -929,14 +968,15 @@ def test_exact_decode_round_guard(monkeypatch):
 def test_exact_decode_pivot_count_guard():
     # simulate's seed 1, point 0, frames 0-5 at 3 dB take 2590 pivots in all
     # from the zero-codeword crash with no indicator basic, 1187 from the
-    # crash with every covered indicator basic, and 994 once the first
-    # master also holds each check's cheapest words under the
-    # channel-split duals; 1043 is 994 plus the 5% that the benchmark
-    # allows on its pivots per frame
+    # crash with every covered indicator basic, 994 once the first master
+    # also holds each check's cheapest words under the channel-split duals,
+    # and 915 once pricing is per nonzero and round-off is dropped from the
+    # inverse; 960 is 915 plus the 5% that
+    # the benchmark allows on its pivots per frame
     config = SimConfig(decoder="lp", ebno_list=(3.0,), max_frames=6, seed=1)
     point = run_point(config, 3.0)
     assert point.frames_run == 6
-    assert round(point.mean_iterations * point.frames_run) <= 1043
+    assert round(point.mean_iterations * point.frames_run) <= 960
 
 
 def simulate_frames(code, ebno, seed, point, frames):
@@ -960,10 +1000,31 @@ def test_exact_decode_pivot_path_is_pinned():
     code = ldpc80_z4()
     outs = [lp_decode_exact(code, lam)
             for lam in simulate_frames(code, 3.0, 1, 0, range(6))]
-    assert [o.iterations_used for o in outs] == [112, 273, 164, 160, 133, 152]
+    assert [o.iterations_used for o in outs] == [114, 232, 140, 162, 110, 157]
     optima = [float(o.dual_objective_trace[0]).hex() for o in outs]
-    assert optima == ["0x0.0p+0", "0x0.0p+0", "-0x1.1603d0d37c410p+0",
+    assert optima == ["0x0.0p+0", "0x0.0p+0", "-0x1.1603d0d37c411p+0",
                       "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]
+
+
+@pytest.mark.parametrize("ebno, pivots, erased", [(3.0, 307, 13),
+                                                   (2.0, 691, 25)])
+def test_exact_decode_fractional_frame_is_pinned(ebno, pivots, erased):
+    # frame 25 of simulate's seed 1, point 0 has a fractional LP optimum at
+    # 3 and 2 dB; degenerate, it took 1063 and 1768 pivots under plain
+    # Dantzig pricing.  Pivots, status and erasures are pinned, the optimum
+    # is HiGHS's
+    optimize = pytest.importorskip("scipy.optimize")
+    code = ldpc80_z4()
+    lam = simulate_frames(code, ebno, 1, 0, [25])[0]
+    out = lp_decode_exact(code, lam)
+    assert out.iterations_used == pivots
+    assert out.status is Status.MAX_ITERATIONS
+    assert int((out.symbols == ERASED).sum()) == erased
+    c, A, b = decoding_lp(code, lam)
+    ref = optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None),
+                           method="highs")
+    assert ref.status == 0
+    assert out.dual_objective_trace[0] == pytest.approx(ref.fun, abs=1e-7)
 
 
 def test_exact_decode_codeword_translation_symmetry():

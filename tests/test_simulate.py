@@ -251,20 +251,22 @@ def test_malformed_frames_accounting(monkeypatch, small_code_file):
 
 
 def test_lp_solver_failures_cost_one_frame_each(monkeypatch):
-    # simulate's seed 1, point 0, frames 0-5 at 3 dB take 112, 273, 164,
-    # 160, 133 and 152 pivots: under a budget of 150 the four frames above
+    # simulate's seed 1, point 0, frames 0-5 at 3 dB take 114, 232, 140,
+    # 162, 110 and 157 pivots: under a budget of 150 the three frames above
     # it trip the cycle guard, each counts as a frame error with every
-    # symbol wrong and no iterations, and the frames after them still decode
+    # symbol wrong and no iterations, and the frames after them still
+    # decode; frame 2, within the budget, decodes to the corpus's one wrong
+    # codeword, 3 symbols off
     monkeypatch.setattr(qarylp.lp, "_MAX_PIVOTS", 150)
     cfg = SimConfig(decoder="lp", ebno_list=(3.0,), target_frame_errors=100,
                     max_frames=6, seed=1)
     p = run_point(cfg, 3.0)
     assert p.frames_run == 6
-    assert p.solver_failures == 4
-    assert p.frame_errors == 4
-    assert p.symbol_errors == 4 * 80
+    assert p.solver_failures == 3
+    assert p.frame_errors == 3 + 1
+    assert p.symbol_errors == 3 * 80 + 3
     assert p.erasures == 0
-    assert p.mean_iterations == (112 + 133) / 6
+    assert p.mean_iterations == (114 + 140 + 110) / 6
     assert p.malformed_frames == 0
 
 
