@@ -304,7 +304,8 @@ def test_inverse_entries_leave_a_gap_above_the_drop_tolerance(monkeypatch):
 def test_update_inverse_matches_dense_form_on_random_sparse_inverses():
     # the sparse update against the dense rank-one form on random sparse
     # matrices; the modes force an empty hit (d nonzero only at r), a pivot
-    # row with one nonzero and a fully dense pivot row, and m = 1 is drawn
+    # row with one nonzero, a fully dense pivot row and a pivot row with
+    # round-off residue that both forms drop, and m = 1 is drawn
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -312,7 +313,8 @@ def test_update_inverse_matches_dense_form_on_random_sparse_inverses():
     @hypothesis.given(m=st.integers(1, 12),
                       density=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
                       mode=st.sampled_from(["random", "empty hit",
-                                            "one nonzero", "dense row"]),
+                                            "one nonzero", "dense row",
+                                            "residue row"]),
                       seed=st.integers(0, 2**32 - 1))
     @hypothesis.example(m=1, density=0.0, mode="random", seed=0)
     @hypothesis.example(m=1, density=1.0, mode="dense row", seed=1)
@@ -330,6 +332,8 @@ def test_update_inverse_matches_dense_form_on_random_sparse_inverses():
         elif mode == "dense row":
             binv[r] = rng.uniform(0.5, 2.0, size=m) * rng.choice([-1.0, 1.0],
                                                                  size=m)
+        elif mode == "residue row":
+            binv[r, rng.integers(m)] = rng.choice([-1.0, 1.0]) * 1e-14
         want = binv.copy()
         update_inverse_dense(want, d, r)
         qarylp.lp._update_inverse(binv, d, r)
@@ -971,8 +975,8 @@ def test_exact_decode_pivot_count_guard():
     # crash with every covered indicator basic, 994 once the first master
     # also holds each check's cheapest words under the channel-split duals,
     # and 915 once pricing is per nonzero and round-off is dropped from the
-    # inverse; 960 is 915 plus the 5% that
-    # the benchmark allows on its pivots per frame
+    # inverse; 960 is 915 plus the 5% that the benchmark allows on its
+    # pivots per frame
     config = SimConfig(decoder="lp", ebno_list=(3.0,), max_frames=6, seed=1)
     point = run_point(config, 3.0)
     assert point.frames_run == 6
@@ -1010,9 +1014,9 @@ def test_exact_decode_pivot_path_is_pinned():
                                                    (2.0, 691, 25)])
 def test_exact_decode_fractional_frame_is_pinned(ebno, pivots, erased):
     # frame 25 of simulate's seed 1, point 0 has a fractional LP optimum at
-    # 3 and 2 dB; degenerate, it took 1063 and 1768 pivots under plain
-    # Dantzig pricing.  Pivots, status and erasures are pinned, the optimum
-    # is HiGHS's
+    # 3 and 2 dB, and took 1063 and 1768 pivots before pricing per nonzero
+    # and the drop tolerance.  Pivots, status and erasures are pinned, the
+    # optimum is HiGHS's
     optimize = pytest.importorskip("scipy.optimize")
     code = ldpc80_z4()
     lam = simulate_frames(code, ebno, 1, 0, [25])[0]
