@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codes import _as_symbols, _check_integer
+
 # clearance below which two constellation points count as coincident
 _DISTINCT_TOL = 1e-9
 
@@ -49,17 +51,14 @@ class ConstellationMap:
 
 def psk(q: int) -> ConstellationMap:
     """Phase-shift keying with natural labeling: a -> exp(2*pi*i*a/q)."""
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
+    _check_integer("q", q, 2)
     return ConstellationMap(q=q, points=np.exp(2j * np.pi * np.arange(q) / q))
 
 
 def modulate(word, cmap: ConstellationMap) -> np.ndarray:
-    """Component-wise constellation lookup."""
-    w = np.asarray(word, dtype=np.int64)
-    if np.any((w < 0) | (w >= cmap.q)):
-        raise ValueError(f"word entries outside Z_{cmap.q}")
-    return cmap.points[w]
+    """Component-wise constellation lookup; an entry that is not a whole
+    number in 0..q-1 raises ValueError."""
+    return cmap.points[_as_symbols(word, cmap.q)]
 
 
 def awgn_sample(x, sigma: float, rng: np.random.Generator) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .simulate import SimConfig, run_sweep
+from .simulate import _DECODERS, SimConfig, run_sweep
 
 
 def _parse_ebno(text: str):
@@ -26,34 +26,39 @@ def _parse_ebno(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # each dest is a SimConfig field, and a flag left out is absent from the
+    # namespace, so SimConfig's own default applies
     p = argparse.ArgumentParser(
         prog="qarylp-sim",
         description="Monte-Carlo FER sweeps for LP decoding over Z_q.",
+        argument_default=argparse.SUPPRESS,
     )
-    p.add_argument("--code", default="builtin",
+    p.add_argument("--code",
                    help="code source: 'builtin' or 'file:PATH' (default: builtin)")
-    p.add_argument("--decoder", choices=("soft", "hard", "lp"),
-                   default="soft",
+    p.add_argument("--decoder", choices=_DECODERS,
                    help="coordinate ascent (soft/hard) or exact LP baseline")
-    p.add_argument("--kappa", type=float, default=100.0,
+    p.add_argument("--kappa", type=float,
                    help="soft-min sharpness for the soft decoder")
     p.add_argument("--ebno", type=_parse_ebno, required=True,
+                   dest="ebno_list", metavar="EBNO",
                    help="comma-separated Eb/N0 points in dB")
-    p.add_argument("--target-errors", type=int, default=500,
+    p.add_argument("--target-errors", type=int, dest="target_frame_errors",
+                   metavar="TARGET_ERRORS",
                    help="frame errors collected per point (default: 500)")
-    p.add_argument("--max-frames", type=int, default=1_000_000,
-                   help="frame budget per point")
-    p.add_argument("--max-iters", type=int, default=100,
+    p.add_argument("--max-frames", type=int, help="frame budget per point")
+    p.add_argument("--max-iters", type=int, dest="max_iterations",
+                   metavar="MAX_ITERS",
                    help="decoder iteration cap per frame")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", default=None, metavar="PATH",
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", dest="output", metavar="PATH",
                    help="CSV output path (omit to skip the file)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=int,
                    help="parallel frame workers (results are identical)")
-    p.add_argument("--random-codeword", default=None, metavar="PATH",
+    p.add_argument("--random-codeword", dest="random_codewords",
+                   metavar="PATH",
                    help="transmit codewords sampled from this list instead "
                         "of the all-zero word")
-    p.add_argument("--timing", action="store_true",
+    p.add_argument("--timing", action="store_true", dest="record_timing",
                    help="record wall-clock times (breaks byte-for-byte "
                         "output reproducibility)")
     return p
@@ -62,21 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = SimConfig(
-            code=args.code,
-            decoder=args.decoder,
-            kappa=args.kappa,
-            ebno_list=args.ebno,
-            target_frame_errors=args.target_errors,
-            max_frames=args.max_frames,
-            max_iterations=args.max_iters,
-            seed=args.seed,
-            output=args.out,
-            random_codewords=args.random_codeword,
-            workers=args.workers,
-            record_timing=args.timing,
-        )
-        run_sweep(config)
+        run_sweep(SimConfig(**vars(args)))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

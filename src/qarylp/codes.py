@@ -48,6 +48,24 @@ def _check_integer(name: str, value, low=None) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+def _as_symbols(word, q: int) -> np.ndarray:
+    """word as int64 symbols; ValueError for an entry that is not a whole
+    number in 0..q-1.
+
+    Whole-valued floats such as np.zeros(n) pass; NaN and ±inf fail the
+    float comparisons, and bool, complex and object arrays are refused.
+    """
+    w = np.asarray(word)
+    if w.dtype.kind == "f":
+        whole = np.all((w >= 0) & (w < q) & (w == np.floor(w)))
+    else:
+        whole = w.dtype.kind in "iu" and (
+            w.size == 0 or (w.min() >= 0 and w.max() < q))
+    if not whole:
+        raise ValueError(f"word entries must be whole numbers in 0..{q - 1}")
+    return w.astype(np.int64, copy=False)
+
+
 # ---- Tanner-graph view of a parity-check matrix ----
 
 
@@ -130,11 +148,14 @@ class TannerCode:
         return len(self.rows)
 
     def syndrome(self, word) -> np.ndarray:
-        """Per-check residuals sum_i c_i H[j,i] mod q, shape (m,)."""
-        w = np.asarray(word, dtype=np.int64)
+        """Per-check residuals sum_i c_i H[j,i] mod q, shape (m,).
+
+        An entry that is not a whole number in 0..q-1 raises ValueError.
+        """
+        w = np.asarray(word)
         if w.shape != (self.n,):
             raise LengthMismatch(f"expected length {self.n}, got shape {w.shape}")
-        w_pad = np.append(w, 0)
+        w_pad = np.append(_as_symbols(w, self.q), 0)
         return (w_pad[self.padded_cols] * self.padded_vals).sum(axis=1) % self.q
 
     def is_codeword(self, word) -> bool:
@@ -223,6 +244,9 @@ def random_regular_code(
     supports are redrawn whole until no check repeats a column; after
     _MAX_CODE_ATTEMPTS failed draws a ValueError names the parameters.
     """
+    for name, value, low in (("n", n, 1), ("m", m, 1),
+                             ("row_degree", row_degree, 2), ("q", q, 2)):
+        _check_integer(name, value, low)
     slots = m * row_degree
     if slots < n:
         raise ValueError(f"m * row_degree = {slots} cannot cover {n} columns")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,29 +131,20 @@ def load_codeword_list(path: str, code: TannerCode) -> np.ndarray:
     return np.stack(words)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _FrameContext:
     code: TannerCode
     constellation: object
     decoder: str
-    kappa: float
-    max_iterations: int
+    decoder_config: DecoderConfig
     seed: int
     tx_words: np.ndarray | None = None
-    decoder_config: DecoderConfig = field(init=False)
-
-    def __post_init__(self):
-        # only the soft decoder smooths; SimConfig checks kappa for it alone
-        kappa = self.kappa if self.decoder == "soft" else math.inf
-        self.decoder_config = DecoderConfig(
-            max_iterations=self.max_iterations, kappa=kappa,
-        )
 
 
 def _frame_outcome(ctx: _FrameContext, point_index: int, frame_index: int,
                    sigma: float):
     """Simulate one frame; returns (error, sym_errors, erasures, iters, bad,
-    failed).
+    failed), the order in which a point sums its frames' counts.
 
     The frame's randomness comes from a SeedSequence over (seed, point,
     frame), so the outcome is a pure function of those indices.  A decode
@@ -180,7 +171,7 @@ def _frame_outcome(ctx: _FrameContext, point_index: int, frame_index: int,
         try:
             outcome = decode(ctx.code, llr, ctx.decoder_config)
         except MalformedDecision:
-            return 1, ctx.code.n, 0, ctx.max_iterations, 1, 0
+            return 1, ctx.code.n, 0, ctx.decoder_config.max_iterations, 1, 0
     est = outcome.symbols
     sym_errors = int(np.count_nonzero(est != tx))
     erasures = int(np.count_nonzero(est == ERASED))
@@ -205,53 +196,57 @@ def _make_context(config: SimConfig) -> _FrameContext:
     tx_words = None
     if config.random_codewords is not None:
         tx_words = load_codeword_list(config.random_codewords, code)
+    # only the soft decoder smooths; SimConfig checks kappa for it alone
+    kappa = config.kappa if config.decoder == "soft" else math.inf
     return _FrameContext(
         code=code, constellation=psk(code.q), decoder=config.decoder,
-        kappa=config.kappa, max_iterations=config.max_iterations,
+        decoder_config=DecoderConfig(max_iterations=config.max_iterations,
+                                     kappa=kappa),
         seed=config.seed, tx_words=tx_words,
     )
 
 
-def run_point(config: SimConfig, ebno_db: float, point_index: int = None,
-              _ctx: _FrameContext = None, _pool=None) -> FerPoint:
-    """Run one Eb/N0 point until target_frame_errors or max_frames.
-
-    Frames are judged in index order regardless of how many were evaluated
-    ahead by the worker pool, so the aggregate never depends on the worker
-    count.
-    """
+def run_point(config: SimConfig, ebno_db: float,
+              point_index: int = None) -> FerPoint:
+    """Run one Eb/N0 point in this process until target_frame_errors or
+    max_frames; point_index defaults to ebno_db's place in ebno_list, or 0."""
     if point_index is None:
         point_index = (
             config.ebno_list.index(ebno_db)
             if ebno_db in config.ebno_list else 0
         )
-    ctx = _ctx if _ctx is not None else _make_context(config)
+    return _run_frames(config, _make_context(config), ebno_db, point_index)
+
+
+def _run_frames(config: SimConfig, ctx: _FrameContext, ebno_db: float,
+                point_index: int, pool=None) -> FerPoint:
+    """The frame loop of one point, serial or over a worker pool.
+
+    Frames are judged in index order regardless of how many were evaluated
+    ahead by the pool, so the aggregate never depends on the worker count.
+    """
     sigma = ebno_to_sigma(ebno_db, _code_rate(ctx.code),
                           math.log2(ctx.code.q))
     started = time.perf_counter() if config.record_timing else 0.0
-    wave = 1 if _pool is None else _WAVE_PER_WORKER * config.workers
-    frames = errors = sym_errors = erasures = malformed = failures = 0
-    iteration_sum = 0
-    while frames < config.max_frames and errors < config.target_frame_errors:
+    wave = 1 if pool is None else _WAVE_PER_WORKER * config.workers
+    frames = 0
+    totals = (0,) * 6  # _frame_outcome's order: totals[0] is frame errors
+    while frames < config.max_frames and totals[0] < config.target_frame_errors:
         hi = min(frames + wave, config.max_frames)
         tasks = [(point_index, fi, sigma) for fi in range(frames, hi)]
-        if _pool is None:
+        if pool is None:
             results = [_frame_outcome(ctx, *task) for task in tasks]
         else:
             chunk = max(1, len(tasks) // config.workers)
-            results = list(_pool.map(_worker_frame, tasks, chunksize=chunk))
+            results = list(pool.map(_worker_frame, tasks, chunksize=chunk))
         # judged in index order; frames after the target error are dropped
-        for err, sym, era, iters, bad, failed in results:
+        for counts in results:
             frames += 1
-            errors += err
-            sym_errors += sym
-            erasures += era
-            iteration_sum += iters
-            malformed += bad
-            failures += failed
-            if errors >= config.target_frame_errors:
+            totals = tuple(t + c for t, c in zip(totals, counts))
+            if totals[0] >= config.target_frame_errors:
                 break
     wall = time.perf_counter() - started if config.record_timing else 0.0
+    errors, sym_errors, erasures, iteration_sum, malformed, failures = totals
     return FerPoint(
         ebno_db=float(ebno_db),
         frames_run=frames,
@@ -305,9 +300,13 @@ def format_csv(points, config: SimConfig) -> str:
 
 
 def write_csv(points, config: SimConfig, path: str) -> None:
+    _write_text(path, "w", format_csv(points, config))
+
+
+def _write_text(path: str, mode: str, text: str) -> None:
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(format_csv(points, config))
+        with open(path, mode, encoding="utf-8", newline="") as fh:
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
@@ -315,6 +314,10 @@ def write_csv(points, config: SimConfig, path: str) -> None:
 def run_sweep(config: SimConfig, progress=print) -> list:
     """Run every Eb/N0 point, optionally write CSV, return FerPoints."""
     ctx = _make_context(config)
+    if config.output is not None:
+        # appends nothing: a bad path fails before the first frame, and an
+        # existing file keeps its bytes until the sweep ends
+        _write_text(config.output, "a", "")
     points = []
     pool = None
     try:
@@ -328,8 +331,7 @@ def run_sweep(config: SimConfig, progress=print) -> list:
                 initargs=(ctx,),
             )
         for k, ebno in enumerate(config.ebno_list):
-            point = run_point(config, ebno, point_index=k, _ctx=ctx,
-                              _pool=pool)
+            point = _run_frames(config, ctx, ebno, k, pool)
             points.append(point)
             if progress is not None:
                 progress(

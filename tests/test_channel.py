@@ -13,6 +13,7 @@ from qarylp.channel import (
     modulate,
     psk,
 )
+from qarylp.decoder import ERASED
 
 
 def test_qpsk_points():
@@ -20,6 +21,7 @@ def test_qpsk_points():
     assert cmap.q == 4
     np.testing.assert_allclose(cmap.points, [1, 1j, -1, -1j], atol=1e-12)
     assert np.mean(np.abs(cmap.points) ** 2) == pytest.approx(1.0)
+    assert psk(np.int64(4)).q == 4
 
 
 def test_constellation_validation():
@@ -39,6 +41,25 @@ def test_modulate_lookup():
     assert modulate([0, 1, 2, 3], cmap).shape == (4,)
     with pytest.raises(ValueError):
         modulate([0, 4], cmap)
+    np.testing.assert_allclose(modulate(np.array([0.0, 2.0]), cmap), [1, -1],
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("word", [[0.9, 3.7], [0, ERASED], [0, math.nan],
+                                  [True, False]])
+def test_modulate_refuses_non_symbols(word):
+    # [0.9, 3.7] used to give the points of symbols 0 and 3
+    with pytest.raises(ValueError, match=r"whole numbers in 0\.\.3"):
+        modulate(word, psk(4))
+
+
+@pytest.mark.parametrize("q, message", [
+    (4.0, "q must be an integer"), ("4", "q must be an integer"),
+    (True, "q must be an integer"), (1, "q must be >= 2, got 1"),
+])
+def test_psk_refuses_bad_q(q, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        psk(q)
 
 
 def test_awgn_degenerate_and_deterministic():

@@ -15,6 +15,7 @@ from qarylp import (
     read_check_matrix,
     write_check_matrix,
 )
+from qarylp.decoder import ERASED
 
 from oracles import dense, log_codebook_size_snf, spc_words_bruteforce, syndrome_loop
 
@@ -35,11 +36,28 @@ def test_tanner_code_structure():
 def test_tanner_code_syndrome():
     code = TannerCode(q=4, n=3, rows=(((0, 1), (1, 2)), ((1, 3), (2, 1))))
     assert code.syndrome([2, 1, 0]).tolist() == [0, 3]
+    # whole-valued floats are symbols
+    assert code.syndrome([2.0, 1.0, 0.0]).tolist() == [0, 3]
     assert not code.is_codeword([2, 1, 0])
     assert code.is_codeword([2, 1, 1])
     assert code.is_codeword([0, 0, 0])
     with pytest.raises(LengthMismatch):
         code.syndrome([0, 0])
+
+
+@pytest.mark.parametrize("word", [
+    np.full(80, 0.5),                       # used to truncate to 0
+    np.full(80, 4),                         # used to wrap to 0 mod 4
+    np.r_[np.zeros(79, dtype=np.int64), ERASED],
+    np.r_[np.zeros(79), np.nan],
+    np.zeros(80, dtype=bool),
+])
+def test_syndrome_refuses_non_symbols(word):
+    code = ldpc80_z4()
+    with pytest.raises(ValueError, match=r"whole numbers in 0\.\.3"):
+        code.is_codeword(word)
+    with pytest.raises(ValueError, match=r"whole numbers in 0\.\.3"):
+        code.syndrome(word)
 
 
 def test_syndrome_matches_per_check_loop():
@@ -233,6 +251,20 @@ def test_random_regular_code_rejects_impossible():
         random_regular_code(n=20, m=2, row_degree=3, q=4, rng=rng)
     with pytest.raises(ValueError):
         random_regular_code(n=2, m=3, row_degree=3, q=4, rng=rng)
+    # q = 1 has no nonzero coefficient to draw
+    with pytest.raises(ValueError, match="^q must be >= 2, got 1"):
+        random_regular_code(4, 2, 2, 1, rng)
+    with pytest.raises(ValueError, match="^row_degree must be >= 2, got 1"):
+        random_regular_code(n=4, m=4, row_degree=1, q=4, rng=rng)
+
+
+@pytest.mark.parametrize("name", ["n", "m", "row_degree", "q"])
+@pytest.mark.parametrize("bad", [4.0, "4", True])
+def test_random_regular_code_refuses_non_integer_sizes(name, bad):
+    sizes = dict(n=4, m=4, row_degree=2, q=4)
+    sizes[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        random_regular_code(rng=np.random.default_rng(0), **sizes)
 
 
 def test_random_regular_code_gives_up_on_unlikely_supports():

@@ -360,14 +360,28 @@ def test_meta_line_kappa_placeholder(small_code_file):
         assert f"decoder={decoder}, kappa=-," in meta
 
 
-def test_csv_identical_across_workers(small_code_file):
-    base = dict(code=small_code_file, ebno_list=(1.0, 3.0),
+@pytest.mark.parametrize("decoder", ["soft", "hard", "lp"])
+def test_csv_identical_across_workers(small_code_file, decoder):
+    base = dict(code=small_code_file, decoder=decoder, ebno_list=(1.0, 3.0),
                 target_frame_errors=5, max_frames=24, seed=12)
     serial = run_sweep(SimConfig(workers=1, **base), progress=None)
     parallel = run_sweep(SimConfig(workers=2, **base), progress=None)
     assert serial == parallel
     assert (format_csv(serial, SimConfig(workers=1, **base))
             == format_csv(parallel, SimConfig(workers=2, **base)))
+
+
+@pytest.mark.parametrize("decoder", ["soft", "lp"])
+def test_run_point_equals_the_sweeps_point(small_code_file, decoder):
+    # run_point and run_sweep share one frame loop
+    cfg = SimConfig(code=small_code_file, decoder=decoder,
+                    ebno_list=(1.0, 3.0, 1.0), target_frame_errors=4,
+                    max_frames=20, seed=5)
+    sweep = run_sweep(cfg, progress=None)
+    for k, ebno in enumerate(cfg.ebno_list):
+        assert run_point(cfg, ebno, k) == sweep[k]
+    # the repeated 1.0 dB point draws its own frames
+    assert sweep[0] != sweep[2]
 
 
 def test_fer_monotone_in_snr(small_code_file):
@@ -386,6 +400,43 @@ def test_write_csv_bad_path(tmp_path, small_code_file):
                     output=str(tmp_path / "absent" / "out.csv"))
     with pytest.raises(OSError, match="cannot write CSV"):
         run_sweep(cfg, progress=None)
+
+
+def test_bad_output_path_fails_before_the_first_frame(monkeypatch, tmp_path,
+                                                     small_code_file):
+    calls = []
+    decode = qarylp.simulate.decode
+
+    def counting(*args):
+        calls.append(args)
+        return decode(*args)
+
+    monkeypatch.setattr(qarylp.simulate, "decode", counting)
+    out = tmp_path / "absent" / "dir" / "out.csv"
+    cfg = SimConfig(code=small_code_file, ebno_list=(8.0, 9.0),
+                    target_frame_errors=10, max_frames=20, output=str(out))
+    with pytest.raises(OSError, match=re.escape(f"cannot write CSV to {out}")):
+        run_sweep(cfg, progress=None)
+    assert len(calls) == 0
+
+
+def test_existing_output_kept_until_the_sweep_ends(monkeypatch, tmp_path,
+                                                  small_code_file):
+    out = tmp_path / "out.csv"
+    out.write_text("earlier results\n")
+    seen = []
+    decode = qarylp.simulate.decode
+
+    def reading(*args):
+        seen.append(out.read_text())
+        return decode(*args)
+
+    monkeypatch.setattr(qarylp.simulate, "decode", reading)
+    cfg = SimConfig(code=small_code_file, ebno_list=(8.0,),
+                    target_frame_errors=1, max_frames=3, output=str(out))
+    points = run_sweep(cfg, progress=None)
+    assert seen == ["earlier results\n"] * 3
+    assert out.read_text() == format_csv(points, cfg)
 
 
 # ---- CLI ----
