@@ -21,17 +21,23 @@ and updates only the |nnz(d)| x |nnz(row)| inverse entries that can change,
 on the rows where d is nonzero and the columns where the new pivot row is.
 Entries of d and of the inverse below _DROP_TOL (1e-12) in magnitude are
 stored as exact zeros: they are round-off residue of zeros, which would
-otherwise fill the inverse and be carried by every later pivot.  On
-ldpc80_z4 and its Z_8 twin no entry lies in [1e-12, 1e-6), so the drop takes
-residue only.  The running duals are updated with the same row, and the
-periodic refactorization replays the same product-form updates from the
-crash basis's inverse, so no BLAS or LAPACK routine runs and the pivot path
-does not depend on the thread count.  Column generation only appends the
-columns of priced-in words to its master, so one basis inverse is carried
-from round to round.  The crash basis it starts from, inverted once per
-code, is the zero codeword with every covered indicator already basic: the
-indicators would otherwise cost one pivot each to bring in, and a
-refactorization replays only the basis columns the crash does not hold.  The
+otherwise fill the inverse and be carried by every later pivot.  On the
+benchmark's ldpc80_z4 frames and the first Z_8 frame no written entry lies
+in [1e-12, 1e-6), so there the drop takes residue only; over a solve of
+about a thousand pivots, residue can build up past 1e-12 and is then kept.
+The running duals are updated with the same row, so no BLAS or LAPACK
+routine runs and the pivot path does not depend on the thread count.
+Column generation only appends the columns of priced-in words to its
+master, so one basis inverse, its basic solution and its duals are carried
+from round to round.  The inverse is rebuilt only when it has drifted: after
+every round, the primal residual B·x_B - b and the dual residual
+c_B - y·B are computed from the stored columns, and when either exceeds
+_RESIDUAL_TOL the inverse is refactorized by replaying the same
+product-form updates from the crash basis's inverse, and the round is run
+again.  The crash basis, inverted once per code, is the zero codeword with
+every covered indicator already basic: the indicators would otherwise cost
+one pivot each to bring in, and a refactorization replays only the basis
+columns the crash does not hold.  The
 first master also holds, per check, the cheapest words that the crash does
 not, priced by the same code as every later round against channel-split
 duals: each edge takes its variable's channel costs divided by the
@@ -69,8 +75,9 @@ _INTEGRALITY_TOL = 1e-6
 
 # consecutive degenerate pivots before Dantzig pricing falls back to Bland
 _REVISED_STALL_LIMIT = 200
-# basis-inverse refactorization cadence for the revised loop
-_REFACTOR_EVERY = 128
+# a column-generation round whose primal or (cost-scaled) dual residual is
+# above this refactorizes the basis inverse and is run again
+_RESIDUAL_TOL = 1e-9
 
 
 class CycleGuardTripped(RuntimeError):
@@ -146,6 +153,10 @@ def _update_inverse(binv, d, r):
 def _invert(cols, basis, m, start=None):
     """Inverse of the basis columns, by product-form updates.
 
+    Column generation calls it to refactorize from the crash basis when a
+    round's residuals show that the carried inverse has drifted; the crash
+    set-up calls it from I, block by block.
+
     The updates run from I, or from start = (held, inverse): a basis, held[r]
     the column of row r, and its inverse.  A basis column that start holds
     keeps its row; every other one enters, through _update_inverse, at the
@@ -176,7 +187,8 @@ def _invert(cols, basis, m, start=None):
     return binv[order]
 
 
-def _revised_phase2(cols, b, c, basis, binv, fixed, spent=0, start=None):
+def _revised_phase2(cols, b, c, basis, binv, fixed, spent=0, xb=None,
+                    y=None):
     """Simplex pivots from a feasible basis, keeping only the basis inverse.
 
     The constraint matrix is a padded column store: one line of (row ids,
@@ -191,26 +203,28 @@ def _revised_phase2(cols, b, c, basis, binv, fixed, spent=0, start=None):
     binv on the rows where d is nonzero and the columns where the new row r
     is (see _update_inverse); entries of d and binv below _DROP_TOL in
     magnitude become 0.  The mask of fixed basic columns is kept pivot by
-    pivot.  The duals are running ones: _duals computes them at the start
-    and after each refactorization, and a pivot that enters s at row r adds
-    z[s] times the new row r of binv.  When they price no column in, they
-    are computed afresh and every column is priced again, so drift in the
-    running duals cannot end a call early.  Among the columns whose
-    reduced cost z_j is below -_SIMPLEX_TOL, the entering one has the most
-    negative z_j / nnz(a_j), nnz the stored column's nonzero count (counted
-    once per call, as the slot-major store is built), until more than
-    _REVISED_STALL_LIMIT consecutive degenerate pivots; then it is the
-    first of them (Bland).  Every _REFACTOR_EVERY-th pivot, counted from
-    spent, rebuilds binv with _invert from start (see _invert; None starts
-    from I), so a caller that carries binv from one call to the next keeps
-    one cadence.  binv, a C-contiguous array, is updated in place.  A column
-    of the boolean mask fixed stays at zero: it is never priced in, and
-    while basic it blocks the ratio test at ratio 0 wherever |d| >
-    _SIMPLEX_TOL.  spent counts pivots the caller made before this call;
-    CycleGuardTripped fires once spent plus this call's pivots exceed
-    _MAX_PIVOTS, and an entering column with no blocking row raises
-    UnboundedRay.  Returns (x, y, pivots, basis, binv): y the fresh duals
-    that confirmed optimality, pivots counting this call only.
+    pivot.  The basic values start from xb and the duals from y, the values
+    a previous call returned for this basis and binv; either one left out is
+    computed afresh (binv·b clipped at 0, and _duals).  Both are copied, so
+    the arrays passed in are never written.  The duals are running ones: a
+    pivot that enters s at row r adds z[s] times the new row r of binv.
+    When they price no column in, they are computed afresh and every column
+    is priced again, so drift in the running duals cannot end a call early.
+    binv is never rebuilt here: the caller checks the residuals of what a
+    call returns and refactorizes (see _invert and _column_generation).
+    Among the columns whose reduced cost z_j is below -_SIMPLEX_TOL, the
+    entering one has the most negative z_j / nnz(a_j), nnz the stored
+    column's nonzero count (counted once per call, as the slot-major store
+    is built), until more than _REVISED_STALL_LIMIT consecutive degenerate
+    pivots; then it is the first of them (Bland).  binv, a C-contiguous
+    array, is updated in place.  A column of the boolean mask fixed stays at
+    zero: it is never priced in, and while basic it blocks the ratio test at
+    ratio 0 wherever |d| > _SIMPLEX_TOL.  spent counts pivots the caller
+    made before this call; CycleGuardTripped fires once spent plus this
+    call's pivots exceed _MAX_PIVOTS, and an entering column with no
+    blocking row raises UnboundedRay.  Returns (x, y, pivots, basis, binv):
+    y the fresh duals that confirmed optimality, pivots counting this call
+    only.
     """
     tol = _SIMPLEX_TOL
     rows, vals = cols
@@ -218,11 +232,11 @@ def _revised_phase2(cols, b, c, basis, binv, fixed, spent=0, start=None):
     slots = (np.ascontiguousarray(rows.T), np.ascontiguousarray(vals.T))
     # each column's nonzero count, at least 1, for pricing per nonzero
     nnz = np.maximum(np.count_nonzero(vals, axis=1), 1)
-    m = len(b)
     basis = np.array(basis, dtype=np.intp)
     held = fixed[basis]
-    xb = np.clip(_matvec(binv, b), 0.0, None)
-    y = _duals(c[basis], binv)
+    xb = (np.clip(_matvec(binv, b), 0.0, None) if xb is None
+          else np.array(xb, dtype=np.float64))
+    y = _duals(c[basis], binv) if y is None else np.array(y, dtype=np.float64)
     # set when the running duals priced no column in and y was recomputed
     confirmed = False
     pivots = 0
@@ -269,15 +283,28 @@ def _revised_phase2(cols, b, c, basis, binv, fixed, spent=0, start=None):
         basis[r] = s
         held[r] = fixed[s]
         pivots += 1
-        if (spent + pivots) % _REFACTOR_EVERY == 0:
-            binv = _invert(cols, basis, m, start)
-            xb = np.clip(_matvec(binv, b), 0.0, None)
-            y = _duals(c[basis], binv)
         if spent + pivots > _MAX_PIVOTS:
             raise CycleGuardTripped(f"exceeded {_MAX_PIVOTS} pivots")
     x = np.zeros(len(c))
     x[basis] = xb
     return x, y, pivots, basis.tolist(), binv
+
+
+def _residuals(cols, b, c, basis, xb, y):
+    """(primal, dual) residuals of a basic solution and its duals.
+
+    primal is max |B·xb - b| and dual is max |c_B - y·B| / (1 + max |c|),
+    B the basis columns of the padded store cols; y carries the zero slot
+    that the padding rows read.  Both go through the store's nonzeros (a
+    bincount and a gather), not through the basis inverse, so they measure
+    how far the inverse that produced xb and y has drifted from B^-1.
+    """
+    rows, vals = (a[basis] for a in cols)
+    bx = np.bincount(rows.ravel(), (vals * xb[:, None]).ravel(),
+                     minlength=len(b) + 1)[:-1]
+    yb = (y[rows] * vals).sum(axis=1)
+    return (float(np.abs(bx - b).max()),
+            float(np.abs(c[basis] - yb).max() / (1.0 + np.abs(c).max())))
 
 
 # ---- the decoding LP ----
@@ -401,7 +428,8 @@ class _ExactSetup:
     _crash_words), which crash_fixed marks.  crash_basis lists the crash
     store column basic at each row, every covered indicator among them (see
     _crash_basis), and crash_binv is its inverse; b_pert is the rhs b
-    perturbed so that the crash solution stays feasible.  uncovered lists
+    perturbed so that the crash solution stays feasible, and crash_xb is
+    that solution, where every frame's first master starts.  uncovered lists
     the variables that no check covers, whose indicator columns touch no
     row.  word_index and crash_held serve the pricing of every check's
     words at once (see _add_cheapest_words), and word_index % q gives back
@@ -484,6 +512,9 @@ class _ExactSetup:
             rows.ravel(), (signs * u[:, None]).ravel(),
             minlength=self.n_rows + 1,
         )[:-1]
+        # every frame's first basic solution
+        self.crash_xb = np.clip(_matvec(self.crash_binv, self.b_pert), 0.0,
+                                None)
 
     def word_store(self, checks, words):
         """Stored columns of local words, words[k] of check checks[k], each
@@ -570,11 +601,18 @@ def _column_generation(setup: _ExactSetup, c_ind):
     check's words that price below -_PRICING_TOL, the _CG_ADDS_PER_CHECK
     most negative join the working set: their columns are built from their
     symbols and appended to the master, so every earlier column keeps its
-    place and the basis and its inverse carry over to the next round
-    unchanged.  A round with none certifies the restricted optimum as the
-    optimum of the full LP (the crash basis's unit columns stay in the
-    master, fixed at zero).  More than _MAX_PIVOTS pivots in all raise
-    CycleGuardTripped.  Returns (indicator part of x, value, total pivots).
+    place, and the basis, its inverse, the basic solution and the duals
+    carry over to the next round unchanged; the first round starts from the
+    set-up's crash_xb.  After every round, the primal and dual residuals of
+    its solution and duals (see _residuals) are checked before any word is
+    priced: above _RESIDUAL_TOL, the inverse is refactorized from the crash
+    basis (see _invert) and the round is run again from a fresh basic
+    solution and fresh duals.  A round with no word to add certifies the
+    restricted optimum as the optimum of the full LP (the crash basis's
+    unit columns stay in the master, fixed at zero).  More than _MAX_PIVOTS
+    pivots in all raise CycleGuardTripped, and so do more than
+    _MAX_CG_ROUNDS rounds, re-run ones included.  Returns (indicator part
+    of x, value, total pivots).
     """
     q = setup.q
     rows, signs = setup.crash_store
@@ -597,6 +635,7 @@ def _column_generation(setup: _ExactSetup, c_ind):
     basis = setup.crash_basis
     binv = setup.crash_binv.copy()
     b = setup.b_pert
+    xb, y = setup.crash_xb, None
     total_pivots = 0
     for _ in range(_MAX_CG_ROUNDS):
         if len(new_rows):
@@ -605,10 +644,17 @@ def _column_generation(setup: _ExactSetup, c_ind):
             c = np.concatenate([c, np.zeros(len(new_rows))])
             fixed = np.concatenate([fixed, np.zeros(len(new_rows), bool)])
         x, y, pivots, basis, binv = _revised_phase2(
-            (rows, signs), b, c, basis, binv, fixed,
-            spent=total_pivots, start=start,
+            (rows, signs), b, c, basis, binv, fixed, total_pivots, xb, y,
         )
         total_pivots += pivots
+        xb = x[basis]
+        if max(_residuals((rows, signs), b, c, basis, xb, y)) > _RESIDUAL_TOL:
+            # the inverse has drifted: rebuild it, and run the round again
+            # from a fresh basic solution and fresh duals
+            binv = _invert((rows, signs), basis, len(b), start)
+            xb = y = None
+            new_rows = ()
+            continue
         new_rows, new_signs = _add_cheapest_words(setup, held, y,
                                                   -_PRICING_TOL)
         if len(new_rows):
@@ -629,6 +675,7 @@ def _column_generation(setup: _ExactSetup, c_ind):
         b = setup.b
         basis = setup.crash_basis
         binv = setup.crash_binv.copy()
+        xb = y = None
     raise CycleGuardTripped(
         f"column generation did not settle in {_MAX_CG_ROUNDS} rounds"
     )

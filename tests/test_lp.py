@@ -253,9 +253,8 @@ def test_simplex_cycle_guard():
 
 
 def test_update_inverse_matches_dense_form(monkeypatch):
-    # every inverse update of six 3 dB ldpc80_z4 decodes (pivots and
-    # refactorizations, the per-code set-up excluded) gives the values of
-    # the dense rank-one form
+    # every inverse update of eight 3 dB ldpc80_z4 decodes (the per-code
+    # set-up excluded) gives the values of the dense rank-one form
     qarylp.lp._exact_setup(ldpc80_z4())
     calls = []
     sparse = qarylp.lp._update_inverse
@@ -267,7 +266,7 @@ def test_update_inverse_matches_dense_form(monkeypatch):
         calls.append(np.array_equal(binv, want))
 
     monkeypatch.setattr(qarylp.lp, "_update_inverse", both)
-    for lam in ldpc80_frames(6, seed=21):
+    for lam in ldpc80_frames(8, seed=21):
         lp_decode_exact(ldpc80_z4(), lam)
     assert len(calls) > 1000
     assert all(calls)
@@ -275,11 +274,16 @@ def test_update_inverse_matches_dense_form(monkeypatch):
 
 def test_inverse_entries_leave_a_gap_above_the_drop_tolerance(monkeypatch):
     # _DROP_TOL = 1e-12 only drops round-off residue of exact zeros: over
-    # the six frames-lp-z4-3db corpus frames and frame 0 of the Z_8 file at
-    # 6 dB, no FTRAN result and no inverse entry that an update writes
-    # (rows where d is nonzero) has a magnitude in [_DROP_TOL, 1e-6).
+    # the six frames-lp-z4-3db corpus frames and frames 0 and 3 of the Z_8
+    # file at 6 dB, no FTRAN result and no inverse entry that an update
+    # writes (rows where d is nonzero) has a magnitude in [_DROP_TOL, 1e-6).
     # Without the drop, 1e-12 was the residue's upper end: 7.9M written
-    # entries below it on Z_4 and 269M on Z_8, and none in the gap
+    # entries below it on Z_4 and 269M on Z_8 frame 0, and none in the gap.
+    # Long solves break the gap: with no periodic refactorization, residue
+    # builds up past 1e-12 on Z_8 frame 2 (529 308 written entries in the
+    # gap) and on fractional 2 dB frames; Z_8 frame 1 writes 57 entries in
+    # [6.3e-7, 7.7e-7], as it wrote 2364 in [1.3e-7, 9.1e-7] under the
+    # 128-pivot refactorization
     update = qarylp.lp._update_inverse
     counts = {"written": 0, "gap": 0}
 
@@ -296,7 +300,8 @@ def test_inverse_entries_leave_a_gap_above_the_drop_tolerance(monkeypatch):
     for lam in simulate_frames(z4, 3.0, 1, 0, range(6)):
         lp_decode_exact(z4, lam)
     z8 = read_check_matrix(Z8_CODE)
-    lp_decode_exact(z8, simulate_frames(z8, 6.0, 1, 0, [0])[0])
+    for lam in simulate_frames(z8, 6.0, 1, 0, [0, 3]):
+        lp_decode_exact(z8, lam)
     assert counts["written"] > 10**8
     assert counts["gap"] == 0
 
@@ -380,19 +385,24 @@ def test_invert_matches_linalg_inv():
 def test_invert_from_crash_start_matches_identity(monkeypatch):
     # a refactorization from the crash inverse, replaying only the basis
     # columns the crash does not hold, gives the inverse that a replay of
-    # every column from I gives; bases captured mid-decode
+    # every column from I gives; bases captured at the end of every
+    # column-generation round
+    code = ldpc80_z4()
+    setup = qarylp.lp._exact_setup(code)
+    start = (setup.crash_basis, setup.crash_binv)
     captured = []
+    engine = qarylp.lp._revised_phase2
+
+    def capture(cols, b, *args):
+        out = engine(cols, b, *args)
+        captured.append((cols, np.array(out[3]), len(b), start))
+        return out
+
+    monkeypatch.setattr(qarylp.lp, "_revised_phase2", capture)
     invert = qarylp.lp._invert
-
-    def capture(cols, basis, m, start=None):
-        if start is not None:
-            captured.append((cols, np.array(basis), m, start))
-        return invert(cols, basis, m, start)
-
-    monkeypatch.setattr(qarylp.lp, "_invert", capture)
     for lam in ldpc80_frames(4, seed=21):
-        lp_decode_exact(ldpc80_z4(), lam)
-    assert len(captured) >= 2
+        lp_decode_exact(code, lam)
+    assert len(captured) >= 8
     for cols, basis, m, start in captured:
         held = set(start[0])
         replayed = sum(int(s) not in held for s in basis)
@@ -416,8 +426,9 @@ def test_running_duals_match_fresh_duals(monkeypatch):
     # the duals the pivot loop updates in place still match freshly
     # computed ones when they declare a master optimal; the engine then
     # prices once more with the fresh ones, which must agree and, on these
-    # frames, never resume pivoting: _duals runs at the start, after each
-    # refactorization and once at the end, and no more
+    # frames, never resume pivoting: _duals runs at the start of a call not
+    # handed duals (the first round's) and once at the end, no more, and
+    # the engine never refactorizes
     priced, calls = [], {"_duals": 0, "_invert": 0}
     price, duals = qarylp.lp._price, qarylp.lp._duals
 
@@ -436,17 +447,20 @@ def test_running_duals_match_fresh_duals(monkeypatch):
     engine = qarylp.lp._revised_phase2
     returns = []
 
-    def check(cols, b, c, *args, **kwargs):
+    def check(cols, b, c, basis, binv, fixed, spent, xb, y):
         priced.clear()
         calls.update(_duals=0, _invert=0)
-        x, y, pivots, basis, binv = engine(cols, b, c, *args, **kwargs)
+        handed = y is not None
+        x, y, pivots, basis, binv = engine(cols, b, c, basis, binv, fixed,
+                                           spent, xb, y)
         fresh = duals(c[basis], binv)
         running, last = priced[-2:]
         assert np.array_equal(last, fresh)
         # the engine returns those fresh duals for column generation
         assert np.array_equal(y, fresh)
         assert np.abs(running - fresh).max() <= 1e-9 * (1.0 + np.abs(c).max())
-        assert calls["_duals"] == 2 + calls["_invert"]
+        assert calls["_duals"] == 2 - handed
+        assert calls["_invert"] == 0
         returns.append(pivots)
         return x, y, pivots, basis, binv
 
@@ -458,7 +472,119 @@ def test_running_duals_match_fresh_duals(monkeypatch):
         for lam in ldpc80_frames(2, seed=23, ebno=ebno):
             lp_decode_exact(ldpc80_z4(), lam)
     assert len(returns) > 4
-    assert sum(returns) > 2 * qarylp.lp._REFACTOR_EVERY
+    assert sum(returns) > 256
+
+
+def test_drifted_inverse_is_refactorized_once(monkeypatch):
+    # the inverse carried out of the first round is corrupted by 1e-6 in
+    # one entry, row 13 and column 41 on this frame: a structural zero of
+    # a row whose basic column has a cost, so that the duals carry the
+    # error, and of a coupling row's column, where the rhs is about 1e-7,
+    # so that the basis stays feasible.  The residual check must catch it
+    # after the next round, refactorize exactly once from the crash
+    # inverse, run that round again from a basic solution and duals that it
+    # computes afresh, and go on pivoting; the decode must end where the
+    # clean one does
+    optimize = pytest.importorskip("scipy.optimize")
+    code = ldpc80_z4()
+    lam = simulate_frames(code, 3.0, 1, 0, [0])[0]
+    want = lp_decode_exact(code, lam)
+    engine, invert = qarylp.lp._revised_phase2, qarylp.lp._invert
+    events = []
+
+    def corrupt_first(cols, b, c, basis, binv, fixed, spent, xb, y):
+        events.append(("handed", xb is not None, y is not None))
+        out = engine(cols, b, c, basis, binv, fixed, spent, xb, y)
+        events.append(out[2])
+        if len(events) == 2:
+            basis, binv = out[3], out[4]
+            assert c[basis[13]] != 0.0 and binv[13, 41] == 0.0
+            binv[13, 41] += 1e-6
+        return out
+
+    def counted(*args):
+        events.append("invert")
+        return invert(*args)
+
+    monkeypatch.setattr(qarylp.lp, "_revised_phase2", corrupt_first)
+    monkeypatch.setattr(qarylp.lp, "_invert", counted)
+    out = lp_decode_exact(code, lam)
+    assert events.count("invert") == 1
+    after = events[events.index("invert") + 1:]
+    assert after[0] == ("handed", False, False)
+    assert all(e[1:] == (True, True) for e in after[2::2])
+    pivots = after[1::2]
+    assert len(pivots) >= 2 and sum(pivots) > 0
+    assert np.array_equal(out.symbols, want.symbols)
+    assert out.status is want.status
+    got, ref = out.dual_objective_trace[0], want.dual_objective_trace[0]
+    assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+    c, A, b = decoding_lp(code, lam)
+    highs = optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None),
+                             method="highs")
+    assert highs.status == 0
+    assert got == pytest.approx(highs.fun, abs=1e-7)
+
+
+def test_corpus_runs_no_refactorization(monkeypatch):
+    # the benchmark's six corpus frames and frame 0 of the Z_8 file at 6 dB
+    # never refactorize: every round's primal and scaled dual residuals
+    # stay below 1e-12, far under _RESIDUAL_TOL
+    residuals, inverts = [], []
+    measure, invert = qarylp.lp._residuals, qarylp.lp._invert
+
+    def recorded(*args):
+        out = measure(*args)
+        residuals.append(out)
+        return out
+
+    def counted(*args):
+        inverts.append(args)
+        return invert(*args)
+
+    monkeypatch.setattr(qarylp.lp, "_residuals", recorded)
+    monkeypatch.setattr(qarylp.lp, "_invert", counted)
+    z4 = ldpc80_z4()
+    z8 = read_check_matrix(Z8_CODE)
+    qarylp.lp._exact_setup(z4)
+    qarylp.lp._exact_setup(z8)
+    inverts.clear()
+    cases = [(z4, lam) for lam in simulate_frames(z4, 3.0, 1, 0, range(6))]
+    cases.append((z8, simulate_frames(z8, 6.0, 1, 0, [0])[0]))
+    for code, lam in cases:
+        lp_decode_exact(code, lam)
+    assert not inverts
+    assert len(residuals) >= 3 * len(cases)
+    assert np.max(residuals) < 1e-12
+
+
+def test_engine_never_writes_the_state_it_is_given(monkeypatch):
+    # the basic solution and duals handed to the engine are copied before
+    # the pivots update them: the textbook program from a feasible, not
+    # optimal, start, and the carried state of every round of a decode,
+    # whose returned duals the next round starts from
+    c, A, b = TEXTBOOK
+    binv = np.linalg.inv(np.asarray(A)[:, [2, 3]])
+    xb, y = np.array([4.0, 2.0]), np.zeros(3)
+    _, _, pivots, _, _ = qarylp.lp._revised_phase2(
+        padded_store(A), np.asarray(b), np.asarray(c), [2, 3], binv,
+        np.zeros(4, dtype=bool), 0, xb, y)
+    assert pivots > 0
+    assert xb.tolist() == [4.0, 2.0] and y.tolist() == [0.0, 0.0, 0.0]
+    engine = qarylp.lp._revised_phase2
+    handed, returned = [], []
+
+    def watch(cols, b, c, basis, binv, fixed, spent, xb, y):
+        handed.extend((a, a.copy()) for a in (xb, y) if a is not None)
+        out = engine(cols, b, c, basis, binv, fixed, spent, xb, y)
+        returned.append((out[1], out[1].copy()))
+        return out
+
+    monkeypatch.setattr(qarylp.lp, "_revised_phase2", watch)
+    for lam in ldpc80_frames(2, seed=21):
+        lp_decode_exact(ldpc80_z4(), lam)
+    assert len(returned) >= 4 and len(handed) >= 2 * len(returned) - 3
+    assert all(np.array_equal(a, copy) for a, copy in handed + returned)
 
 
 def test_fresh_duals_resume_pivoting(monkeypatch):
@@ -975,8 +1101,8 @@ def test_exact_decode_pivot_count_guard():
     # crash with every covered indicator basic, 994 once the first master
     # also holds each check's cheapest words under the channel-split duals,
     # and 915 once pricing is per nonzero and round-off is dropped from the
-    # inverse; 960 is 915 plus the 5% that the benchmark allows on its
-    # pivots per frame
+    # inverse (920 with no periodic refactorization); 960 is 915 plus the
+    # 5% that the benchmark allows on its pivots per frame
     config = SimConfig(decoder="lp", ebno_list=(3.0,), max_frames=6, seed=1)
     point = run_point(config, 3.0)
     assert point.frames_run == 6
@@ -1004,19 +1130,20 @@ def test_exact_decode_pivot_path_is_pinned():
     code = ldpc80_z4()
     outs = [lp_decode_exact(code, lam)
             for lam in simulate_frames(code, 3.0, 1, 0, range(6))]
-    assert [o.iterations_used for o in outs] == [114, 232, 140, 162, 110, 157]
+    assert [o.iterations_used for o in outs] == [114, 235, 140, 162, 110, 159]
     optima = [float(o.dual_objective_trace[0]).hex() for o in outs]
-    assert optima == ["0x0.0p+0", "0x0.0p+0", "-0x1.1603d0d37c411p+0",
+    assert optima == ["0x0.0p+0", "0x0.0p+0", "-0x1.1603d0d37c412p+0",
                       "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]
 
 
-@pytest.mark.parametrize("ebno, pivots, erased", [(3.0, 307, 13),
-                                                   (2.0, 691, 25)])
+@pytest.mark.parametrize("ebno, pivots, erased", [(3.0, 342, 13),
+                                                   (2.0, 788, 25)])
 def test_exact_decode_fractional_frame_is_pinned(ebno, pivots, erased):
     # frame 25 of simulate's seed 1, point 0 has a fractional LP optimum at
     # 3 and 2 dB, and took 1063 and 1768 pivots before pricing per nonzero
-    # and the drop tolerance.  Pivots, status and erasures are pinned, the
-    # optimum is HiGHS's
+    # and the drop tolerance, then 307 and 691 under the 128-pivot
+    # refactorization.  Pivots, status and erasures are pinned, the optimum
+    # is HiGHS's
     optimize = pytest.importorskip("scipy.optimize")
     code = ldpc80_z4()
     lam = simulate_frames(code, ebno, 1, 0, [25])[0]

@@ -251,8 +251,8 @@ def test_malformed_frames_accounting(monkeypatch, small_code_file):
 
 
 def test_lp_solver_failures_cost_one_frame_each(monkeypatch):
-    # simulate's seed 1, point 0, frames 0-5 at 3 dB take 114, 232, 140,
-    # 162, 110 and 157 pivots: under a budget of 150 the three frames above
+    # simulate's seed 1, point 0, frames 0-5 at 3 dB take 114, 235, 140,
+    # 162, 110 and 159 pivots: under a budget of 150 the three frames above
     # it trip the cycle guard, each counts as a frame error with every
     # symbol wrong and no iterations, and the frames after them still
     # decode; frame 2, within the budget, decodes to the corpus's one wrong
