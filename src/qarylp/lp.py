@@ -22,9 +22,10 @@ on the rows where d is nonzero and the columns where the new pivot row is.
 Entries of d and of the inverse below _DROP_TOL (1e-12) in magnitude are
 stored as exact zeros: they are round-off residue of zeros, which would
 otherwise fill the inverse and be carried by every later pivot.  On the
-benchmark's ldpc80_z4 frames and the first Z_8 frame no written entry lies
-in [1e-12, 1e-6), so there the drop takes residue only; over a solve of
-about a thousand pivots, residue can build up past 1e-12 and is then kept.
+benchmark's ldpc80_z4 frames and frames 0 and 3 of its Z_8 twin no written
+entry lies in [1e-12, 1e-6), so there the drop takes residue only; over a
+solve of many hundred pivots, residue can build up past 1e-12 and is then
+kept.
 The running duals are updated with the same row, so no BLAS or LAPACK
 routine runs and the pivot path does not depend on the thread count.
 Column generation only appends the columns of priced-in words to its
@@ -37,20 +38,20 @@ product-form updates from the crash basis's inverse, and the round is run
 again.  The crash basis, inverted once per code, is the zero codeword with
 every covered indicator already basic: the indicators would otherwise cost
 one pivot each to bring in, and a refactorization replays only the basis
-columns the crash does not hold.  The
-first master also holds, per check, the cheapest words that the crash does
-not, priced by the same code as every later round against channel-split
-duals: each edge takes its variable's channel costs divided by the
-variable's degree, so every covered indicator prices at zero.  These columns
-only start the master nearer its optimum, which column generation still
-certifies over the full codebooks.  Pivoting uses the Dantzig rule priced
-per nonzero, the most negative reduced cost divided by the column's nonzero
-count, so a word column with d+1 nonzeros does not outrank an indicator on
-raw cost alone.  It falls back to Bland's rule after a degenerate stall:
-Dantzig can cycle on the degenerate decoding polytope, and pure Bland is far
-slower there.  The unit columns that complete a crash basis whose check's
-codebook columns cannot fill its block are fixed at zero, so every code
-decodes by column generation from the zero codeword.
+columns the crash does not hold.  The first master also holds, per check,
+the cheapest words that the crash does not, priced by the same code as
+every later round against channel-split duals: each edge takes its
+variable's channel costs divided by the variable's degree, so every covered
+indicator prices at zero.  These columns only start the master nearer its
+optimum, which column generation still certifies over the full codebooks.
+Pivoting uses the Dantzig rule priced per nonzero, the most negative
+reduced cost divided by the column's nonzero count, so a word column with
+d+1 nonzeros does not outrank an indicator on raw cost alone.  It falls
+back to Bland's rule after a degenerate stall: Dantzig can cycle on the
+degenerate decoding polytope, and pure Bland is far slower there.  The unit
+columns that complete a crash basis whose check's codebook columns cannot
+fill its block are fixed at zero, so every code decodes by column
+generation from the zero codeword.
 """
 
 from __future__ import annotations
