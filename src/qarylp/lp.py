@@ -30,20 +30,20 @@ The running duals are updated with the same row, so no BLAS or LAPACK
 routine runs and the pivot path does not depend on the thread count.
 Column generation only appends the columns of priced-in words to its
 master, so one basis inverse, its basic solution and its duals are carried
-from round to round.  The inverse is rebuilt only when it has drifted: after
-every round, the primal residual B·x_B - b and the dual residual
-c_B - y·B are computed from the stored columns, and when either exceeds
-_RESIDUAL_TOL the inverse is refactorized by replaying the same
-product-form updates from the crash basis's inverse, and the round is run
-again.  The crash basis, inverted once per code, is the zero codeword with
-every covered indicator already basic: the indicators would otherwise cost
-one pivot each to bring in, and a refactorization replays only the basis
-columns the crash does not hold.  The first master also holds, per check,
-the cheapest words that the crash does not, priced by the same code as
-every later round against channel-split duals: each edge takes its
-variable's channel costs divided by the variable's degree, so every covered
-indicator prices at zero.  These columns only start the master nearer its
-optimum, which column generation still certifies over the full codebooks.
+from round to round.  After every round, the primal residual B·x_B - b and
+the dual residual c_B - y·B are computed from the stored columns.  When
+either exceeds _RESIDUAL_TOL the inverse has drifted, and the next round
+restarts from the crash vertex with every master column kept, the same
+restart that re-solves for the true rhs when the optimum for the
+perturbed rhs is infeasible there.  The crash basis, inverted once
+per code, is the zero codeword with every covered indicator already basic:
+the indicators would otherwise cost one pivot each to bring in.  The first
+master also holds, per check, the cheapest words that the crash does not,
+priced by the same code as every later round against channel-split duals:
+each edge takes its variable's channel costs divided by the variable's
+degree, so every covered indicator prices at zero.  These columns only
+start the master nearer its optimum, which column generation still
+certifies over the full codebooks.
 Pivoting uses the Dantzig rule priced per nonzero, the most negative
 reduced cost divided by the column's nonzero count, so a word column with
 d+1 nonzeros does not outrank an indicator on raw cost alone.  It falls
@@ -76,8 +76,8 @@ _INTEGRALITY_TOL = 1e-6
 
 # consecutive degenerate pivots before Dantzig pricing falls back to Bland
 _REVISED_STALL_LIMIT = 200
-# a column-generation round whose primal or (cost-scaled) dual residual is
-# above this refactorizes the basis inverse and is run again
+# after a column-generation round whose primal or (cost-scaled) dual
+# residual is above this, the next round restarts from the crash vertex
 _RESIDUAL_TOL = 1e-9
 
 
@@ -151,32 +151,22 @@ def _update_inverse(binv, d, r):
     binv[r] = _drop(row)
 
 
-def _invert(cols, basis, m, start=None):
-    """Inverse of the basis columns, by product-form updates.
+def _invert(cols, basis, m):
+    """Inverse of the basis columns, by product-form updates from I.
 
-    Column generation calls it to refactorize from the crash basis when a
-    round's residuals show that the carried inverse has drifted; the crash
-    set-up calls it from I, block by block.
-
-    The updates run from I, or from start = (held, inverse): a basis, held[r]
-    the column of row r, and its inverse.  A basis column that start holds
-    keeps its row; every other one enters, through _update_inverse, at the
-    row not yet taken where its d is largest in magnitude (partial
-    pivoting); a column listed twice enters the second time.  The rows are
+    The crash set-up calls it block by block (see _crash_basis).  Each
+    basis column enters, through _update_inverse, at the row not yet taken
+    where its d is largest in magnitude (partial pivoting); the rows are
     then put back in basis order.  Raises ValueError when a column has no
     entry above _SIMPLEX_TOL in magnitude left on the free rows, that is,
     the basis is singular: a column listed twice has exact zeros there, up
     to rounding.
     """
     rows, vals = cols
-    held, inverse = start or ((), None)
-    binv = np.eye(m) if inverse is None else inverse.copy()
-    at = {s: r for r, s in enumerate(held)}
-    order = np.array([at.pop(s, -1) for s in basis], dtype=np.intp)
+    binv = np.eye(m)
+    order = np.empty(len(basis), dtype=np.intp)
     free = np.ones(m, dtype=bool)
-    free[order[order >= 0]] = False
-    for k in np.flatnonzero(order < 0):
-        s = basis[k]
+    for k, s in enumerate(basis):
         d = _ftran(binv, rows[s], vals[s])
         mag = np.where(free, np.abs(d), -1.0)
         r = int(np.argmax(mag))
@@ -212,7 +202,8 @@ def _revised_phase2(cols, b, c, basis, binv, fixed, spent=0, xb=None,
     When they price no column in, they are computed afresh and every column
     is priced again, so drift in the running duals cannot end a call early.
     binv is never rebuilt here: the caller checks the residuals of what a
-    call returns and refactorizes (see _invert and _column_generation).
+    call returns and restarts from the crash vertex when they have drifted
+    (see _column_generation).
     Among the columns whose reduced cost z_j is below -_SIMPLEX_TOL, the
     entering one has the most negative z_j / nnz(a_j), nnz the stored
     column's nonzero count (counted once per call, as the slot-major store
@@ -606,14 +597,17 @@ def _column_generation(setup: _ExactSetup, c_ind):
     carry over to the next round unchanged; the first round starts from the
     set-up's crash_xb.  After every round, the primal and dual residuals of
     its solution and duals (see _residuals) are checked before any word is
-    priced: above _RESIDUAL_TOL, the inverse is refactorized from the crash
-    basis (see _invert) and the round is run again from a fresh basic
-    solution and fresh duals.  A round with no word to add certifies the
-    restricted optimum as the optimum of the full LP (the crash basis's
-    unit columns stay in the master, fixed at zero).  More than _MAX_PIVOTS
-    pivots in all raise CycleGuardTripped, and so do more than
-    _MAX_CG_ROUNDS rounds, re-run ones included.  Returns (indicator part
-    of x, value, total pivots).
+    priced: above _RESIDUAL_TOL, the inverse has drifted, and the next
+    round restarts from the crash vertex (the crash basis, a copy of its
+    inverse, a fresh basic solution and fresh duals) with every master
+    column kept.  A round with no word to add certifies the restricted
+    optimum as the optimum of the full LP (the crash basis's unit columns
+    stay in the master, fixed at zero).  Its basis is then the optimum for
+    the perturbed rhs b_pert; when it is infeasible for the true rhs, the
+    same restart re-solves for the true rhs.  More than _MAX_PIVOTS pivots
+    in all raise CycleGuardTripped, and so do more than _MAX_CG_ROUNDS
+    rounds, restarted ones included.  Returns (indicator part of x, value,
+    total pivots).
     """
     q = setup.q
     rows, signs = setup.crash_store
@@ -630,9 +624,7 @@ def _column_generation(setup: _ExactSetup, c_ind):
         / setup.edge_var_degree[:, None]
     ).ravel()
     new_rows, new_signs = _add_cheapest_words(setup, held, split, np.inf)
-    # start at the zero-codeword vertex provided by the crash selection,
-    # and refactor from it
-    start = (setup.crash_basis, setup.crash_binv)
+    # start at the zero-codeword vertex provided by the crash selection
     basis = setup.crash_basis
     binv = setup.crash_binv.copy()
     b = setup.b_pert
@@ -649,31 +641,29 @@ def _column_generation(setup: _ExactSetup, c_ind):
         )
         total_pivots += pivots
         xb = x[basis]
-        if max(_residuals((rows, signs), b, c, basis, xb, y)) > _RESIDUAL_TOL:
-            # the inverse has drifted: rebuild it, and run the round again
-            # from a fresh basic solution and fresh duals
-            binv = _invert((rows, signs), basis, len(b), start)
-            xb = y = None
-            new_rows = ()
-            continue
-        new_rows, new_signs = _add_cheapest_words(setup, held, y,
-                                                  -_PRICING_TOL)
-        if len(new_rows):
-            continue
-        if b is setup.b:
-            return x[:setup.n_ind], float((c * x).sum()), total_pivots
-        # reduced costs do not depend on the rhs, so the basis stays
-        # optimal for the true rhs as long as it stays feasible there,
-        # fixed columns at zero included
-        xb_true = _matvec(binv, setup.b)
-        if (xb_true.min() >= -_FEAS_TOL
-                and xb_true[fixed[basis]].max(initial=0.0) <= _FEAS_TOL):
-            x_true = np.zeros(len(c))
-            x_true[basis] = np.clip(xb_true, 0.0, None)
-            return (x_true[:setup.n_ind], float((c * x_true).sum()),
-                    total_pivots)
-        # rare: re-run unperturbed from the crash vertex
-        b = setup.b
+        new_rows = ()
+        if max(_residuals((rows, signs), b, c, basis, xb, y)) <= _RESIDUAL_TOL:
+            new_rows, new_signs = _add_cheapest_words(setup, held, y,
+                                                      -_PRICING_TOL)
+            if len(new_rows):
+                continue
+            if b is setup.b:
+                return x[:setup.n_ind], float((c * x).sum()), total_pivots
+            # reduced costs do not depend on the rhs, so the basis stays
+            # optimal for the true rhs as long as it stays feasible there,
+            # fixed columns at zero included
+            xb_true = _matvec(binv, setup.b)
+            if (xb_true.min() >= -_FEAS_TOL
+                    and xb_true[fixed[basis]].max(initial=0.0) <= _FEAS_TOL):
+                x_true = np.zeros(len(c))
+                x_true[basis] = np.clip(xb_true, 0.0, None)
+                return (x_true[:setup.n_ind], float((c * x_true).sum()),
+                        total_pivots)
+            # rare: re-run unperturbed
+            b = setup.b
+        # the inverse has drifted, or the rhs is the true one now: restart
+        # from the crash vertex, every master column kept, with a fresh
+        # basic solution and fresh duals
         basis = setup.crash_basis
         binv = setup.crash_binv.copy()
         xb = y = None

@@ -376,50 +376,15 @@ def test_invert_matches_linalg_inv():
         binv = qarylp.lp._invert(padded_store(A), basis, m)
         assert np.abs(binv - np.linalg.inv(A[:, basis])).max() < 1e-12
     singular = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1.0, 2.0, 1.0]])
-    cols = padded_store(singular)
-    for basis in ([0, 1, 2], [0, 2, 1]):
+    cases = [(padded_store(singular), [0, 1, 2], 3),
+             (padded_store(singular), [0, 2, 1], 3),
+             # a column listed twice has exact zeros on the free rows the
+             # second time, up to rounding: the last random basis with its
+             # first column again in place of its last
+             (padded_store(A), np.r_[basis[:-1], basis[0]], m)]
+    for cols, basis, m in cases:
         with pytest.raises(ValueError, match="singular"):
-            qarylp.lp._invert(cols, basis, 3)
-
-
-def test_invert_from_crash_start_matches_identity(monkeypatch):
-    # a refactorization from the crash inverse, replaying only the basis
-    # columns the crash does not hold, gives the inverse that a replay of
-    # every column from I gives; bases captured at the end of every
-    # column-generation round
-    code = ldpc80_z4()
-    setup = qarylp.lp._exact_setup(code)
-    start = (setup.crash_basis, setup.crash_binv)
-    captured = []
-    engine = qarylp.lp._revised_phase2
-
-    def capture(cols, b, *args):
-        out = engine(cols, b, *args)
-        captured.append((cols, np.array(out[3]), len(b), start))
-        return out
-
-    monkeypatch.setattr(qarylp.lp, "_revised_phase2", capture)
-    invert = qarylp.lp._invert
-    for lam in ldpc80_frames(4, seed=21):
-        lp_decode_exact(code, lam)
-    assert len(captured) >= 8
-    for cols, basis, m, start in captured:
-        held = set(start[0])
-        replayed = sum(int(s) not in held for s in basis)
-        assert 0 < replayed < m // 2
-        got = invert(cols, basis, m, start)
-        assert np.abs(got - invert(cols, basis, m)).max() < 1e-12
-    cols, basis, m, start = captured[0]
-    held = set(start[0])
-    kept = next(k for k, s in enumerate(basis) if int(s) in held)
-    entering = next(k for k, s in enumerate(basis) if int(s) not in held)
-    # a column listed twice makes the basis singular, whether the start
-    # holds it or it enters
-    for k in (kept, entering):
-        singular = basis.copy()
-        singular[0 if k else 1] = basis[k]
-        with pytest.raises(ValueError, match="singular"):
-            invert(cols, singular, m, start)
+            qarylp.lp._invert(cols, basis, m)
 
 
 def test_running_duals_match_fresh_duals(monkeypatch):
@@ -475,45 +440,43 @@ def test_running_duals_match_fresh_duals(monkeypatch):
     assert sum(returns) > 256
 
 
-def test_drifted_inverse_is_refactorized_once(monkeypatch):
+def test_drifted_inverse_restarts_from_the_crash_vertex(monkeypatch):
     # the inverse carried out of the first round is corrupted by 1e-6 in
     # one entry, row 13 and column 41 on this frame: a structural zero of
     # a row whose basic column has a cost, so that the duals carry the
     # error, and of a coupling row's column, where the rhs is about 1e-7,
     # so that the basis stays feasible.  The residual check must catch it
-    # after the next round, refactorize exactly once from the crash
-    # inverse, run that round again from a basic solution and duals that it
-    # computes afresh, and go on pivoting; the decode must end where the
-    # clean one does
+    # after the next round, and exactly one round must then restart from
+    # the crash vertex: the crash basis, no basic solution or duals handed
+    # in, and the master's columns as they were.  Every other round after
+    # the first carries its state on; the decode must end where the clean
+    # one does
     optimize = pytest.importorskip("scipy.optimize")
     code = ldpc80_z4()
+    setup = qarylp.lp._exact_setup(code)
     lam = simulate_frames(code, 3.0, 1, 0, [0])[0]
     want = lp_decode_exact(code, lam)
-    engine, invert = qarylp.lp._revised_phase2, qarylp.lp._invert
-    events = []
+    engine = qarylp.lp._revised_phase2
+    rounds = []
 
     def corrupt_first(cols, b, c, basis, binv, fixed, spent, xb, y):
-        events.append(("handed", xb is not None, y is not None))
         out = engine(cols, b, c, basis, binv, fixed, spent, xb, y)
-        events.append(out[2])
-        if len(events) == 2:
+        rounds.append((list(basis), len(c), xb is not None, y is not None,
+                       out[2]))
+        if len(rounds) == 1:
             basis, binv = out[3], out[4]
             assert c[basis[13]] != 0.0 and binv[13, 41] == 0.0
             binv[13, 41] += 1e-6
         return out
 
-    def counted(*args):
-        events.append("invert")
-        return invert(*args)
-
     monkeypatch.setattr(qarylp.lp, "_revised_phase2", corrupt_first)
-    monkeypatch.setattr(qarylp.lp, "_invert", counted)
     out = lp_decode_exact(code, lam)
-    assert events.count("invert") == 1
-    after = events[events.index("invert") + 1:]
-    assert after[0] == ("handed", False, False)
-    assert all(e[1:] == (True, True) for e in after[2::2])
-    pivots = after[1::2]
+    handed = [r[2:4] for r in rounds]
+    assert handed[0] == (True, False)
+    assert [k for k, h in enumerate(handed) if h != (True, True)] == [0, 2]
+    assert rounds[2][0] == setup.crash_basis
+    assert rounds[2][1] == rounds[1][1]
+    pivots = [r[4] for r in rounds[2:]]
     assert len(pivots) >= 2 and sum(pivots) > 0
     assert np.array_equal(out.symbols, want.symbols)
     assert out.status is want.status
@@ -526,34 +489,68 @@ def test_drifted_inverse_is_refactorized_once(monkeypatch):
     assert got == pytest.approx(highs.fun, abs=1e-7)
 
 
-def test_corpus_runs_no_refactorization(monkeypatch):
+@pytest.mark.parametrize("frame", [0, 1])
+def test_drifted_corpus_frame_decodes_to_the_clean_result(monkeypatch, frame):
+    # 1e-6 added to inverse entry (13, 480) after the first round of a
+    # benchmark corpus frame: refactorizing the same basis from the crash
+    # inverse left frame 0 cycling until the round guard tripped and found
+    # frame 1's basis singular, while a restart from the crash vertex
+    # decodes both to the clean symbols, status and optimum
+    code = ldpc80_z4()
+    lam = simulate_frames(code, 3.0, 1, 0, [frame])[0]
+    want = lp_decode_exact(code, lam)
+    engine = qarylp.lp._revised_phase2
+    calls = []
+
+    def corrupt_first(*args):
+        out = engine(*args)
+        calls.append(out[2])
+        if len(calls) == 1:
+            out[4][13, 480] += 1e-6
+        return out
+
+    monkeypatch.setattr(qarylp.lp, "_revised_phase2", corrupt_first)
+    out = lp_decode_exact(code, lam)
+    assert out.iterations_used > want.iterations_used
+    assert np.array_equal(out.symbols, want.symbols)
+    assert out.status is want.status
+    got, ref = out.dual_objective_trace[0], want.dual_objective_trace[0]
+    assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_corpus_rounds_carry_their_state(monkeypatch):
     # the benchmark's six corpus frames and frame 0 of the Z_8 file at 6 dB
-    # never refactorize: every round's primal and scaled dual residuals
-    # stay below 1e-12, far under _RESIDUAL_TOL
-    residuals, inverts = [], []
-    measure, invert = qarylp.lp._residuals, qarylp.lp._invert
+    # never restart: every round after the first is handed the basic
+    # solution and duals that the round before it returned, and every
+    # round's primal and scaled dual residuals stay below 1e-12, far under
+    # _RESIDUAL_TOL
+    residuals, rounds = [], []
+    measure, engine = qarylp.lp._residuals, qarylp.lp._revised_phase2
 
     def recorded(*args):
         out = measure(*args)
         residuals.append(out)
         return out
 
-    def counted(*args):
-        inverts.append(args)
-        return invert(*args)
+    def watched(cols, b, c, basis, binv, fixed, spent, xb, y):
+        if rounds:
+            x, y_out = rounds[-1]
+            assert np.array_equal(xb, x[basis])
+            assert np.array_equal(y, y_out)
+        out = engine(cols, b, c, basis, binv, fixed, spent, xb, y)
+        rounds.append((out[0], out[1].copy()))
+        return out
 
     monkeypatch.setattr(qarylp.lp, "_residuals", recorded)
-    monkeypatch.setattr(qarylp.lp, "_invert", counted)
+    monkeypatch.setattr(qarylp.lp, "_revised_phase2", watched)
     z4 = ldpc80_z4()
     z8 = read_check_matrix(Z8_CODE)
-    qarylp.lp._exact_setup(z4)
-    qarylp.lp._exact_setup(z8)
-    inverts.clear()
     cases = [(z4, lam) for lam in simulate_frames(z4, 3.0, 1, 0, range(6))]
     cases.append((z8, simulate_frames(z8, 6.0, 1, 0, [0])[0]))
     for code, lam in cases:
+        rounds.clear()
         lp_decode_exact(code, lam)
-    assert not inverts
+        assert len(rounds) >= 3
     assert len(residuals) >= 3 * len(cases)
     assert np.max(residuals) < 1e-12
 
